@@ -11,11 +11,12 @@ cost-adjusted spectrum comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import exact, linalg, permutation
-from .errors import DimensionError, DomainError, SizeGuard
+from .errors import DimensionError, DomainError, NumericError, SizeGuard
 from .streams import derive_rng
 
 KERNEL_ENUM_LIMIT = 20
@@ -88,7 +89,8 @@ def kernel_matrices_exact(ev, paired: bool = False):
         xc = Zc[:, :-1] - Zc[:, -1:]
         hessian = J + (xc * p[:, None]).T @ xc
         # complement rows negate the design, so the paired moment is exactly 2J
-        assert np.allclose(hessian, 2.0 * J, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(J)))))
+        if not np.allclose(hessian, 2.0 * J, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(J))))):
+            raise NumericError("paired design moment departs from twice the unpaired moment")
         method = "kernel-paired"
     else:
         residual = y - x @ partial
@@ -143,20 +145,10 @@ def permutation_covariance_exact(ev, paired: bool = True) -> CovarianceReport:
     in the null space; for additively separated games the matrix is block
     diagonal, and for bilinear games it vanishes entirely.
     """
-    q = ev.q
-    perms = exact.all_permutations(q)
+    perms = exact.all_permutations(ev.q)
     table = exact.value_table(ev)
-    B = exact.marginal_matrix_from_table(table, perms)
-    if paired:
-        W = 0.5 * (B + exact.marginal_matrix_from_table(table, perms[:, ::-1]))
-        method = "permutation-paired"
-    else:
-        W = B
-        method = "permutation"
-    centered = W - W.mean(axis=0)
-    covariance = centered.T @ centered / (perms.shape[0] - 1)
-    scale = float(np.max(np.abs(W))) if W.size else 0.0
-    return _make_report(covariance, method, "exact-enumeration", q, scale)
+    walk = partial(exact.marginal_matrix, table.__getitem__)
+    return _walk_covariance(walk, perms, paired, "exact-enumeration")
 
 
 def permutation_covariance_plugin(ev, n: int, seed=None, paired: bool = True) -> CovarianceReport:
@@ -170,17 +162,28 @@ def permutation_covariance_plugin(ev, n: int, seed=None, paired: bool = True) ->
         raise DomainError(f"need at least 2 sampled orders, got {n}")
     rng = derive_rng(seed, 0)
     perms = permutation.sample_permutations(ev.q, n, rng)
-    B = permutation.marginal_vectors(ev, perms)
+    walk = partial(permutation.marginal_vectors, ev)
+    return _walk_covariance(walk, perms, paired, f"plug-in(n={n}, seed={seed})")
+
+
+def _walk_covariance(walk, perms: np.ndarray, paired: bool, provenance: str) -> CovarianceReport:
+    """Covariance of the (paired) marginal vectors of `perms`, 1/(m - 1) normalized.
+
+    `walk(perms)` returns the marginal-contribution matrix of the orders.
+    The pairing average and the centering run in place, so the walk's
+    n x q arrays stay as few as possible.
+    """
+    W = walk(perms)
     if paired:
-        W = 0.5 * (B + permutation.marginal_vectors(ev, perms[:, ::-1]))
+        W += walk(perms[:, ::-1])
+        W *= 0.5
         method = "permutation-paired"
     else:
-        W = B
         method = "permutation"
-    centered = W - W.mean(axis=0)
-    covariance = centered.T @ centered / (n - 1)
     scale = float(np.max(np.abs(W))) if W.size else 0.0
-    return _make_report(covariance, method, f"plug-in(n={n}, seed={seed})", ev.q, scale)
+    W -= W.mean(axis=0)
+    covariance = W.T @ W / (perms.shape[0] - 1)
+    return _make_report(covariance, method, provenance, perms.shape[1], scale)
 
 
 def predicted_stderr(report: CovarianceReport, n: int) -> np.ndarray:

@@ -14,9 +14,12 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, SizeGuard
+from .games import mask_rows
 
 SUBSET_LIMIT = 25
 PERMUTATION_LIMIT = 9
+# int64 coalition bitmasks: bits 0..62 stay clear of the sign bit
+MASK_LIMIT = 63
 
 
 @dataclass(frozen=True)
@@ -69,8 +72,7 @@ def kernel_weights(q: int) -> KernelWeights:
 
 def coalition_matrix(q: int) -> np.ndarray:
     """All 2^q coalitions as a binary matrix; row index equals the bitmask."""
-    masks = np.arange(2**q, dtype=np.int64)
-    return ((masks[:, None] >> np.arange(q)) & 1).astype(np.uint8)
+    return mask_rows(np.arange(2**q, dtype=np.int64), q)
 
 
 def value_table(ev) -> np.ndarray:
@@ -114,18 +116,24 @@ def all_permutations(q: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(q))), dtype=np.int64)
 
 
-def marginal_matrix_from_table(table: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """Marginal-contribution vectors for each permutation, from a value table.
+def marginal_matrix(values_at, perms: np.ndarray) -> np.ndarray:
+    """Marginal-contribution vectors for each permutation, walked by prefixes.
 
     Row i, column j holds the payoff gain of player j joining the players
-    that precede it in permutation i.  Each row sums to the grand value.
+    that precede it in permutation i.  `values_at` maps an (n, q) int64 array
+    of coalition bitmasks to their payoffs; it is called once, on the q
+    nonempty prefixes of every order (the empty prefix is worth zero by
+    normalization).  Each row sums to the grand value.
     """
-    bits = np.int64(1) << perms
-    prefix_masks = np.cumsum(bits, axis=1)
-    walk = np.concatenate(
-        [np.zeros((perms.shape[0], 1)), table[prefix_masks]], axis=1
-    )
-    gains = np.diff(walk, axis=1)
+    perms = np.asarray(perms)
+    _guard(perms.shape[1], MASK_LIMIT, "the bitmask prefix walk")
+    masks = np.int64(1) << perms
+    np.cumsum(masks, axis=1, out=masks)
+    gains = values_at(masks)
+    # drop the masks before B is allocated, so at most two n x q arrays are live
+    del masks
+    for t in range(gains.shape[1] - 1, 0, -1):
+        gains[:, t] -= gains[:, t - 1]
     B = np.empty_like(gains)
     np.put_along_axis(B, perms, gains, axis=1)
     return B
@@ -137,7 +145,7 @@ def shapley_all_permutations(ev) -> ShapleyVector:
     _guard(q, PERMUTATION_LIMIT, "permutation enumeration")
     table = value_table(ev)
     perms = all_permutations(q)
-    B = marginal_matrix_from_table(table, perms)
+    B = marginal_matrix(table.__getitem__, perms)
     return ShapleyVector(phi=B.mean(axis=0), method_tag="permutation")
 
 

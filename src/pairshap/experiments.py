@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, exact, kernel, permutation
-from .errors import PartitionError, SchemaError
+from .errors import DomainError, PartitionError, SchemaError
 from .games import GameEvaluator, ValueFunctionSpec, parse_spec
 from .streams import derive_rng
 
@@ -296,17 +296,28 @@ def run_from_config(doc: dict, jobs: int = 1) -> dict:
         raise SchemaError(f"unknown experiment kind {kind!r}; choose from {KINDS}")
     if "vf" not in doc:
         raise SchemaError("config requires 'vf'")
-    if "master_seed" not in doc or not isinstance(doc["master_seed"], int) or isinstance(doc["master_seed"], bool):
+    if "master_seed" not in doc or not _is_int(doc["master_seed"]):
         raise SchemaError("config requires an integer 'master_seed'")
     outputs = doc.get("outputs", {})
     if not isinstance(outputs, dict) or "csv" not in outputs:
         raise SchemaError("config requires outputs.csv")
+    if not _is_int(jobs) or jobs < 1:
+        raise DomainError(f"jobs must be a positive integer, got {jobs!r}")
+    methods = doc.get("methods", list(METHODS))
+    if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
+        raise SchemaError("'methods' must be a list of method names")
+    sizes = doc.get("sizes", [])
+    if not isinstance(sizes, list) or not all(_is_int(n) for n in sizes):
+        raise SchemaError("'sizes' must be a list of integers")
+    for key in ("reps", "kernel_n"):
+        if key in doc and not _is_int(doc[key]):
+            raise SchemaError(f"'{key}' must be an integer, got {doc[key]!r}")
 
     config = ExperimentConfig(
         vf=parse_spec(doc["vf"]),
         master_seed=doc["master_seed"],
-        methods=tuple(doc.get("methods", METHODS)),
-        sizes=tuple(doc.get("sizes", ())),
+        methods=tuple(methods),
+        sizes=tuple(sizes),
         reps=doc.get("reps", 0),
         outputs=outputs,
     )
@@ -327,13 +338,17 @@ def run_from_config(doc: dict, jobs: int = 1) -> dict:
     return {"kind": kind, "csv": str(outputs["csv"]), "rows": len(rows)}
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_partition(raw, q: int) -> list[list[int]]:
     """1-based index groups from a config document, returned 0-based."""
     if not isinstance(raw, list) or not all(isinstance(g, list) for g in raw):
         raise SchemaError("'partition' must be a list of index lists")
     groups = []
     for g in raw:
-        if not all(isinstance(i, int) and not isinstance(i, bool) for i in g):
+        if not all(_is_int(i) for i in g):
             raise SchemaError("partition indices must be integers")
         if any(i < 1 or i > q for i in g):
             raise SchemaError(f"partition indices must lie in 1..{q}")

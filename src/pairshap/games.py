@@ -93,6 +93,11 @@ def as_coalitions(Z, q: int) -> np.ndarray:
     return Z
 
 
+def mask_rows(masks, q: int) -> np.ndarray:
+    """Indicator rows of int64 coalition bitmasks; bit j stands for player j."""
+    return ((np.asarray(masks)[:, None] >> np.arange(q)) & 1).astype(np.uint8)
+
+
 def parse_spec(doc) -> ValueFunctionSpec:
     """Build a ValueFunctionSpec from a JSON string or an already-parsed dict.
 
@@ -232,6 +237,11 @@ class GameEvaluator:
     ValueFunctionSpec is the standard one.  The grand-coalition value is
     cached after its first (counted) evaluation because several estimators
     reuse it on every draw.
+
+    `eval_count` is the paper's logical cost: 1 per kernel draw, 2 per paired
+    kernel draw, q per walked order and 2q per paired order.  The game may
+    see far fewer rows: a prefix walk through `values_at` whose masks
+    outnumber the 2^q coalitions evaluates each distinct coalition once.
     """
 
     def __init__(self, game):
@@ -250,6 +260,31 @@ class GameEvaluator:
     def evaluate_many(self, Z) -> np.ndarray:
         out = self.game.values(Z)
         self.eval_count += len(out)
+        return out
+
+    def values_at(self, masks) -> np.ndarray:
+        """Payoffs of the coalitions encoded by an (n, k) int64 bitmask array.
+
+        Counts one logical evaluation per mask.  When the masks outnumber
+        the 2^q coalitions, the distinct ones are evaluated in one batch and
+        gathered; otherwise each column is evaluated as n indicator rows,
+        which keeps memory at n rows when 2^q is too large to tabulate.
+        Either way only coalitions that appear in `masks` reach the game.
+        """
+        masks = np.asarray(masks, dtype=np.int64)
+        size = 2**self.q
+        if size <= masks.size:
+            seen = np.zeros(size, dtype=bool)
+            seen[masks] = True
+            distinct = np.flatnonzero(seen)
+            table = np.zeros(size)
+            table[distinct] = self.game.values(mask_rows(distinct, self.q))
+            out = table[masks]
+        else:
+            out = np.empty(masks.shape)
+            for col in range(masks.shape[1]):
+                out[:, col] = self.game.values(mask_rows(masks[:, col], self.q))
+        self.eval_count += masks.size
         return out
 
     def grand_value(self) -> float:

@@ -24,24 +24,12 @@ def marginal_vectors(ev, perms) -> np.ndarray:
     """Marginal-contribution vector of each permutation, walked by prefixes.
 
     Row i, column j holds the payoff gain when player j joins the players
-    preceding it in permutation i; the walk evaluates the q nonempty
-    prefixes of each order (the empty prefix is worth zero by
-    normalization), so the cost is exactly q evaluations per row.
+    preceding it in permutation i.  The walk looks up the q nonempty
+    prefixes of each order through `ev.values_at` (the empty prefix is worth
+    zero by normalization), so the logical cost is exactly q evaluations per
+    row.
     """
-    perms = np.asarray(perms)
-    n, q = perms.shape
-    rows = np.arange(n)
-    Z = np.zeros((n, q), dtype=np.uint8)
-    gains = np.empty((n, q))
-    previous = np.zeros(n)
-    for t in range(q):
-        Z[rows, perms[:, t]] = 1
-        current = ev.evaluate_many(Z)
-        gains[:, t] = current - previous
-        previous = current
-    B = np.empty_like(gains)
-    np.put_along_axis(B, perms, gains, axis=1)
-    return B
+    return exact.marginal_matrix(ev.values_at, perms)
 
 
 def marginal_vector(ev, perm) -> np.ndarray:
@@ -57,8 +45,8 @@ def estimate_permutation(ev, n: int, paired: bool = False, seed=None) -> exact.S
     perms = sample_permutations(ev.q, n, rng)
     B = marginal_vectors(ev, perms)
     if paired:
-        B_rev = marginal_vectors(ev, perms[:, ::-1])
-        phi = 0.5 * (B + B_rev).mean(axis=0)
+        B += marginal_vectors(ev, perms[:, ::-1])
+        phi = 0.5 * B.mean(axis=0)
         tag = "permutation-paired"
     else:
         phi = B.mean(axis=0)

@@ -212,6 +212,44 @@ def test_experiment_end_to_end(tmp_path, vf_path, capsys):
     assert csv_path.read_bytes() == first
 
 
+@pytest.mark.parametrize(
+    "change, extra_args",
+    [
+        ({"kind": "additive_recovery", "kernel_n": "abc"}, []),
+        ({"kind": "additive_recovery", "kernel_n": 2.5}, []),
+        ({"kind": "additive_recovery", "kernel_n": True}, []),
+        ({"reps": "5"}, []),
+        ({"sizes": [True, 4]}, []),
+        ({"methods": "kernel"}, []),
+        ({}, ["--jobs", "0"]),
+        ({}, ["--jobs", "-2"]),
+    ],
+    ids=["kernel_n-str", "kernel_n-float", "kernel_n-bool", "reps-str", "sizes-bool",
+         "methods-str", "jobs-zero", "jobs-negative"],
+)
+def test_mistyped_experiment_config_exits_two(tmp_path, capsys, change, extra_args):
+    config = {
+        "kind": "bias_variance",
+        "vf": REFERENCE_DOC,
+        "methods": ["kernel"],
+        "sizes": [16],
+        "reps": 2,
+        "partition": [[1, 2, 3, 4]],
+        "master_seed": 1,
+        "outputs": {"csv": str(tmp_path / "rows.csv")},
+    }
+    config.update(change)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    code, out, err = run(capsys, ["experiment", "--config", str(cfg), *extra_args])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(("SchemaError:", "DomainError:"))
+    assert "must be" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "rows.csv").exists()
+
+
 def test_missing_file_exits_two(capsys):
     code, out, err = run(capsys, ["exact", "--vf", "/nonexistent/vf.json"])
     assert code == 2

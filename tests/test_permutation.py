@@ -4,7 +4,7 @@ import pytest
 from scipy.stats import chi2
 
 from pairshap import exact, kernel, permutation
-from pairshap.errors import DomainError, PartitionError, SpecError
+from pairshap.errors import DomainError, NonFiniteError, PartitionError, SizeGuard, SpecError
 from pairshap.games import GameEvaluator, parse_spec, prefix_coalition
 from pairshap.streams import derive_rng
 
@@ -17,6 +17,117 @@ from conftest import (
     separated_doc,
     three_block_doc,
 )
+
+
+def walk_by_rows(ev, perms) -> np.ndarray:
+    """Reference walk: q batches of n indicator rows, one batch per prefix length."""
+    perms = np.asarray(perms)
+    n, q = perms.shape
+    rows = np.arange(n)
+    Z = np.zeros((n, q), dtype=np.uint8)
+    gains = np.empty((n, q))
+    previous = np.zeros(n)
+    for t in range(q):
+        Z[rows, perms[:, t]] = 1
+        current = ev.evaluate_many(Z)
+        gains[:, t] = current - previous
+        previous = current
+    B = np.empty_like(gains)
+    np.put_along_axis(B, perms, gains, axis=1)
+    return B
+
+
+class RowCounter:
+    """Game wrapper recording how many rows each `values` call receives."""
+
+    def __init__(self, game):
+        self.game = game
+        self.q = game.q
+        self.calls: list[int] = []
+
+    def values(self, Z) -> np.ndarray:
+        self.calls.append(len(Z))
+        return self.game.values(Z)
+
+
+def walk_sizes(q: int) -> tuple[int, int]:
+    """Order counts just below and at the switch to deduplicated lookups."""
+    below = (2**q - 1) // q
+    return below, below + 1
+
+
+def test_marginal_vectors_match_row_walk():
+    rng = np.random.default_rng(90)
+    kinds = set()
+    for q in range(2, 13):
+        for n in walk_sizes(q):
+            doc = random_game_doc(rng, q)
+            kinds.update(term["kind"] for term in doc["terms"])
+            spec = parse_spec(doc)
+            perms = permutation.sample_permutations(q, n, rng)
+            for orders in (perms, perms[:, ::-1]):
+                expected = walk_by_rows(GameEvaluator(spec), orders)
+                got = permutation.marginal_vectors(GameEvaluator(spec), orders)
+                assert np.array_equal(got, expected), (q, n)
+    assert kinds == {"linear", "bilinear", "exp_linear", "exp_bilinear"}
+
+
+def test_marginal_vectors_physical_rows_and_logical_count():
+    rng = np.random.default_rng(91)
+    for q in range(2, 13):
+        spec = parse_spec(random_game_doc(rng, q))
+        row_n, dedup_n = walk_sizes(q)
+        for n, deduplicated in ((row_n, False), (dedup_n, True)):
+            game = RowCounter(spec)
+            ev = GameEvaluator(game)
+            permutation.marginal_vectors(ev, permutation.sample_permutations(q, n, rng))
+            assert ev.eval_count == n * q
+            if deduplicated:
+                assert len(game.calls) == 1
+                assert game.calls[0] <= 2**q - 1
+            else:
+                assert sum(game.calls) == n * q
+
+
+def overflow_on_13_game() -> GameEvaluator:
+    """q=3 game whose payoff overflows on coalition {1,3} and nowhere else."""
+    doc = {
+        "q": 3,
+        "terms": [
+            {
+                "kind": "exp_bilinear",
+                "indices": [1, 2, 3],
+                "A": [[0.0, 0.0, 800.0], [0.0, -1000.0, 0.0], [0.0, 0.0, 0.0]],
+            }
+        ],
+    }
+    return GameEvaluator(parse_spec(doc))
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_walk_raises_only_when_it_visits_a_non_finite_coalition(n):
+    # {1,3} is a prefix exactly when player 2 (index 1) comes last
+    safe = np.array([[1, 0, 2], [0, 1, 2], [2, 1, 0]] * 2)[:n]
+    B = permutation.marginal_vectors(overflow_on_13_game(), safe)
+    assert np.all(np.isfinite(B))
+    unsafe = safe.copy()
+    unsafe[-1] = [2, 0, 1]
+    with pytest.raises(NonFiniteError):
+        permutation.marginal_vectors(overflow_on_13_game(), unsafe)
+
+
+def test_walk_bitmasks_reach_63_players():
+    def linear_game(q):
+        beta = np.linspace(-1.0, 1.0, q)
+        doc = {"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": list(beta)}]}
+        return GameEvaluator(parse_spec(doc)), beta
+
+    ev, beta = linear_game(63)
+    perm = np.random.default_rng(92).permutation(63)
+    np.testing.assert_allclose(permutation.marginal_vector(ev, perm), beta, atol=1e-12)
+    ev, _ = linear_game(64)
+    with pytest.raises(SizeGuard):
+        permutation.marginal_vector(ev, np.arange(64))
 
 
 def test_marginal_vector_hand_game(hand_game_q3):
