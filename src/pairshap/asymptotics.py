@@ -147,7 +147,7 @@ def permutation_covariance_exact(ev, paired: bool = True) -> CovarianceReport:
     """
     perms = exact.all_permutations(ev.q)
     table = exact.value_table(ev)
-    walk = partial(exact.marginal_matrix, table.__getitem__)
+    walk = partial(exact.marginal_matrix, partial(np.take, table))
     return _walk_covariance(walk, perms, paired, "exact-enumeration")
 
 

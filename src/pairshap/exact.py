@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import linalg
 from .errors import DomainError, SizeGuard
-from .games import mask_rows
+from .games import mask_rows, prefix_masks
 
 SUBSET_LIMIT = 25
 PERMUTATION_LIMIT = 9
-# int64 coalition bitmasks: bits 0..62 stay clear of the sign bit
-MASK_LIMIT = 63
 
 
 @dataclass(frozen=True)
@@ -120,18 +119,15 @@ def marginal_matrix(values_at, perms: np.ndarray) -> np.ndarray:
     """Marginal-contribution vectors for each permutation, walked by prefixes.
 
     Row i, column j holds the payoff gain of player j joining the players
-    that precede it in permutation i.  `values_at` maps an (n, q) int64 array
-    of coalition bitmasks to their payoffs; it is called once, on the q
+    that precede it in permutation i.  `values_at(masks, out=...)` writes the
+    payoffs of an (n, q) int64 array of coalition bitmasks into a float
+    array that shares the masks' memory; it is called once, on the q
     nonempty prefixes of every order (the empty prefix is worth zero by
     normalization).  Each row sums to the grand value.
     """
-    perms = np.asarray(perms)
-    _guard(perms.shape[1], MASK_LIMIT, "the bitmask prefix walk")
-    masks = np.int64(1) << perms
-    np.cumsum(masks, axis=1, out=masks)
-    gains = values_at(masks)
-    # drop the masks before B is allocated, so at most two n x q arrays are live
-    del masks
+    masks = prefix_masks(perms)
+    # the payoffs overwrite their masks, so one n x q array is live until B
+    gains = values_at(masks, out=masks.view(np.float64))
     for t in range(gains.shape[1] - 1, 0, -1):
         gains[:, t] -= gains[:, t - 1]
     B = np.empty_like(gains)
@@ -145,7 +141,7 @@ def shapley_all_permutations(ev) -> ShapleyVector:
     _guard(q, PERMUTATION_LIMIT, "permutation enumeration")
     table = value_table(ev)
     perms = all_permutations(q)
-    B = marginal_matrix(table.__getitem__, perms)
+    B = marginal_matrix(partial(np.take, table), perms)
     return ShapleyVector(phi=B.mean(axis=0), method_tag="permutation")
 
 

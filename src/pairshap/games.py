@@ -13,9 +13,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NonFiniteError, SchemaError
+from .errors import DimensionError, DomainError, NonFiniteError, SchemaError, SizeGuard
 
 TERM_KINDS = ("linear", "bilinear", "exp_linear", "exp_bilinear")
+
+# Coalition bitmasks are int64 with bit j standing for player j; bits 0..62
+# stay clear of the sign bit.
+MASK_LIMIT = 63
 
 _TERM_KEYS = {
     "linear": {"kind", "indices", "beta", "offset"},
@@ -93,9 +97,28 @@ def as_coalitions(Z, q: int) -> np.ndarray:
     return Z
 
 
+def prefix_masks(perms) -> np.ndarray:
+    """Bitmasks of the q nonempty prefixes of each order, as an (n, q) int64 array."""
+    perms = np.asarray(perms)
+    _guard_masks(perms.shape[1])
+    masks = np.int64(1) << perms
+    np.cumsum(masks, axis=1, out=masks)
+    return masks
+
+
 def mask_rows(masks, q: int) -> np.ndarray:
-    """Indicator rows of int64 coalition bitmasks; bit j stands for player j."""
-    return ((np.asarray(masks)[:, None] >> np.arange(q)) & 1).astype(np.uint8)
+    """Indicator rows of a 1-D array of coalition bitmasks, as an (m, q) uint8 matrix.
+
+    The bits are unpacked straight from the masks' little-endian bytes, so
+    no wider temporary than the masks themselves is made.
+    """
+    data = np.ascontiguousarray(masks, dtype="<i8")
+    return np.unpackbits(data.view(np.uint8).reshape(-1, 8), axis=1, count=q, bitorder="little")
+
+
+def _guard_masks(q: int) -> None:
+    if q > MASK_LIMIT:
+        raise SizeGuard(f"coalition bitmasks support q <= {MASK_LIMIT}, got q = {q}")
 
 
 def parse_spec(doc) -> ValueFunctionSpec:
@@ -262,28 +285,45 @@ class GameEvaluator:
         self.eval_count += len(out)
         return out
 
-    def values_at(self, masks) -> np.ndarray:
+    def values_at(self, masks, out=None) -> np.ndarray:
         """Payoffs of the coalitions encoded by an (n, k) int64 bitmask array.
 
         Counts one logical evaluation per mask.  When the masks outnumber
-        the 2^q coalitions, the distinct ones are evaluated in one batch and
-        gathered; otherwise each column is evaluated as n indicator rows,
-        which keeps memory at n rows when 2^q is too large to tabulate.
-        Either way only coalitions that appear in `masks` reach the game.
+        the 2^q coalitions, the distinct ones are tabulated, n/2 at a time,
+        and gathered; otherwise each column is evaluated as n indicator rows.
+        Either way the game sees at most n rows per call, and only
+        coalitions that appear in `masks` reach it.  `out`, a float (n, k)
+        array, may share memory with `masks`: each column of masks is read
+        before the payoffs overwrite it.
         """
+        q = self.q
+        _guard_masks(q)
         masks = np.asarray(masks, dtype=np.int64)
-        size = 2**self.q
+        if masks.ndim != 2:
+            raise DimensionError(f"expected an (n, k) bitmask array, got shape {masks.shape}")
+        if masks.size and (masks.min() < 0 or masks.max() >> q):
+            raise DomainError(f"coalition bitmasks must lie in [0, 2^{q})")
+        if out is None:
+            out = np.empty(masks.shape)
+        size = 1 << q
         if size <= masks.size:
             seen = np.zeros(size, dtype=bool)
             seen[masks] = True
-            distinct = np.flatnonzero(seen)
             table = np.zeros(size)
-            table[distinct] = self.game.values(mask_rows(distinct, self.q))
-            out = table[masks]
-        else:
-            out = np.empty(masks.shape)
+            # the table is at most one n x k array, so half as many rows per
+            # call keeps the peak at that of the row path
+            step = max(masks.shape[0] // 2, 1)
+            for start in range(0, size, step):
+                distinct = np.flatnonzero(seen[start:start + step])
+                if distinct.size:
+                    distinct += start
+                    table[distinct] = self.game.values(mask_rows(distinct, q))
+            del seen
             for col in range(masks.shape[1]):
-                out[:, col] = self.game.values(mask_rows(masks[:, col], self.q))
+                out[:, col] = table[masks[:, col]]
+        else:
+            for col in range(masks.shape[1]):
+                out[:, col] = self.game.values(mask_rows(masks[:, col], q))
         self.eval_count += masks.size
         return out
 

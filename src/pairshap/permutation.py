@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import exact
-from .errors import DomainError, PartitionError, SpecError
+from .errors import DimensionError, DomainError, PartitionError, SpecError
 from .streams import derive_rng
 
 
@@ -29,6 +29,9 @@ def marginal_vectors(ev, perms) -> np.ndarray:
     zero by normalization), so the logical cost is exactly q evaluations per
     row.
     """
+    perms = np.asarray(perms)
+    if perms.ndim != 2 or perms.shape[1] != ev.q:
+        raise DimensionError(f"expected an (n, {ev.q}) array of player orders, got shape {perms.shape}")
     return exact.marginal_matrix(ev.values_at, perms)
 
 

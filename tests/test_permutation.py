@@ -4,8 +4,8 @@ import pytest
 from scipy.stats import chi2
 
 from pairshap import exact, kernel, permutation
-from pairshap.errors import DomainError, NonFiniteError, PartitionError, SizeGuard, SpecError
-from pairshap.games import GameEvaluator, parse_spec, prefix_coalition
+from pairshap.errors import DimensionError, DomainError, NonFiniteError, PartitionError, SizeGuard, SpecError
+from pairshap.games import GameEvaluator, mask_rows, parse_spec, prefix_coalition
 from pairshap.streams import derive_rng
 
 from conftest import (
@@ -80,13 +80,65 @@ def test_marginal_vectors_physical_rows_and_logical_count():
         for n, deduplicated in ((row_n, False), (dedup_n, True)):
             game = RowCounter(spec)
             ev = GameEvaluator(game)
-            permutation.marginal_vectors(ev, permutation.sample_permutations(q, n, rng))
+            perms = permutation.sample_permutations(q, n, rng)
+            permutation.marginal_vectors(ev, perms)
             assert ev.eval_count == n * q
+            assert max(game.calls) <= n
             if deduplicated:
-                assert len(game.calls) == 1
-                assert game.calls[0] <= 2**q - 1
+                distinct = np.unique(np.cumsum(np.int64(1) << perms, axis=1)).size
+                assert sum(game.calls) == distinct <= 2**q - 1
             else:
-                assert sum(game.calls) == n * q
+                assert game.calls == [n] * q
+
+
+@pytest.mark.parametrize("n", [14_000, 15_000])
+def test_walk_memory_stays_within_three_order_arrays(n):
+    # q = 18 switches to deduplicated lookups at n = ceil(2^18 / 18) = 14564:
+    # n = 14 000 walks the row path and n = 15 000 tabulates about 2^17 distinct
+    # coalitions.  Either way the walk's traced peak, temporaries included,
+    # stays below three n x q float arrays.
+    import tracemalloc
+
+    q = 18
+    ev = GameEvaluator(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}))
+    perms = permutation.sample_permutations(q, n, np.random.default_rng(93))
+    tracemalloc.start()
+    try:
+        B = permutation.marginal_vectors(ev, perms)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(B, 1.0, atol=1e-12)
+    assert peak <= 3 * 8 * n * q
+
+
+def test_marginal_vectors_reject_orders_of_the_wrong_width(hand_game_q3):
+    for width in (2, 4):
+        with pytest.raises(DimensionError):
+            permutation.marginal_vectors(hand_game_q3, np.tile(np.arange(width), (5, 1)))
+        with pytest.raises(DimensionError):
+            permutation.marginal_vector(hand_game_q3, np.arange(width))
+    with pytest.raises(DimensionError):
+        permutation.marginal_vectors(hand_game_q3, np.arange(3))
+
+
+@pytest.mark.parametrize("bad", [-1, 8, 2**40])
+def test_values_at_rejects_masks_outside_the_coalitions(hand_game_q3, bad):
+    masks = np.array([[1, 3, 7], [4, 6, 7]], dtype=np.int64)
+    expected = hand_game_q3.game.values(mask_rows(masks.ravel(), 3)).reshape(2, 3)
+    np.testing.assert_array_equal(hand_game_q3.values_at(masks), expected)
+    masks[1, 2] = bad
+    with pytest.raises(DomainError):
+        hand_game_q3.values_at(masks)
+    assert hand_game_q3.eval_count == 6
+
+
+def test_mask_rows_unpacks_bits_in_player_order():
+    masks = np.array([0, 1, 6, 2**62 + 5], dtype=np.int64)
+    Z = mask_rows(masks, 63)
+    assert Z.dtype == np.uint8 and Z.shape == (4, 63)
+    np.testing.assert_array_equal(Z, (masks[:, None] >> np.arange(63)) & 1)
+    np.testing.assert_array_equal(mask_rows(masks[:3], 3), [[0, 0, 0], [1, 0, 0], [0, 1, 1]])
 
 
 def overflow_on_13_game() -> GameEvaluator:
