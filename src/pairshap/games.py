@@ -92,7 +92,12 @@ def as_coalitions(Z, q: int) -> np.ndarray:
     Z = np.asarray(Z)
     if Z.ndim != 2 or Z.shape[1] != q:
         raise DimensionError(f"expected an (m, {q}) coalition matrix, got shape {Z.shape}")
-    if not np.isin(Z, (0, 1)).all():
+    if Z.dtype == np.uint8:
+        # unsigned bytes are all 0 or 1 exactly when none exceeds 1
+        valid = Z.size == 0 or Z.max() <= 1
+    else:
+        valid = np.isin(Z, (0, 1)).all()
+    if not valid:
         raise DomainError("coalition entries must be 0 or 1")
     return Z
 

@@ -123,6 +123,10 @@ def test_evaluate_rejects_wrong_length_and_non_binary():
         evaluate(spec, np.ones(3, dtype=np.uint8))
     with pytest.raises(DomainError):
         evaluate(spec, np.array([2, 0, 0, 0]))
+    for bad in (2, 255):
+        with pytest.raises(DomainError):
+            spec.values(np.array([[0, 1, 0, 0], [0, 0, bad, 0]], dtype=np.uint8))
+    assert spec.values(np.zeros((0, 4), dtype=np.uint8)).shape == (0,)
 
 
 def test_complement_involution_and_size():
