@@ -69,36 +69,44 @@ def _sandwich(hessian: np.ndarray, meat: np.ndarray) -> np.ndarray:
 def kernel_matrices_exact(ev, paired: bool = False):
     """Population design moment, residual moment, and sandwich covariance.
 
-    Enumerates the full kernel sampling distribution (q <= 20).  Unpaired,
-    the meat weights squared residuals of the exact least-squares fit;
-    paired, it weights the squared even parts of those residuals and the
-    design moment doubles because each draw contributes its complement row
-    as well.  Returns (meat, hessian, report).
+    Enumerates the full kernel sampling distribution (q <= 20) as vectors
+    indexed by coalition bitmask.  Unpaired, the meat weights squared
+    residuals of the exact least-squares fit; paired, it weights the squared
+    even parts of those residuals and the design moment doubles because each
+    draw contributes its complement row as well.  Paired moments need kernel
+    weights symmetric under complement; NumericError is raised otherwise.
+    Returns (meat, hessian, report).
     """
     q = ev.q
     if q > KERNEL_ENUM_LIMIT:
         raise SizeGuard(f"kernel moment enumeration supports q <= {KERNEL_ENUM_LIMIT}, got q = {q}")
-    Z, p, x, y, values, grand = exact.kernel_population(ev)
-    J = (x * p[:, None]).T @ x
-    partial = linalg.solve_spd(J, x.T @ (p * y))
+    table = exact.value_table(ev)
+    p, y, J, rhs = exact.kernel_moments(table, q)
+    del table
+    partial = linalg.solve_spd(J, rhs)
+    scale = float(np.max(np.abs(y)))
     if paired:
-        comp_values = values[::-1]
-        paired_residual = 0.5 * (values + grand - comp_values) - Z[:, -1] * grand - x @ partial
-        meat = (x * (4.0 * p * paired_residual**2)[:, None]).T @ x
-        Zc = 1.0 - Z
-        xc = Zc[:, :-1] - Zc[:, -1:]
-        hessian = J + (xc * p[:, None]).T @ xc
-        # complement rows negate the design, so the paired moment is exactly 2J
-        if not np.allclose(hessian, 2.0 * J, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(J))))):
-            raise NumericError("paired design moment departs from twice the unpaired moment")
+        # Each draw S brings its complement N - S (mask 2^q - 1 - S), so the
+        # complement rows carry the weights p[::-1].  Their design moment is J
+        # again, since the row of N - S is minus the row of S; their right side
+        # matches only for weights symmetric under complement, and only then
+        # does the paired fit share the unpaired solution used below.
+        complement_rhs, _ = exact.pivot_moments(p[::-1] * y, q)
+        if not np.allclose(complement_rhs, rhs, rtol=0.0, atol=1e-12 * scale):
+            raise NumericError("paired kernel moments need kernel weights symmetric under complement")
+        hessian = 2.0 * J
+        # the even part 0.5 (y(S) - y(N - S)) of the response
+        residual = 0.5 * (y - y[::-1])
         method = "kernel-paired"
     else:
-        residual = y - x @ partial
-        meat = (x * (p * residual**2)[:, None]).T @ x
         hessian = J
+        residual = y
         method = "kernel"
+    residual -= exact.subset_sums(np.append(partial, -partial.sum()))
+    residual *= residual
+    residual *= 4.0 * p if paired else p
+    _, meat = exact.pivot_moments(residual, q)
     covariance = _sandwich(hessian, meat)
-    scale = float(np.max(np.abs(y))) if y.size else 0.0
     report = _make_report(covariance, method, "exact-enumeration", q, scale)
     return meat, hessian, report
 

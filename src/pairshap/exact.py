@@ -4,6 +4,12 @@ Subset enumeration applies the combinatorial weighting directly, permutation
 averaging walks every player order, and the kernel route solves the weighted
 least-squares characterization over all nonempty proper coalitions.  All
 three agree to floating-point accuracy and that agreement is itself a test.
+
+Enumeration works on length-2^q vectors indexed by coalition bitmask: the
+value table, coalition sizes and weights.  Every moment the subset and
+kernel routes need is a sum of such a vector over the coalitions holding a
+player or a pair of players, which subset and superset sums give in
+O(q 2^q) time without any 2^q x q matrix.
 """
 from __future__ import annotations
 
@@ -19,6 +25,8 @@ from .games import mask_rows, prefix_masks
 
 SUBSET_LIMIT = 25
 PERMUTATION_LIMIT = 9
+# Coalitions per game call when tabulating all 2^q of them.
+CHUNK_ROWS = 2**15
 
 
 @dataclass(frozen=True)
@@ -75,9 +83,19 @@ def coalition_matrix(q: int) -> np.ndarray:
 
 
 def value_table(ev) -> np.ndarray:
-    """Payoff of every coalition, indexed by bitmask.  Exactly 2^q evaluations."""
-    _guard(ev.q, SUBSET_LIMIT, "value table enumeration")
-    return ev.evaluate_many(coalition_matrix(ev.q))
+    """Payoff of every coalition, indexed by bitmask.  Exactly 2^q evaluations.
+
+    The game sees the coalitions in mask order, CHUNK_ROWS rows per call, so
+    its own temporaries stay those of one chunk whatever q is.
+    """
+    q = ev.q
+    _guard(q, SUBSET_LIMIT, "value table enumeration")
+    size = 1 << q
+    table = np.empty(size)
+    for start in range(0, size, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, size)
+        table[start:stop] = ev.evaluate_many(mask_rows(np.arange(start, stop, dtype=np.int64), q))
+    return table
 
 
 def _guard(q: int, limit: int, what: str) -> None:
@@ -85,27 +103,87 @@ def _guard(q: int, limit: int, what: str) -> None:
         raise SizeGuard(f"{what} supports q <= {limit}, got q = {q}")
 
 
-def _mask_sizes(q: int) -> np.ndarray:
-    masks = np.arange(2**q, dtype=np.int64)
-    sizes = np.zeros(2**q, dtype=np.int64)
+def subset_sums(c) -> np.ndarray:
+    """s[mask] = sum of c[j] over the players j in mask, for all 2^len(c) masks.
+
+    Built by doubling: the masks whose highest bit is j are the masks below
+    2^j with c[j] added.  With c all ones this gives coalition sizes; with
+    c = (beta, -sum(beta)) it gives the pivoted design times beta.
+    """
+    c = np.asarray(c)
+    s = np.zeros(1 << c.size, dtype=c.dtype)
+    for j, cj in enumerate(c):
+        np.add(s[: 1 << j], cj, out=s[1 << j : 2 << j])
+    return s
+
+
+def superset_sums(w: np.ndarray, q: int) -> np.ndarray:
+    """Zeta transform in place: w[S] becomes the sum of w[T] over all T containing S.
+
+    Pass j pairs every mask without bit j with the mask that adds it, as
+    the two halves of a reshape(-1, 2, 2^j) view.  O(q 2^q) time and no
+    memory beyond w, which is returned.
+    """
     for j in range(q):
-        sizes += (masks >> j) & 1
-    return sizes
+        halves = w.reshape(-1, 2, 1 << j)
+        halves[:, 0, :] += halves[:, 1, :]
+    return w
+
+
+def pivot_moments(w: np.ndarray, q: int):
+    """First and second moments of the pivoted design under coalition weights w.
+
+    Returns (sum_S w_S x_S, sum_S w_S x_S x_S^T) over all masks S, where
+    x_i = z_i - z_{q-1} for i < q - 1.  Both follow from the sums of w over
+    the coalitions holding a player or a pair of players, read off the
+    superset sums, which overwrite w.
+    """
+    bits = np.int64(1) << np.arange(q, dtype=np.int64)
+    # both[a, b] = sum of w over coalitions holding a and b; both[a, a] holds a
+    both = superset_sums(w, q)[bits[:, None] | bits]
+    pivot = both[:-1, -1]
+    first = np.diag(both)[:-1] - both[-1, -1]
+    second = both[:-1, :-1] - pivot[:, None] - pivot[None, :] + both[-1, -1]
+    return first, second
+
+
+def kernel_moments(table: np.ndarray, q: int):
+    """Normal equations of the exact kernel least-squares fit over every coalition.
+
+    Returns (p, y, hessian, rhs): the kernel probability of each coalition
+    (zero for the empty and the grand one) and the response
+    y = v(S) - z_{q-1} v(N), both indexed by bitmask, then the design moment
+    sum_S p_S x_S x_S^T and the right side sum_S p_S y_S x_S.
+    """
+    kw = kernel_weights(q)
+    per_size = np.zeros(q + 1)
+    per_size[1:q] = kw.size_probs / np.array([float_binomial(q, s) for s in range(1, q)])
+    p = per_size[subset_sums(np.ones(q, dtype=np.uint8))]
+    y = table.copy()
+    y[y.size // 2 :] -= table[-1]
+    rhs, _ = pivot_moments(p * y, q)
+    _, hessian = pivot_moments(p.copy(), q)
+    return p, y, hessian, rhs
 
 
 def shapley_subset(ev) -> ShapleyVector:
-    """Shapley values from the subset formula over all coalitions."""
+    """Shapley values from the subset formula over all coalitions.
+
+    With w(s) = 1 / (q C(q-1, s)) and w(q) = 0, the formula's sum over
+    coalitions without player j of w(|S|) (v(S + j) - v(S)) regroups into
+    phi_j = sum_{T holding j} (w(|T|-1) + w(|T|)) v(T) - sum_S w(|S|) v(S).
+    The first sum runs over the upper halves of a reshape(-1, 2, 2^j) view.
+    """
     q = ev.q
     _guard(q, SUBSET_LIMIT, "subset enumeration")
     table = value_table(ev)
-    masks = np.arange(2**q, dtype=np.int64)
-    sizes = _mask_sizes(q)
-    weights = np.array([1.0 / (q * float_binomial(q - 1, s)) for s in range(q)])
-    phi = np.empty(q)
-    for j in range(q):
-        bit = np.int64(1) << j
-        rest = masks[(masks & bit) == 0]
-        phi[j] = float(np.sum(weights[sizes[rest]] * (table[rest | bit] - table[rest])))
+    sizes = subset_sums(np.ones(q, dtype=np.uint8))
+    weights = np.array([1.0 / (q * float_binomial(q - 1, s)) for s in range(q)] + [0.0])
+    joined = np.append(0.0, weights[:-1] + weights[1:])
+    base = float(weights[sizes] @ table)
+    table *= joined[sizes]
+    del sizes
+    phi = np.array([table.reshape(-1, 2, 1 << j)[:, 1, :].sum() for j in range(q)]) - base
     return ShapleyVector(phi=phi, method_tag="subset")
 
 
@@ -145,29 +223,6 @@ def shapley_all_permutations(ev) -> ShapleyVector:
     return ShapleyVector(phi=B.mean(axis=0), method_tag="permutation")
 
 
-def kernel_population(ev):
-    """Exact enumeration of the kernel sampling distribution.
-
-    Returns (Z, p, x, y, values, grand) over the 2^q - 2 nonempty proper
-    coalitions in mask order: indicator rows Z, probabilities p, centered
-    design rows x (last player pivoted out), responses y, raw normalized
-    payoffs, and the grand-coalition value.  Because rows follow mask order,
-    values[::-1] are the payoffs of the complementary coalitions.
-    """
-    q = ev.q
-    table = value_table(ev)
-    grand = float(table[-1])
-    Z = coalition_matrix(q)[1:-1].astype(float)
-    values = table[1:-1]
-    sizes = _mask_sizes(q)[1:-1]
-    kw = kernel_weights(q)
-    binoms = np.array([float_binomial(q, s) for s in range(1, q)])
-    p = kw.size_probs[sizes - 1] / binoms[sizes - 1]
-    x = Z[:, : q - 1] - Z[:, q - 1 :]
-    y = values - Z[:, q - 1] * grand
-    return Z, p, x, y, values, grand
-
-
 def shapley_kernel_exact(ev) -> ShapleyVector:
     """Shapley values from the exactly weighted least-squares problem.
 
@@ -175,8 +230,8 @@ def shapley_kernel_exact(ev) -> ShapleyVector:
     it equals the grand value minus the sum of the solved components.
     """
     _guard(ev.q, SUBSET_LIMIT, "kernel enumeration")
-    _, p, x, y, _, grand = kernel_population(ev)
-    hessian = (x * p[:, None]).T @ x
-    partial = linalg.solve_spd(hessian, x.T @ (p * y))
-    phi = np.append(partial, grand - partial.sum())
+    table = value_table(ev)
+    _, _, hessian, rhs = kernel_moments(table, ev.q)
+    partial = linalg.solve_spd(hessian, rhs)
+    phi = np.append(partial, table[-1] - partial.sum())
     return ShapleyVector(phi=phi, method_tag="kernel")

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -74,6 +75,58 @@ class TableGame:
 @pytest.fixture
 def hand_game_q3() -> GameEvaluator:
     return GameEvaluator(TableGame(3, HAND_TABLE_Q3))
+
+
+def subset_shapley_by_players(table: np.ndarray, q: int) -> np.ndarray:
+    """Reference Shapley values: the subset formula walked player by player.
+
+    For each player, the coalitions without it are picked out by a boolean
+    mask and their weighted marginal gains summed; this is the loop that
+    `exact.shapley_subset` replaced with one weighted vector.
+    """
+    masks = np.arange(2**q, dtype=np.int64)
+    sizes = np.zeros(2**q, dtype=np.int64)
+    for j in range(q):
+        sizes += (masks >> j) & 1
+    weights = np.array([1.0 / (q * math.comb(q - 1, s)) for s in range(q)])
+    phi = np.empty(q)
+    for j in range(q):
+        bit = np.int64(1) << j
+        rest = masks[(masks & bit) == 0]
+        phi[j] = float(np.sum(weights[sizes[rest]] * (table[rest | bit] - table[rest])))
+    return phi
+
+
+def dense_kernel_moments(table: np.ndarray, q: int, paired: bool):
+    """Reference kernel moments from dense float coalition matrices.
+
+    Builds the indicator rows, the pivoted design x and the complement design
+    of every nonempty proper coalition and forms the weighted products
+    directly.  Returns (partial, meat, hessian) in the convention of
+    `asymptotics.kernel_matrices_exact`.
+    """
+    masks = np.arange(1, 2**q - 1, dtype=np.int64)
+    Z = ((masks[:, None] >> np.arange(q)) & 1).astype(float)
+    sizes = Z.sum(axis=1).astype(np.int64)
+    raw = np.array([(q - 1) / (s * (q - s)) for s in range(1, q)])
+    p = (raw / raw.sum())[sizes - 1] / np.array([math.comb(q, int(s)) for s in sizes])
+    grand = float(table[-1])
+    values = table[1:-1]
+    x = Z[:, : q - 1] - Z[:, q - 1 :]
+    y = values - Z[:, q - 1] * grand
+    J = (x * p[:, None]).T @ x
+    partial = np.linalg.solve(J, x.T @ (p * y))
+    if paired:
+        residual = 0.5 * (values + grand - values[::-1]) - Z[:, -1] * grand - x @ partial
+        meat = (x * (4.0 * p * residual**2)[:, None]).T @ x
+        Zc = 1.0 - Z
+        xc = Zc[:, :-1] - Zc[:, -1:]
+        hessian = J + (xc * p[:, None]).T @ xc
+    else:
+        residual = y - x @ partial
+        meat = (x * (p * residual**2)[:, None]).T @ x
+        hessian = J
+    return partial, meat, hessian
 
 
 def random_game_doc(rng: np.random.Generator, q: int) -> dict:

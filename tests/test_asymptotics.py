@@ -1,18 +1,22 @@
 """Covariance matrices: golden spectra, identities, plug-in convergence."""
+import json
+
 import numpy as np
 import pytest
 
-from pairshap import asymptotics, exact, kernel, linalg, permutation
-from pairshap.errors import DimensionError, DomainError, SizeGuard
+from pairshap import asymptotics, cli, exact, kernel, linalg, permutation
+from pairshap.errors import DimensionError, DomainError, NumericError, SizeGuard
 from pairshap.games import GameEvaluator, parse_spec
 
 from conftest import (
+    REFERENCE_DOC,
     REFERENCE_SIGMA_EIGS,
     REFERENCE_SIGMA_TRACE,
     REFERENCE_T2_EIGS,
     REFERENCE_T2_TRACE,
     REFERENCE_T_EIGS,
     REFERENCE_T_TRACE,
+    dense_kernel_moments,
     random_bilinear_doc,
     random_game_doc,
     three_block_doc,
@@ -48,6 +52,52 @@ def test_reference_paired_walk_spectrum(reference_ev):
     assert report.trace == pytest.approx(REFERENCE_SIGMA_TRACE, abs=1e-10)
     # the ones vector is annihilated: every paired walk sums to the grand value
     np.testing.assert_allclose(report.matrix @ np.ones(4), np.zeros(4), atol=1e-9)
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_kernel_moments_match_dense_oracle(paired):
+    # Differences are relative to the largest reference entry; second-order
+    # quantities are also allowed the squared payoff scale, because paired
+    # moments of games on two players vanish and keep only rounding noise.
+    rng = np.random.default_rng(97)
+    for q in range(2, 11):
+        for _ in range(3):
+            spec = parse_spec(random_game_doc(rng, q))
+            table = exact.value_table(GameEvaluator(spec))
+            scale = float(np.max(np.abs(table)))
+            partial, meat, hessian = dense_kernel_moments(table, q, paired)
+            inverse = np.linalg.inv(hessian)
+            covariance = inverse @ meat @ inverse
+            got_meat, got_hessian, report = asymptotics.kernel_matrices_exact(GameEvaluator(spec), paired=paired)
+            phi = exact.shapley_kernel_exact(GameEvaluator(spec)).phi
+            for got, expected, floor in (
+                (phi[:-1], partial, 0.0),
+                (got_hessian, hessian, 0.0),
+                (got_meat, meat, scale**2),
+                (report.matrix, covariance, scale**2),
+            ):
+                assert np.max(np.abs(got - expected)) <= 1e-12 * max(np.max(np.abs(expected)), floor)
+
+
+def test_paired_moment_check_fires_on_complement_asymmetric_weights(monkeypatch, reference_ev, tmp_path, capsys):
+    honest = exact.kernel_weights
+
+    def skewed(q):
+        kw = honest(q)
+        probs = kw.size_probs * np.linspace(1.0, 2.0, q - 1)
+        return exact.KernelWeights(q=q, size_probs=probs / probs.sum(), normalizer=kw.normalizer)
+
+    monkeypatch.setattr(exact, "kernel_weights", skewed)
+    asymptotics.kernel_matrices_exact(reference_ev, paired=False)
+    with pytest.raises(NumericError):
+        asymptotics.kernel_matrices_exact(reference_ev, paired=True)
+    path = tmp_path / "vf.json"
+    path.write_text(json.dumps(REFERENCE_DOC))
+    code = cli.main(["asymptotics", "--vf", str(path), "--method", "kernel-paired"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "symmetric under complement" in captured.err and "Traceback" not in captured.err
 
 
 def test_report_invariants_on_random_games():

@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from pairshap import exact
+from pairshap import asymptotics, exact
 from pairshap.errors import DomainError, SizeGuard
 from pairshap.games import GameEvaluator, parse_spec
 
@@ -14,6 +14,7 @@ from conftest import (
     bilinear_shapley,
     random_bilinear_doc,
     random_game_doc,
+    subset_shapley_by_players,
 )
 
 ROUTES = (exact.shapley_subset, exact.shapley_all_permutations, exact.shapley_kernel_exact)
@@ -188,3 +189,71 @@ def test_marginal_matrix_rows_telescope(hand_game_q3):
     # identity order: gains 1, 3-1, 17-3
     identity_row = B[np.lexsort(perms.T[::-1])[0]]
     np.testing.assert_allclose(identity_row, [1.0, 2.0, 14.0], atol=1e-12)
+
+
+def test_subset_route_matches_player_loop_oracle():
+    rng = np.random.default_rng(35)
+    for q in range(2, 11):
+        for _ in range(3):
+            spec = parse_spec(random_game_doc(rng, q))
+            expected = subset_shapley_by_players(exact.value_table(GameEvaluator(spec)), q)
+            phi = exact.shapley_subset(GameEvaluator(spec)).phi
+            assert np.max(np.abs(phi - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_subset_and_superset_sums_match_brute_force():
+    q = 5
+    rng = np.random.default_rng(36)
+    c = rng.normal(size=q)
+    w = rng.normal(size=2**q)
+    members = [[j for j in range(q) if mask >> j & 1] for mask in range(2**q)]
+    expected_subset = [sum(c[j] for j in S) for S in members]
+    expected_superset = [sum(w[T] for T in range(2**q) if T & S == S) for S in range(2**q)]
+    np.testing.assert_allclose(exact.subset_sums(c), expected_subset, rtol=0, atol=1e-14)
+    sizes = exact.subset_sums(np.ones(q, dtype=np.uint8))
+    np.testing.assert_array_equal(sizes, [len(S) for S in members])
+    out = exact.superset_sums(w.copy(), q)
+    np.testing.assert_allclose(out, expected_superset, rtol=0, atol=1e-13)
+
+
+def test_value_table_calls_the_game_in_chunks_of_rows():
+    q = 17
+    spec = parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]})
+    rows = []
+
+    class Recording:
+        def __init__(self):
+            self.q = q
+
+        def values(self, Z):
+            rows.append(len(Z))
+            return spec.values(Z)
+
+    ev = GameEvaluator(Recording())
+    table = exact.value_table(ev)
+    assert rows == [exact.CHUNK_ROWS] * (2**q // exact.CHUNK_ROWS)
+    assert ev.eval_count == 2**q
+    np.testing.assert_array_equal(table, exact.subset_sums(np.ones(q)))
+
+
+@pytest.mark.parametrize("route", ["subset", "kernel-paired"])
+def test_enumeration_memory_stays_within_vectors(route):
+    # No 2^q x q float matrix: the traced peak stays below 12 float vectors of
+    # length 2^q plus one chunk of float rows for the game's own temporaries.
+    import tracemalloc
+
+    q = 16
+    rng = np.random.default_rng(37)
+    beta = rng.uniform(-0.3, 0.3, size=q).tolist()
+    spec = parse_spec({"q": q, "terms": [{"kind": "exp_linear", "indices": list(range(1, q + 1)), "beta": beta}]})
+    run = {
+        "subset": lambda: exact.shapley_subset(GameEvaluator(spec)),
+        "kernel-paired": lambda: asymptotics.kernel_matrices_exact(GameEvaluator(spec), paired=True),
+    }[route]
+    tracemalloc.start()
+    try:
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (12 * 2**q + exact.CHUNK_ROWS * q)
