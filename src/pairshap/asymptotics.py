@@ -23,8 +23,6 @@ KERNEL_ENUM_LIMIT = 20
 DEGENERATE_ATOL = 1e-13
 NULLSPACE_RTOL = 1e-12
 
-_EVAL_COST = {"kernel": 1, "kernel-paired": 2}
-
 
 @dataclass(frozen=True)
 class CovarianceReport:
@@ -213,29 +211,6 @@ def predicted_stderr(report: CovarianceReport, n: int) -> np.ndarray:
         diag = np.append(np.diag(M), ones @ M @ ones)
     # degenerate matrices can carry roundoff-negative variances
     return np.sqrt(np.maximum(diag, 0.0) / n)
-
-
-def psd_gap(T, T2) -> float:
-    """Smallest eigenvalue of T - T2; nonnegative when pairing only helps."""
-    difference = np.asarray(T, dtype=float) - np.asarray(T2, dtype=float)
-    eigenvalues, _ = linalg.eig_sym(difference)
-    return float(eigenvalues[-1])
-
-
-def evaluation_cost(method: str, q: int) -> int:
-    """Value-function evaluations consumed per draw of the given estimator."""
-    if method in _EVAL_COST:
-        return _EVAL_COST[method]
-    if method == "permutation":
-        return q
-    if method == "permutation-paired":
-        return 2 * q
-    raise DomainError(f"unknown method {method!r}")
-
-
-def dimension_adjusted_eigs(report: CovarianceReport) -> np.ndarray:
-    """Spectrum rescaled by evaluations per draw, for cross-method comparison."""
-    return report.eigenvalues * evaluation_cost(report.method, report.q)
 
 
 def positive_eigenvalues(report: CovarianceReport) -> np.ndarray:

@@ -12,8 +12,9 @@ import argparse
 import json
 import sys
 
-from . import asymptotics, exact, experiments, kernel, permutation
+from . import asymptotics, exact, experiments, kernel
 from .errors import InputError, NumericError, SchemaError
+from .estimators import ESTIMATORS
 from .games import GameEvaluator, parse_spec
 
 
@@ -34,6 +35,17 @@ def _load_json(path: str) -> dict:
         raise SchemaError(f"cannot read config file {path!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"invalid JSON in {path!r}: {exc}") from exc
+
+
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, the entropy numpy's SeedSequence accepts."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text!r}")
+    return value
 
 
 def _emit(obj) -> None:
@@ -69,27 +81,16 @@ def _cmd_exact(args) -> int:
 
 def _cmd_sample(args) -> int:
     spec = _load_spec(args.vf)
+    estimator = ESTIMATORS[f"{args.method}-paired" if args.paired else args.method]
     ev = GameEvaluator(spec)
-    if args.method == "kernel":
-        vector, batch = kernel.estimate_kernel(ev, args.n, paired=args.paired, seed=args.seed)
-    else:
-        vector = permutation.estimate_permutation(ev, args.n, paired=args.paired, seed=args.seed)
-        batch = None
+    drawn = estimator.estimate(ev, args.n, args.seed)
+    vector = drawn[0]
     evaluations = ev.eval_count
 
     if args.stderr_from == "exact":
-        fresh = GameEvaluator(spec)
-        if args.method == "kernel":
-            report = asymptotics.kernel_matrices_exact(fresh, paired=args.paired)[2]
-        else:
-            report = asymptotics.permutation_covariance_exact(fresh, paired=args.paired)
+        report = estimator.exact_covariance(GameEvaluator(spec))
     else:
-        if args.method == "kernel":
-            report = asymptotics.kernel_matrices_plugin(batch, vector)[2]
-        else:
-            report = asymptotics.permutation_covariance_plugin(
-                ev, args.n, seed=args.seed, paired=args.paired
-            )
+        report = estimator.plugin_covariance(ev, args.n, args.seed, drawn)
     stderr_vec = asymptotics.predicted_stderr(report, args.n)
 
     _emit(
@@ -107,32 +108,21 @@ def _cmd_sample(args) -> int:
     return 0
 
 
-def _plugin_report(spec, method: str, n: int, seed):
-    ev = GameEvaluator(spec)
-    if method == "permutation-paired":
-        return asymptotics.permutation_covariance_plugin(ev, n, seed=seed, paired=True)
-    paired = method == "kernel-paired"
-    vector, batch = kernel.estimate_kernel(ev, n, paired=paired, seed=seed)
-    return asymptotics.kernel_matrices_plugin(batch, vector)[2]
-
-
 def _cmd_asymptotics(args) -> int:
     spec = _load_spec(args.vf)
+    estimator = ESTIMATORS[args.method]
+    ev = GameEvaluator(spec)
     if args.plugin is not None:
         if args.seed is None:
             raise SchemaError("--plugin requires --seed")
-        report = _plugin_report(spec, args.method, args.plugin, args.seed)
+        report = estimator.plugin_covariance(ev, args.plugin, args.seed)
     else:
-        ev = GameEvaluator(spec)
-        if args.method == "permutation-paired":
-            report = asymptotics.permutation_covariance_exact(ev, paired=True)
-        else:
-            report = asymptotics.kernel_matrices_exact(ev, paired=args.method == "kernel-paired")[2]
+        report = estimator.exact_covariance(ev)
     payload = asymptotics.report_to_dict(report)
     if args.adjusted:
-        payload["adjusted_eigenvalues"] = [
-            float(v) for v in asymptotics.dimension_adjusted_eigs(report)
-        ]
+        # rescaled by the evaluations one draw costs, for cross-method comparison
+        adjusted = report.eigenvalues * estimator.cost(spec.q)
+        payload["adjusted_eigenvalues"] = [float(v) for v in adjusted]
     _emit(payload)
     return 0
 
@@ -199,19 +189,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["kernel", "permutation"], required=True)
     p.add_argument("--paired", action="store_true")
     p.add_argument("--n", type=int, required=True, help="draws (pairs when --paired)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--stderr-from", choices=["exact", "plugin"], default="exact", dest="stderr_from")
     p.set_defaults(handler=_cmd_sample)
 
     p = sub.add_parser("asymptotics", help="asymptotic covariance report")
     p.add_argument("--vf", required=True)
-    p.add_argument(
-        "--method", choices=["kernel", "kernel-paired", "permutation-paired"], required=True
-    )
+    p.add_argument("--method", choices=list(ESTIMATORS), required=True)
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--exact", action="store_true", help="enumerate exactly (default)")
     grp.add_argument("--plugin", type=int, metavar="N", help="plug-in estimate from N draws")
-    p.add_argument("--seed", type=int, help="required with --plugin")
+    p.add_argument("--seed", type=_seed, help="required with --plugin")
     p.add_argument("--adjusted", action="store_true", help="also report cost-adjusted eigenvalues")
     p.set_defaults(handler=_cmd_asymptotics)
 
@@ -226,14 +214,14 @@ def build_parser() -> argparse.ArgumentParser:
     grp = p.add_mutually_exclusive_group()
     grp.add_argument("--exact", action="store_true", help="enumerate exactly (default)")
     grp.add_argument("--plugin", type=int, metavar="N", help="plug-in estimate from N draws")
-    p.add_argument("--seed", type=int, help="required with --plugin")
+    p.add_argument("--seed", type=_seed, help="required with --plugin")
     p.set_defaults(handler=_cmd_blocks)
 
     p = sub.add_parser("bilinear-test", help="probe basis invariance of paired solves")
     p.add_argument("--vf", required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--tol", type=float, required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(handler=_cmd_bilinear_test)
 
     return parser

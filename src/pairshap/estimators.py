@@ -1,0 +1,76 @@
+"""The four sampling estimators, each resolved by name in one place.
+
+`ESTIMATORS` maps kernel, kernel-paired, permutation and permutation-paired
+to an estimator object with four parts: its estimate, its exact covariance,
+its plug-in covariance and the value-function evaluations one draw costs.
+The key order is part of the experiment seeding: replicate substreams are
+keyed by a method's position in it.
+
+Entries call `kernel`, `permutation` and `asymptotics` through their module
+attributes at call time, so a wrapper installed on one of those functions
+sees every call made through the table.
+"""
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from . import asymptotics, kernel, permutation
+
+
+@dataclass(frozen=True)
+class KernelEstimator:
+    """Least-squares fit on n kernel draws, each paired with its complement or not."""
+
+    paired: bool
+
+    def estimate(self, ev, n: int, seed):
+        """(ShapleyVector, KernelSampleBatch) from n draws, n pairs if paired."""
+        return kernel.estimate_kernel(ev, n, paired=self.paired, seed=seed)
+
+    def exact_covariance(self, ev) -> asymptotics.CovarianceReport:
+        return asymptotics.kernel_matrices_exact(ev, paired=self.paired)[2]
+
+    def plugin_covariance(self, ev, n: int, seed, drawn=None) -> asymptotics.CovarianceReport:
+        """Sandwich covariance of the batch `estimate` draws for these arguments.
+
+        `drawn`, what `estimate` already returned for the same arguments, is
+        reused instead of drawing and evaluating the batch again.
+        """
+        vector, batch = drawn or self.estimate(ev, n, seed)
+        return asymptotics.kernel_matrices_plugin(batch, vector)[2]
+
+    def cost(self, q: int) -> int:
+        return 2 if self.paired else 1
+
+
+@dataclass(frozen=True)
+class PermutationEstimator:
+    """Mean marginal contribution over n sampled orders, each paired with its reverse or not."""
+
+    paired: bool
+
+    def estimate(self, ev, n: int, seed):
+        """(ShapleyVector, None) from n orders, n pairs if paired."""
+        return permutation.estimate_permutation(ev, n, paired=self.paired, seed=seed), None
+
+    def exact_covariance(self, ev) -> asymptotics.CovarianceReport:
+        return asymptotics.permutation_covariance_exact(ev, paired=self.paired)
+
+    def plugin_covariance(self, ev, n: int, seed, drawn=None) -> asymptotics.CovarianceReport:
+        """Sample covariance of the marginal vectors of the orders `estimate` draws.
+
+        The estimate keeps only the mean of those vectors, so the same orders
+        are drawn and walked again whether or not `drawn` is given.
+        """
+        return asymptotics.permutation_covariance_plugin(ev, n, seed=seed, paired=self.paired)
+
+    def cost(self, q: int) -> int:
+        return 2 * q if self.paired else q
+
+
+ESTIMATORS = {
+    "kernel": KernelEstimator(paired=False),
+    "kernel-paired": KernelEstimator(paired=True),
+    "permutation": PermutationEstimator(paired=False),
+    "permutation-paired": PermutationEstimator(paired=True),
+}

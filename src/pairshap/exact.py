@@ -51,11 +51,6 @@ class KernelWeights:
     size_probs: np.ndarray
     normalizer: float
 
-    def coalition_probability(self, size: int) -> float:
-        if not 1 <= size <= self.q - 1:
-            raise DomainError(f"coalition size must lie in 1..{self.q - 1}, got {size}")
-        return float(self.size_probs[size - 1] / float_binomial(self.q, size))
-
 
 def float_binomial(n: int, k: int) -> float:
     """Binomial coefficient as a float, stable for the sizes used here."""
@@ -75,11 +70,6 @@ def kernel_weights(q: int) -> KernelWeights:
     raw = (q - 1) / (sizes * (q - sizes))
     normalizer = float(raw.sum())
     return KernelWeights(q=q, size_probs=raw / normalizer, normalizer=normalizer)
-
-
-def coalition_matrix(q: int) -> np.ndarray:
-    """All 2^q coalitions as a binary matrix; row index equals the bitmask."""
-    return mask_rows(np.arange(2**q, dtype=np.int64), q)
 
 
 def value_table(ev) -> np.ndarray:

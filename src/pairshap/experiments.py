@@ -12,17 +12,17 @@ on execution order or worker count.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import asymptotics, exact, kernel, permutation
 from .errors import DomainError, PartitionError, SchemaError
+from .estimators import ESTIMATORS
 from .games import GameEvaluator, ValueFunctionSpec, parse_spec
 from .streams import derive_rng
 
-METHODS = ("kernel", "kernel-paired", "permutation", "permutation-paired")
 KINDS = ("bias_variance", "method_comparison", "additive_recovery")
 
 BIAS_VARIANCE_HEADER = "method,n,j,bias,sigma_hat,tau,evals_per_sample"
@@ -34,16 +34,14 @@ RECOVERY_HEADER = "group,exact,permutation_paired,kernel_paired"
 class ExperimentConfig:
     """Inputs shared by the experiment kinds.
 
-    `sizes` and `reps` matter only for bias/variance runs; `outputs` maps
-    logical output names (currently just "csv") to file paths.
+    `methods`, `sizes` and `reps` matter only for bias/variance runs.
     """
 
     vf: ValueFunctionSpec
     master_seed: int
-    methods: tuple[str, ...] = METHODS
+    methods: tuple[str, ...] = tuple(ESTIMATORS)
     sizes: tuple[int, ...] = ()
     reps: int = 0
-    outputs: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -82,34 +80,8 @@ class RecoveryRow:
     kernel_paired: float
 
 
-def _estimate_once(spec: ValueFunctionSpec, method: str, n: int, seed) -> np.ndarray:
-    ev = GameEvaluator(spec)
-    if method == "kernel":
-        return kernel.estimate_kernel(ev, n, paired=False, seed=seed)[0].phi
-    if method == "kernel-paired":
-        return kernel.estimate_kernel(ev, n, paired=True, seed=seed)[0].phi
-    if method == "permutation":
-        return permutation.estimate_permutation(ev, n, paired=False, seed=seed).phi
-    if method == "permutation-paired":
-        return permutation.estimate_permutation(ev, n, paired=True, seed=seed).phi
-    raise SchemaError(f"unknown method {method!r}")
-
-
-def _exact_dispersion(spec: ValueFunctionSpec, method: str) -> asymptotics.CovarianceReport:
-    ev = GameEvaluator(spec)
-    if method == "kernel":
-        return asymptotics.kernel_matrices_exact(ev, paired=False)[2]
-    if method == "kernel-paired":
-        return asymptotics.kernel_matrices_exact(ev, paired=True)[2]
-    if method == "permutation":
-        return asymptotics.permutation_covariance_exact(ev, paired=False)
-    if method == "permutation-paired":
-        return asymptotics.permutation_covariance_exact(ev, paired=True)
-    raise SchemaError(f"unknown method {method!r}")
-
-
 def _replicate_seeds(config: ExperimentConfig, method: str, n_index: int) -> list:
-    method_id = METHODS.index(method)
+    method_id = list(ESTIMATORS).index(method)
     return [
         np.random.SeedSequence(entropy=[config.master_seed, method_id, n_index, rep])
         for rep in range(config.reps)
@@ -124,14 +96,15 @@ def run_bias_variance(config: ExperimentConfig, jobs: int = 1) -> list[BiasVaria
     exact_phi = exact.shapley_subset(GameEvaluator(spec)).phi
     rows: list[BiasVarianceRow] = []
     for method in config.methods:
-        report = _exact_dispersion(spec, method)
-        cost = asymptotics.evaluation_cost(method, q)
+        estimator = ESTIMATORS[method]
+        report = estimator.exact_covariance(GameEvaluator(spec))
+        cost = estimator.cost(q)
         for n_index, n in enumerate(config.sizes):
             seeds = _replicate_seeds(config, method, n_index)
             estimates = np.empty((config.reps, q))
 
             def one(rep: int) -> None:
-                estimates[rep] = _estimate_once(spec, method, n, seeds[rep])
+                estimates[rep] = estimator.estimate(GameEvaluator(spec), n, seeds[rep])[0].phi
 
             if jobs > 1:
                 with ThreadPoolExecutor(max_workers=jobs) as pool:
@@ -168,16 +141,15 @@ def run_method_comparison(config: ExperimentConfig) -> list[ComparisonRow]:
     by efficiency), so its spectrum is reported without the numerically zero
     eigenvalues; the kernel spectrum is reported whole.
     """
-    ev = GameEvaluator(config.vf)
-    kernel_report = asymptotics.kernel_matrices_exact(ev, paired=True)[2]
-    perm_report = asymptotics.permutation_covariance_exact(GameEvaluator(config.vf), paired=True)
+    q = config.vf.q
     rows: list[ComparisonRow] = []
-    for report in (kernel_report, perm_report):
-        if report.method == "permutation-paired":
+    for estimator in (ESTIMATORS["kernel-paired"], ESTIMATORS["permutation-paired"]):
+        report = estimator.exact_covariance(GameEvaluator(config.vf))
+        if report.matrix.shape == (q, q):
             raw = asymptotics.positive_eigenvalues(report)
         else:
             raw = report.eigenvalues
-        adjusted = raw * asymptotics.evaluation_cost(report.method, report.q)
+        adjusted = raw * estimator.cost(q)
         for position, value in enumerate(raw, start=1):
             rows.append(ComparisonRow(report.method, "raw", position, float(value)))
         for position, value in enumerate(adjusted, start=1):
@@ -234,9 +206,9 @@ def _check_partition_against_terms(spec: ValueFunctionSpec, groups) -> None:
 def _validate_bias_variance(config: ExperimentConfig) -> None:
     if not config.methods:
         raise SchemaError("at least one method is required")
-    unknown = [m for m in config.methods if m not in METHODS]
+    unknown = [m for m in config.methods if m not in ESTIMATORS]
     if unknown:
-        raise SchemaError(f"unknown methods {unknown}; choose from {METHODS}")
+        raise SchemaError(f"unknown methods {unknown}; choose from {tuple(ESTIMATORS)}")
     if len(set(config.methods)) != len(config.methods):
         raise SchemaError("methods must be distinct")
     if not config.sizes:
@@ -296,14 +268,17 @@ def run_from_config(doc: dict, jobs: int = 1) -> dict:
         raise SchemaError(f"unknown experiment kind {kind!r}; choose from {KINDS}")
     if "vf" not in doc:
         raise SchemaError("config requires 'vf'")
-    if "master_seed" not in doc or not _is_int(doc["master_seed"]):
-        raise SchemaError("config requires an integer 'master_seed'")
+    if "master_seed" not in doc or not _is_int(doc["master_seed"]) or doc["master_seed"] < 0:
+        raise SchemaError("config requires a non-negative integer 'master_seed'")
     outputs = doc.get("outputs", {})
     if not isinstance(outputs, dict) or "csv" not in outputs:
         raise SchemaError("config requires outputs.csv")
+    csv = outputs["csv"]
+    if not isinstance(csv, str):
+        raise SchemaError(f"'outputs.csv' must be a path string, got {csv!r}")
     if not _is_int(jobs) or jobs < 1:
         raise DomainError(f"jobs must be a positive integer, got {jobs!r}")
-    methods = doc.get("methods", list(METHODS))
+    methods = doc.get("methods", list(ESTIMATORS))
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise SchemaError("'methods' must be a list of method names")
     sizes = doc.get("sizes", [])
@@ -319,23 +294,26 @@ def run_from_config(doc: dict, jobs: int = 1) -> dict:
         methods=tuple(methods),
         sizes=tuple(sizes),
         reps=doc.get("reps", 0),
-        outputs=outputs,
     )
 
     if kind == "bias_variance":
         rows = run_bias_variance(config, jobs=jobs)
-        write_bias_variance_csv(rows, outputs["csv"])
+        write = write_bias_variance_csv
     elif kind == "method_comparison":
         rows = run_method_comparison(config)
-        write_comparison_csv(rows, outputs["csv"])
+        write = write_comparison_csv
     else:
         if "partition" not in doc:
             raise SchemaError("additive_recovery requires 'partition'")
         partition = _parse_partition(doc["partition"], config.vf.q)
         rows = run_additive_recovery(config, partition, kernel_n=doc.get("kernel_n", 100))
-        write_recovery_csv(rows, outputs["csv"])
+        write = write_recovery_csv
+    try:
+        write(rows, csv)
+    except OSError as exc:
+        raise SchemaError(f"cannot write CSV file {csv!r}: {exc}") from exc
 
-    return {"kind": kind, "csv": str(outputs["csv"]), "rows": len(rows)}
+    return {"kind": kind, "csv": csv, "rows": len(rows)}
 
 
 def _is_int(value) -> bool:

@@ -214,49 +214,6 @@ def _as_float_array(values, where: str, name: str) -> np.ndarray:
     return arr
 
 
-def evaluate(spec: ValueFunctionSpec, z) -> float:
-    """Normalized payoff of a single coalition."""
-    z = np.asarray(z)
-    if z.ndim != 1:
-        raise DimensionError(f"expected a length-{spec.q} coalition vector, got shape {z.shape}")
-    return float(spec.values(z[None, :])[0])
-
-
-def evaluate_many(spec: ValueFunctionSpec, Z) -> np.ndarray:
-    """Normalized payoffs for the rows of an (m, q) coalition matrix."""
-    return spec.values(Z)
-
-
-def complement(z) -> np.ndarray:
-    """Indicator of the complementary coalition."""
-    z = np.asarray(z)
-    if not np.isin(z, (0, 1)).all():
-        raise DomainError("coalition entries must be 0 or 1")
-    return (1 - z).astype(z.dtype)
-
-
-def reverse_permutation(perm) -> np.ndarray:
-    """The same player order walked back to front."""
-    return np.asarray(perm)[::-1].copy()
-
-
-def inverse_positions(perm) -> np.ndarray:
-    """Position of each player within a permutation: out[perm[t]] = t."""
-    perm = np.asarray(perm)
-    out = np.empty_like(perm)
-    out[perm] = np.arange(len(perm))
-    return out
-
-
-def prefix_coalition(perm, j: int) -> np.ndarray:
-    """Indicator of the players that precede player j in the permutation."""
-    perm = np.asarray(perm)
-    pos = int(np.nonzero(perm == j)[0][0])
-    z = np.zeros(len(perm), dtype=np.uint8)
-    z[perm[:pos]] = 1
-    return z
-
-
 class GameEvaluator:
     """Wraps a game and counts every value-function evaluation.
 

@@ -39,18 +39,8 @@ class KernelSampleBatch:
     retries: int
 
 
-def sample_coalition(weights: exact.KernelWeights, rng: np.random.Generator) -> np.ndarray:
-    """Draw one coalition: a size from `weights`, then members uniformly."""
-    sizes = np.arange(1, weights.q)
-    s = int(rng.choice(sizes, p=weights.size_probs))
-    members = rng.choice(weights.q, size=s, replace=False)
-    z = np.zeros(weights.q, dtype=np.uint8)
-    z[members] = 1
-    return z
-
-
 def sample_coalitions(weights: exact.KernelWeights, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n coalitions at once; same distribution as `sample_coalition`."""
+    """Draw n coalitions: for each a size from `weights`, then members uniformly."""
     q = weights.q
     s = rng.choice(np.arange(1, q), size=n, p=weights.size_probs)
     u = rng.random((n, q))

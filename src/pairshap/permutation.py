@@ -10,14 +10,14 @@ from __future__ import annotations
 import numpy as np
 
 from . import exact
-from .errors import DimensionError, DomainError, PartitionError, SpecError
+from .errors import DimensionError, DomainError, PartitionError
 from .streams import derive_rng
 
 
 def sample_permutations(q: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent uniform player orders, one per row."""
     base = np.tile(np.arange(q), (n, 1))
-    return rng.permuted(base, axis=1)
+    return rng.permuted(base, axis=1, out=base)
 
 
 def marginal_vectors(ev, perms) -> np.ndarray:
@@ -73,31 +73,3 @@ def group_sums(phi, partition) -> np.ndarray:
         raise PartitionError(f"groups must cover each of the {q} players exactly once")
     return np.array([float(values[g].sum()) for g in groups])
 
-
-def separated_exact_check(ev, d: int, perm) -> np.ndarray:
-    """Group-free players' attributions from a single paired walk.
-
-    Requires the wrapped game to expose terms and the first d players to
-    enter only plain linear or bilinear terms confined to those players;
-    for such games one paired permutation already gives their Shapley
-    values exactly, and those d components are returned.
-    """
-    terms = getattr(ev.game, "terms", None)
-    if terms is None:
-        raise SpecError("game does not expose its terms; a declared spec is required")
-    if not 1 <= d <= ev.q:
-        raise DomainError(f"d must lie in 1..{ev.q}, got {d}")
-    block = set(range(d))
-    for pos, term in enumerate(terms):
-        touched = set(int(i) for i in term.indices)
-        if not touched & block:
-            continue
-        if not touched <= block:
-            raise SpecError(f"terms[{pos}] couples the first {d} players to the rest")
-        if term.kind not in ("linear", "bilinear"):
-            raise SpecError(f"terms[{pos}] is {term.kind!r}; only plain forms stay exact")
-    perm = np.asarray(perm)
-    if perm.shape != (ev.q,) or not np.array_equal(np.sort(perm), np.arange(ev.q)):
-        raise DomainError("perm must be a permutation of 0..q-1")
-    paired = 0.5 * (marginal_vector(ev, perm) + marginal_vector(ev, perm[::-1]))
-    return paired[:d]

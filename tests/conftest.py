@@ -3,9 +3,12 @@ from __future__ import annotations
 
 import json
 import math
+import shutil
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from pairshap.games import GameEvaluator, ValueFunctionSpec, parse_spec
 
@@ -203,6 +206,19 @@ def three_block_doc(rng: np.random.Generator) -> dict:
             }
         )
     return {"q": 9, "terms": terms}
+
+
+def pytest_configure(config):
+    # Even without an example database, hypothesis caches the constants it
+    # reads from the source tree, from collection on; keep them out of the
+    # checkout, for this run only.
+    config.hypothesis_home = tempfile.mkdtemp(prefix="pairshap-hypothesis-")
+    set_hypothesis_home_dir(config.hypothesis_home)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    shutil.rmtree(config.hypothesis_home, ignore_errors=True)
 
 
 # Filled by tests/test_acceptance.py; one entry per numbered criterion.

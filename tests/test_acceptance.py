@@ -20,6 +20,7 @@ from conftest import (
     separated_doc,
     three_block_doc,
 )
+from oracles import psd_gap, separated_exact_check
 from pairshap import asymptotics, exact, experiments, kernel, permutation
 from pairshap.cli import main
 from pairshap.games import GameEvaluator, parse_spec
@@ -131,7 +132,7 @@ def test_criterion_06_separated_exactness():
         spec = parse_spec(separated_doc(rng, d))
         phi = exact.shapley_subset(GameEvaluator(spec)).phi
         perm = permutation.sample_permutations(spec.q, 1, derive_rng(master, g, 0))[0]
-        recovered = permutation.separated_exact_check(GameEvaluator(spec), d, perm)
+        recovered = separated_exact_check(GameEvaluator(spec), d, perm)
         worst_walk = max(worst_walk, float(np.abs(recovered - phi[:d]).max()))
         vector, _ = kernel.estimate_kernel(
             GameEvaluator(spec), 100, paired=True, seed=np.random.SeedSequence([master, g, 1])
@@ -187,7 +188,7 @@ def test_criterion_08_pairing_psd_ordering():
         spec = parse_spec(doc)
         unpaired = asymptotics.kernel_matrices_exact(GameEvaluator(spec), paired=False)[2]
         paired = asymptotics.kernel_matrices_exact(GameEvaluator(spec), paired=True)[2]
-        worst_gap = min(worst_gap, asymptotics.psd_gap(unpaired.matrix, paired.matrix))
+        worst_gap = min(worst_gap, psd_gap(unpaired.matrix, paired.matrix))
     record(8, worst_gap >= -1e-9, f"min eigenvalue {worst_gap:.1e}")
 
 

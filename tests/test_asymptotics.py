@@ -6,6 +6,7 @@ import pytest
 
 from pairshap import asymptotics, cli, exact, kernel, linalg, permutation
 from pairshap.errors import DimensionError, DomainError, NumericError, SizeGuard
+from pairshap.estimators import ESTIMATORS
 from pairshap.games import GameEvaluator, parse_spec
 
 from conftest import (
@@ -21,6 +22,7 @@ from conftest import (
     random_game_doc,
     three_block_doc,
 )
+from oracles import psd_gap
 
 
 def test_reference_unpaired_kernel_spectrum(reference_ev):
@@ -127,12 +129,12 @@ def test_psd_gap_pairing_never_hurts():
         )
         _, _, unpaired = asymptotics.kernel_matrices_exact(GameEvaluator(spec), paired=False)
         _, _, paired = asymptotics.kernel_matrices_exact(GameEvaluator(spec), paired=True)
-        assert asymptotics.psd_gap(unpaired.matrix, paired.matrix) >= -1e-9
+        assert psd_gap(unpaired.matrix, paired.matrix) >= -1e-9
 
 
 def test_psd_gap_of_identical_matrices_is_zero():
     M = np.diag([2.0, 1.0])
-    assert asymptotics.psd_gap(M, M) == pytest.approx(0.0, abs=1e-14)
+    assert psd_gap(M, M) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_bilinear_game_paired_matrices_vanish():
@@ -307,23 +309,22 @@ def test_predicted_stderr_shapes(reference_ev):
 
 
 def test_evaluation_cost_map():
-    assert asymptotics.evaluation_cost("kernel", 10) == 1
-    assert asymptotics.evaluation_cost("kernel-paired", 10) == 2
-    assert asymptotics.evaluation_cost("permutation", 10) == 10
-    assert asymptotics.evaluation_cost("permutation-paired", 10) == 20
-    with pytest.raises(DomainError):
-        asymptotics.evaluation_cost("other", 4)
+    # the key order keys the experiment substreams, so it is fixed too
+    assert list(ESTIMATORS) == ["kernel", "kernel-paired", "permutation", "permutation-paired"]
+    assert [estimator.cost(10) for estimator in ESTIMATORS.values()] == [1, 2, 10, 20]
 
 
-def test_dimension_adjusted_eigs(reference_ev):
-    _, _, report = asymptotics.kernel_matrices_exact(reference_ev, paired=True)
-    np.testing.assert_allclose(
-        asymptotics.dimension_adjusted_eigs(report), 2.0 * report.eigenvalues, atol=1e-15
-    )
-    walk = asymptotics.permutation_covariance_exact(reference_ev, paired=True)
-    np.testing.assert_allclose(
-        asymptotics.dimension_adjusted_eigs(walk), 8.0 * walk.eigenvalues, atol=1e-15
-    )
+def test_dimension_adjusted_eigs(tmp_path, capsys):
+    # every table entry is accepted, and its spectrum is scaled by its cost at q = 4
+    path = tmp_path / "vf.json"
+    path.write_text(json.dumps(REFERENCE_DOC))
+    for name, factor in zip(ESTIMATORS, (1, 2, 4, 8)):
+        assert cli.main(["asymptotics", "--vf", str(path), "--method", name, "--adjusted"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == name
+        np.testing.assert_allclose(
+            payload["adjusted_eigenvalues"], factor * np.asarray(payload["eigenvalues"]), rtol=0, atol=1e-15
+        )
 
 
 def test_size_guards():

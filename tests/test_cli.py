@@ -1,10 +1,16 @@
 """CLI surface: subcommand output, exit codes, determinism."""
+import contextlib
+import io
 import json
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairshap.cli import main
+from pairshap.estimators import ESTIMATORS
 
 from conftest import REFERENCE_DOC, REFERENCE_PHI, three_block_doc
 
@@ -20,6 +26,21 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def call(argv):
+    """Exit code, stdout and stderr of one CLI call; an argparse exit gives its code.
+
+    Any other exception propagates: the console script would print it as a
+    traceback and exit 1.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
 
 
 def test_exact_all_methods(vf_path, capsys):
@@ -221,11 +242,12 @@ def test_experiment_end_to_end(tmp_path, vf_path, capsys):
         ({"reps": "5"}, []),
         ({"sizes": [True, 4]}, []),
         ({"methods": "kernel"}, []),
+        ({"outputs": {"csv": 5}}, []),
         ({}, ["--jobs", "0"]),
         ({}, ["--jobs", "-2"]),
     ],
     ids=["kernel_n-str", "kernel_n-float", "kernel_n-bool", "reps-str", "sizes-bool",
-         "methods-str", "jobs-zero", "jobs-negative"],
+         "methods-str", "csv-int", "jobs-zero", "jobs-negative"],
 )
 def test_mistyped_experiment_config_exits_two(tmp_path, capsys, change, extra_args):
     config = {
@@ -248,6 +270,50 @@ def test_mistyped_experiment_config_exits_two(tmp_path, capsys, change, extra_ar
     assert "must be" in err
     assert "Traceback" not in err
     assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, config",
+    [
+        (["sample", "--method", "kernel", "--n", "16"], None),
+        (["asymptotics", "--method", "kernel", "--plugin", "16"], None),
+        (["blocks", "--threshold", "1e-8", "--plugin", "16"], None),
+        (["bilinear-test", "--trials", "2", "--tol", "1e-9"], None),
+        (None, {"kind": "bias_variance", "methods": ["kernel"], "sizes": [16], "reps": 2}),
+        (None, {"kind": "additive_recovery", "partition": [[1, 2, 3, 4]]}),
+    ],
+    ids=["sample", "asymptotics-plugin", "blocks-plugin", "bilinear-test", "bias_variance", "additive_recovery"],
+)
+def test_negative_seed_exits_two(tmp_path, vf_path, argv, config):
+    csv_path = tmp_path / "rows.csv"
+    if config is None:
+        argv = [argv[0], "--vf", vf_path, *argv[1:], "--seed", "-1"]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(config, vf=REFERENCE_DOC, master_seed=-1, outputs={"csv": str(csv_path)})))
+        argv = ["experiment", "--config", str(cfg)]
+    code, out, err = call(argv)
+    assert code == 2
+    assert out == ""
+    assert "non-negative integer" in err
+    assert "Traceback" not in err
+    assert not csv_path.exists()
+
+
+def test_unwritable_csv_exits_two(tmp_path):
+    csv_path = tmp_path / "missing" / "rows.csv"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(
+        json.dumps(
+            {"kind": "method_comparison", "vf": REFERENCE_DOC, "master_seed": 1, "outputs": {"csv": str(csv_path)}}
+        )
+    )
+    code, out, err = call(["experiment", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("SchemaError: cannot write")
+    assert "Traceback" not in err
+    assert not csv_path.exists()
 
 
 def test_missing_file_exits_two(capsys):
@@ -292,3 +358,82 @@ def test_missing_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as info:
         main([])
     assert info.value.code == 2
+
+
+# Drawn CLI inputs for the exit-code contract: tiny games, small sizes, and
+# seeds and config fields that are often negative or of the wrong type.
+_INTS = st.integers(-3, 40)
+_SEED_TEXT = st.one_of(st.integers(-3, 2**70).map(str), st.sampled_from(["x", "1.5", ""]))
+
+
+@st.composite
+def _game(draw):
+    q = draw(st.integers(2, 4))
+    kind = draw(st.sampled_from(["linear", "exp_linear", "bilinear", "exp_bilinear"]))
+    coeff = st.floats(-1.0, 1.0, allow_nan=False)
+    term = {"kind": kind, "indices": list(range(1, q + 1))}
+    if kind.endswith("bilinear"):
+        term["A"] = draw(st.lists(st.lists(coeff, min_size=q, max_size=q), min_size=q, max_size=q))
+    else:
+        term["beta"] = draw(st.lists(coeff, min_size=q, max_size=q))
+    return {"q": q, "terms": [term]}
+
+
+@st.composite
+def _command(draw, vf: str, tmp: str):
+    """One argv for a CLI call on the game file `vf`, writing only below `tmp`."""
+    seed = ["--seed", draw(_SEED_TEXT)]
+    command = draw(st.sampled_from(["sample", "asymptotics", "blocks", "bilinear-test", "experiment", "experiment"]))
+    if command == "sample":
+        argv = ["sample", "--vf", vf, "--method", draw(st.sampled_from(["kernel", "permutation"]))]
+        argv += ["--n", str(draw(_INTS)), *seed, "--stderr-from", draw(st.sampled_from(["exact", "plugin"]))]
+        return argv + (["--paired"] if draw(st.booleans()) else [])
+    if command == "asymptotics":
+        argv = ["asymptotics", "--vf", vf, "--method", draw(st.sampled_from([*ESTIMATORS, "other"]))]
+        if draw(st.booleans()):
+            argv += ["--plugin", str(draw(_INTS))] + (seed if draw(st.booleans()) else [])
+        return argv + (["--adjusted"] if draw(st.booleans()) else [])
+    if command == "blocks":
+        argv = ["blocks", "--vf", vf, "--threshold", draw(st.sampled_from(["1e-8", "0", "-1"]))]
+        return argv + (["--plugin", str(draw(_INTS)), *seed] if draw(st.booleans()) else [])
+    if command == "bilinear-test":
+        return ["bilinear-test", "--vf", vf, "--trials", str(draw(_INTS)), "--tol", "1e-9", *seed]
+    with open(vf, encoding="utf-8") as fh:
+        game = json.load(fh)
+    # valid values, then at most one field replaced by a negative or mistyped one
+    sizes = st.lists(st.integers(1, 24), min_size=1, max_size=2, unique=True).map(sorted)
+    fields = {
+        "master_seed": (st.integers(0, 2**70), st.one_of(st.integers(-3, -1), st.sampled_from(["7", 2.5, True]))),
+        "reps": (st.integers(2, 3), st.one_of(st.integers(-3, 1), st.sampled_from(["2", 2.5, None]))),
+        "sizes": (sizes, st.sampled_from([[True, 4], 8, [0], [-1], [3, 3], [4, 2], []])),
+        "kernel_n": (st.integers(1, 24), st.one_of(st.integers(-3, 0), st.sampled_from(["abc", 2.5, True]))),
+        "methods": (
+            st.lists(st.sampled_from(list(ESTIMATORS)), min_size=1, max_size=4, unique=True),
+            st.sampled_from(["kernel", ["other"], [], ["kernel", "kernel"]]),
+        ),
+        "partition": (st.just([list(range(1, game["q"] + 1))]), st.sampled_from([[[1], [1]], "x", [[0]]])),
+        "csv": (st.just(f"{tmp}/rows.csv"), st.sampled_from([f"{tmp}/missing/rows.csv", "", 5, None])),
+        "jobs": (st.integers(1, 2).map(str), st.sampled_from(["0", "-1", "x"])),
+    }
+    fault = draw(st.sampled_from([None, *fields]))
+    values = {key: draw(bad if key == fault else good) for key, (good, bad) in fields.items()}
+    kind = draw(st.sampled_from(["bias_variance", "method_comparison", "additive_recovery"]))
+    doc = {key: values[key] for key in ("master_seed", "reps", "sizes", "kernel_n", "methods", "partition")}
+    doc.update(kind=kind, vf=game, outputs={"csv": values["csv"]})
+    cfg = f"{tmp}/cfg.json"
+    with open(cfg, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return ["experiment", "--config", cfg, "--jobs", values["jobs"]]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=250)
+@given(game=_game(), data=st.data())
+def test_exit_code_contract(game, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        vf = f"{tmp}/vf.json"
+        with open(vf, "w", encoding="utf-8") as fh:
+            json.dump(game, fh)
+        argv = data.draw(_command(vf, tmp))
+        code, _, err = call(argv)
+    assert code in (0, 2, 3), (argv, code, err)
+    assert "Traceback" not in err

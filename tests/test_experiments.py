@@ -4,6 +4,7 @@ import pytest
 
 from pairshap import experiments
 from pairshap.errors import PartitionError, SchemaError
+from pairshap.estimators import ESTIMATORS
 from pairshap.games import parse_spec
 
 from conftest import REFERENCE_DOC, separated_doc
@@ -13,7 +14,7 @@ def small_config(**overrides):
     fields = dict(
         vf=parse_spec(REFERENCE_DOC),
         master_seed=1001,
-        methods=experiments.METHODS,
+        methods=tuple(ESTIMATORS),
         sizes=(16, 32),
         reps=10,
     )

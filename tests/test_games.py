@@ -10,18 +10,17 @@ from pairshap.errors import (
     NonFiniteError,
     SchemaError,
 )
-from pairshap.games import (
-    GameEvaluator,
+from pairshap.games import GameEvaluator, parse_spec
+
+from conftest import REFERENCE_DOC, random_game_doc
+from oracles import (
     complement,
     evaluate,
     evaluate_many,
     inverse_positions,
-    parse_spec,
     prefix_coalition,
     reverse_permutation,
 )
-
-from conftest import REFERENCE_DOC, random_game_doc
 
 
 def test_parse_reference_document():

@@ -5,6 +5,7 @@ from scipy.stats import chi2
 
 from pairshap import exact, kernel
 from pairshap.errors import DimensionError, DomainError, RankDeficient
+from pairshap.estimators import ESTIMATORS
 from pairshap.games import GameEvaluator, parse_spec
 from pairshap.streams import derive_rng
 
@@ -13,6 +14,7 @@ from conftest import (
     bilinear_shapley,
     random_bilinear_doc,
 )
+from oracles import coalition_matrix, coalition_probability, sample_coalition
 
 
 def coalition_to_mask(Z):
@@ -23,14 +25,14 @@ def test_single_draw_sampler_is_a_nonempty_proper_subset():
     kw = exact.kernel_weights(5)
     rng = derive_rng(100, 0)
     for _ in range(200):
-        z = kernel.sample_coalition(kw, rng)
+        z = sample_coalition(kw, rng)
         assert 1 <= z.sum() <= 4
 
 
 def test_single_draw_sampler_q2_always_singleton():
     kw = exact.kernel_weights(2)
     rng = derive_rng(101, 0)
-    draws = np.array([kernel.sample_coalition(kw, rng) for _ in range(50)])
+    draws = np.array([sample_coalition(kw, rng) for _ in range(50)])
     assert np.all(draws.sum(axis=1) == 1)
 
 
@@ -50,8 +52,8 @@ def test_batch_sampler_chi_square_over_all_coalitions_q4():
     Z = kernel.sample_coalitions(kw, n, rng)
     masks = coalition_to_mask(Z)
     observed = np.bincount(masks, minlength=16)[1:15]
-    sizes = exact.coalition_matrix(4)[1:15].sum(axis=1)
-    expected = np.array([kw.coalition_probability(int(s)) for s in sizes]) * n
+    sizes = coalition_matrix(4)[1:15].sum(axis=1)
+    expected = np.array([coalition_probability(kw, int(s)) for s in sizes]) * n
     statistic = float(((observed - expected) ** 2 / expected).sum())
     assert statistic < chi2.isf(0.001, df=13)
 
@@ -60,10 +62,10 @@ def test_single_draw_sampler_chi_square_q4():
     kw = exact.kernel_weights(4)
     rng = derive_rng(104, 0)
     n = 40_000
-    masks = np.array([int(coalition_to_mask(kernel.sample_coalition(kw, rng))) for _ in range(n)])
+    masks = np.array([int(coalition_to_mask(sample_coalition(kw, rng))) for _ in range(n)])
     observed = np.bincount(masks, minlength=16)[1:15]
-    sizes = exact.coalition_matrix(4)[1:15].sum(axis=1)
-    expected = np.array([kw.coalition_probability(int(s)) for s in sizes]) * n
+    sizes = coalition_matrix(4)[1:15].sum(axis=1)
+    expected = np.array([coalition_probability(kw, int(s)) for s in sizes]) * n
     statistic = float(((observed - expected) ** 2 / expected).sum())
     assert statistic < chi2.isf(0.001, df=13)
 
@@ -118,6 +120,13 @@ def test_evaluation_budget(reference_spec):
     ev = GameEvaluator(reference_spec)
     kernel.estimate_kernel(ev, n, paired=True, seed=2)
     assert ev.eval_count == 2 * n + 1
+    # every estimator spends exactly the cost the CSV reports per draw, plus
+    # the one cached grand value that the kernel fits use
+    for name, estimator in ESTIMATORS.items():
+        ev = GameEvaluator(reference_spec)
+        estimator.estimate(ev, n, 2)
+        grand = 1 if name.startswith("kernel") else 0
+        assert ev.eval_count == estimator.cost(reference_spec.q) * n + grand, name
 
 
 def test_batch_layout(reference_spec):

@@ -5,7 +5,7 @@ from scipy.stats import chi2
 
 from pairshap import exact, kernel, permutation
 from pairshap.errors import DimensionError, DomainError, NonFiniteError, PartitionError, SizeGuard, SpecError
-from pairshap.games import GameEvaluator, mask_rows, parse_spec, prefix_coalition
+from pairshap.games import GameEvaluator, mask_rows, parse_spec
 from pairshap.streams import derive_rng
 
 from conftest import (
@@ -17,6 +17,7 @@ from conftest import (
     separated_doc,
     three_block_doc,
 )
+from oracles import prefix_coalition, separated_exact_check
 
 
 def walk_by_rows(ev, perms) -> np.ndarray:
@@ -355,7 +356,7 @@ def test_separated_exact_check_recovers_block_components():
         q = spec.q
         exact_phi = exact.shapley_subset(GameEvaluator(spec)).phi
         perm = rng.permutation(q)
-        estimate = permutation.separated_exact_check(GameEvaluator(spec), d, perm)
+        estimate = separated_exact_check(GameEvaluator(spec), d, perm)
         np.testing.assert_allclose(estimate, exact_phi[:d], atol=1e-9)
 
 
@@ -367,7 +368,7 @@ def test_separated_exact_check_matches_block_closed_form():
     A1 = np.asarray(doc["terms"][0]["A"])
     spec = parse_spec(doc)
     perm = rng.permutation(spec.q)
-    estimate = permutation.separated_exact_check(GameEvaluator(spec), d, perm)
+    estimate = separated_exact_check(GameEvaluator(spec), d, perm)
     np.testing.assert_allclose(estimate, bilinear_shapley(A1), atol=1e-9)
 
 
@@ -379,8 +380,8 @@ def test_separated_exact_check_rejects_coupled_terms():
         ],
     }
     ev = GameEvaluator(parse_spec(doc))
-    with pytest.raises(SpecError):
-        permutation.separated_exact_check(ev, 2, np.arange(4))
+    with pytest.raises(PartitionError):
+        separated_exact_check(ev, 2, np.arange(4))
 
 
 def test_separated_exact_check_rejects_exp_terms_in_block():
@@ -393,12 +394,12 @@ def test_separated_exact_check_rejects_exp_terms_in_block():
     }
     ev = GameEvaluator(parse_spec(doc))
     with pytest.raises(SpecError):
-        permutation.separated_exact_check(ev, 2, np.arange(4))
+        separated_exact_check(ev, 2, np.arange(4))
 
 
 def test_separated_exact_check_requires_declared_terms(hand_game_q3):
     with pytest.raises(SpecError):
-        permutation.separated_exact_check(hand_game_q3, 1, np.arange(3))
+        separated_exact_check(hand_game_q3, 1, np.arange(3))
 
 
 def test_separated_exact_check_validates_d_and_perm():
@@ -406,9 +407,9 @@ def test_separated_exact_check_validates_d_and_perm():
     spec = parse_spec(separated_doc(rng, 2))
     ev = GameEvaluator(spec)
     with pytest.raises(DomainError):
-        permutation.separated_exact_check(ev, 0, np.arange(spec.q))
+        separated_exact_check(ev, 0, np.arange(spec.q))
     with pytest.raises(DomainError):
-        permutation.separated_exact_check(ev, 2, np.zeros(spec.q, dtype=int))
+        separated_exact_check(ev, 2, np.zeros(spec.q, dtype=int))
 
 
 def test_kernel_paired_misses_separated_components():
