@@ -153,43 +153,44 @@ def permutation_covariance_exact(ev, paired: bool = True) -> CovarianceReport:
     """
     perms = exact.all_permutations(ev.q)
     table = exact.value_table(ev)
-    walk = partial(exact.marginal_matrix, partial(np.take, table))
-    return _walk_covariance(walk, perms, paired, "exact-enumeration")
+    # prefixes of whole orders are always in range; clipping gathers unbuffered
+    W = exact.marginal_matrix(partial(np.take, table, mode="clip"), perms, paired)
+    return _walk_covariance(W, paired, "exact-enumeration")
 
 
-def permutation_covariance_plugin(ev, n: int, seed=None, paired: bool = True) -> CovarianceReport:
+def permutation_covariance_plugin(ev, n: int, seed=None, paired: bool = True, walked=None) -> CovarianceReport:
     """Sample covariance of (paired) marginal vectors from n fresh orders.
 
     Draws with the same substream layout as `estimate_permutation`, so the
-    same seed reproduces the estimator's own draws.  Uses the 1/(n - 1)
-    normalization.
+    same seed reproduces the estimator's own draws.  `walked`, the matrix
+    `estimate_permutation` returned for the same n, seed and pairing, is
+    used instead of drawing and walking those orders again; it is
+    overwritten.  Uses the 1/(n - 1) normalization.
     """
     if n < 2:
         raise DomainError(f"need at least 2 sampled orders, got {n}")
-    rng = derive_rng(seed, 0)
-    perms = permutation.sample_permutations(ev.q, n, rng)
-    walk = partial(permutation.marginal_vectors, ev)
-    return _walk_covariance(walk, perms, paired, f"plug-in(n={n}, seed={seed})")
+    if walked is None:
+        perms = permutation.sample_permutations(ev.q, n, derive_rng(seed, 0))
+        walked = permutation.marginal_vectors(ev, perms, paired)
+    return _walk_covariance(walked, paired, f"plug-in(n={n}, seed={seed})")
 
 
-def _walk_covariance(walk, perms: np.ndarray, paired: bool, provenance: str) -> CovarianceReport:
-    """Covariance of the (paired) marginal vectors of `perms`, 1/(m - 1) normalized.
+def _walk_covariance(W: np.ndarray, paired: bool, provenance: str) -> CovarianceReport:
+    """Covariance of the rows of a marginal-contribution matrix, 1/(m - 1) normalized.
 
-    `walk(perms)` returns the marginal-contribution matrix of the orders.
-    The pairing average and the centering run in place, so the walk's
-    n x q arrays stay as few as possible.
+    `W` comes from one walk, paired-summed when paired.  The pairing
+    average and the centering overwrite it, so no further m x q array is
+    made.
     """
-    W = walk(perms)
     if paired:
-        W += walk(perms[:, ::-1])
         W *= 0.5
         method = "permutation-paired"
     else:
         method = "permutation"
-    scale = float(np.max(np.abs(W))) if W.size else 0.0
+    scale = max(float(W.max()), -float(W.min())) if W.size else 0.0
     W -= W.mean(axis=0)
-    covariance = W.T @ W / (perms.shape[0] - 1)
-    return _make_report(covariance, method, provenance, perms.shape[1], scale)
+    covariance = W.T @ W / (W.shape[0] - 1)
+    return _make_report(covariance, method, provenance, W.shape[1], scale)
 
 
 def predicted_stderr(report: CovarianceReport, n: int) -> np.ndarray:

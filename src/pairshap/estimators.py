@@ -45,13 +45,17 @@ class KernelEstimator:
 
 @dataclass(frozen=True)
 class PermutationEstimator:
-    """Mean marginal contribution over n sampled orders, each paired with its reverse or not."""
+    """Mean marginal contribution over n sampled orders, each paired with its reverse or not.
+
+    A paired draw is one walk that looks up the order's prefixes and the
+    reverse order's, read off as their complements: 2q evaluations.
+    """
 
     paired: bool
 
     def estimate(self, ev, n: int, seed):
-        """(ShapleyVector, None) from n orders, n pairs if paired."""
-        return permutation.estimate_permutation(ev, n, paired=self.paired, seed=seed), None
+        """(ShapleyVector, marginal matrix of the drawn orders) from n orders, n pairs if paired."""
+        return permutation.estimate_permutation(ev, n, paired=self.paired, seed=seed)
 
     def exact_covariance(self, ev) -> asymptotics.CovarianceReport:
         return asymptotics.permutation_covariance_exact(ev, paired=self.paired)
@@ -59,10 +63,12 @@ class PermutationEstimator:
     def plugin_covariance(self, ev, n: int, seed, drawn=None) -> asymptotics.CovarianceReport:
         """Sample covariance of the marginal vectors of the orders `estimate` draws.
 
-        The estimate keeps only the mean of those vectors, so the same orders
-        are drawn and walked again whether or not `drawn` is given.
+        `drawn`, what `estimate` already returned for the same arguments, is
+        reused instead of walking the orders again; its matrix is
+        overwritten.
         """
-        return asymptotics.permutation_covariance_plugin(ev, n, seed=seed, paired=self.paired)
+        walked = drawn[1] if drawn else None
+        return asymptotics.permutation_covariance_plugin(ev, n, seed=seed, paired=self.paired, walked=walked)
 
     def cost(self, q: int) -> int:
         return 2 * q if self.paired else q

@@ -183,7 +183,7 @@ def all_permutations(q: int) -> np.ndarray:
     return np.array(list(itertools.permutations(range(q))), dtype=np.int64)
 
 
-def marginal_matrix(values_at, perms: np.ndarray) -> np.ndarray:
+def marginal_matrix(values_at, perms: np.ndarray, paired: bool = False) -> np.ndarray:
     """Marginal-contribution vectors for each permutation, walked by prefixes.
 
     Row i, column j holds the payoff gain of player j joining the players
@@ -192,13 +192,34 @@ def marginal_matrix(values_at, perms: np.ndarray) -> np.ndarray:
     array that shares the masks' memory; it is called once, on the q
     nonempty prefixes of every order (the empty prefix is worth zero by
     normalization).  Each row sums to the grand value.
+
+    Paired, row i is the sum of the vectors of order i and of its reverse,
+    and `values_at` is called a second time, on the reverse order's q
+    prefixes.  Its prefix of length k is the complement of the forward
+    prefix of length q - k, so those masks are read off the forward ones,
+    longest first: column t holds the coalition that player perms[i, t]
+    completes in the reverse walk.  The two gain arrays then line up column
+    by column, are added, and are scattered once.
     """
     masks = prefix_masks(perms)
-    # the payoffs overwrite their masks, so one n x q array is live until B
+    if paired:
+        full = np.int64((1 << perms.shape[1]) - 1)
+        rev = np.empty_like(masks)
+        rev[:, 0] = full
+        np.bitwise_xor(masks[:, :-1], full, out=rev[:, 1:])
+    # payoffs overwrite their masks, and B reuses the reverse masks' memory,
+    # so the walk holds one n x q array until B, two when paired
     gains = values_at(masks, out=masks.view(np.float64))
     for t in range(gains.shape[1] - 1, 0, -1):
         gains[:, t] -= gains[:, t - 1]
-    B = np.empty_like(gains)
+    if paired:
+        rev = values_at(rev, out=rev.view(np.float64))
+        for t in range(rev.shape[1] - 1):
+            rev[:, t] -= rev[:, t + 1]
+        gains += rev
+        B = rev
+    else:
+        B = np.empty_like(gains)
     np.put_along_axis(B, perms, gains, axis=1)
     return B
 
@@ -209,7 +230,8 @@ def shapley_all_permutations(ev) -> ShapleyVector:
     _guard(q, PERMUTATION_LIMIT, "permutation enumeration")
     table = value_table(ev)
     perms = all_permutations(q)
-    B = marginal_matrix(partial(np.take, table), perms)
+    # prefixes of whole orders are always in range; clipping gathers unbuffered
+    B = marginal_matrix(partial(np.take, table, mode="clip"), perms)
     return ShapleyVector(phi=B.mean(axis=0), method_tag="permutation")
 
 

@@ -172,11 +172,8 @@ def run_additive_recovery(config: ExperimentConfig, partition, kernel_n: int = 1
 
     ev = GameEvaluator(spec)
     rng = derive_rng(config.master_seed, 0)
-    perm = permutation.sample_permutations(spec.q, 1, rng)[0]
-    walk = 0.5 * (
-        permutation.marginal_vector(ev, perm)
-        + permutation.marginal_vector(ev, perm[::-1])
-    )
+    perms = permutation.sample_permutations(spec.q, 1, rng)
+    walk = 0.5 * permutation.marginal_vectors(ev, perms, paired=True)[0]
     perm_sums = permutation.group_sums(walk, groups)
 
     kernel_seed = np.random.SeedSequence(entropy=config.master_seed, spawn_key=(1,))
@@ -276,6 +273,10 @@ def run_from_config(doc: dict, jobs: int = 1) -> dict:
     csv = outputs["csv"]
     if not isinstance(csv, str):
         raise SchemaError(f"'outputs.csv' must be a path string, got {csv!r}")
+    # fail before any computation, not after the whole run
+    parent = Path(csv).parent
+    if not parent.is_dir():
+        raise SchemaError(f"cannot write CSV file {csv!r}: {str(parent)!r} is not a directory")
     if not _is_int(jobs) or jobs < 1:
         raise DomainError(f"jobs must be a positive integer, got {jobs!r}")
     methods = doc.get("methods", list(ESTIMATORS))

@@ -252,11 +252,11 @@ class GameEvaluator:
 
         Counts one logical evaluation per mask.  When the masks outnumber
         the 2^q coalitions, the distinct ones are tabulated, n/2 at a time,
-        and gathered; otherwise each column is evaluated as n indicator rows.
-        Either way the game sees at most n rows per call, and only
-        coalitions that appear in `masks` reach it.  `out`, a float (n, k)
-        array, may share memory with `masks`: each column of masks is read
-        before the payoffs overwrite it.
+        and gathered by one `take`; otherwise each column is evaluated as n
+        indicator rows.  Either way the game sees at most n rows per call,
+        and only coalitions that appear in `masks` reach it.  `out`, a float
+        (n, k) array, may share memory with `masks`: each mask is read
+        before its payoff overwrites it.
         """
         q = self.q
         _guard_masks(q)
@@ -281,8 +281,9 @@ class GameEvaluator:
                     distinct += start
                     table[distinct] = self.game.values(mask_rows(distinct, q))
             del seen
-            for col in range(masks.shape[1]):
-                out[:, col] = table[masks[:, col]]
+            # the masks were range-checked above, so clipping never bites;
+            # unlike the default mode it writes into `out` without a buffer
+            np.take(table, masks, out=out, mode="clip")
         else:
             for col in range(masks.shape[1]):
                 out[:, col] = self.game.values(mask_rows(masks[:, col], q))

@@ -1,9 +1,10 @@
 """Sampling and paired-sampling permutation Shapley estimators.
 
 Each sampled player order is walked front to back, evaluating the value
-function on every prefix, so one order costs q evaluations.  Pairing walks
-the reversed order as well and averages the two marginal-contribution
-vectors, which cancels the odd part of the game.
+function on every prefix, so one order costs q evaluations.  Pairing also
+looks up the reversed order's prefixes, the complements of the forward
+ones, and averages the two marginal-contribution vectors, which cancels the
+odd part of the game.
 """
 from __future__ import annotations
 
@@ -20,19 +21,21 @@ def sample_permutations(q: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return rng.permuted(base, axis=1, out=base)
 
 
-def marginal_vectors(ev, perms) -> np.ndarray:
+def marginal_vectors(ev, perms, paired: bool = False) -> np.ndarray:
     """Marginal-contribution vector of each permutation, walked by prefixes.
 
     Row i, column j holds the payoff gain when player j joins the players
     preceding it in permutation i.  The walk looks up the q nonempty
     prefixes of each order through `ev.values_at` (the empty prefix is worth
     zero by normalization), so the logical cost is exactly q evaluations per
-    row.
+    row.  Paired, row i is the sum of the vectors of order i and of its
+    reverse, whose prefixes are looked up as the complements of the forward
+    ones: 2q evaluations per row, and no second walk.
     """
     perms = np.asarray(perms)
     if perms.ndim != 2 or perms.shape[1] != ev.q:
         raise DimensionError(f"expected an (n, {ev.q}) array of player orders, got shape {perms.shape}")
-    return exact.marginal_matrix(ev.values_at, perms)
+    return exact.marginal_matrix(ev.values_at, perms, paired)
 
 
 def marginal_vector(ev, perm) -> np.ndarray:
@@ -40,21 +43,23 @@ def marginal_vector(ev, perm) -> np.ndarray:
     return marginal_vectors(ev, np.asarray(perm)[None, :])[0]
 
 
-def estimate_permutation(ev, n: int, paired: bool = False, seed=None) -> exact.ShapleyVector:
-    """Average marginal contributions over n sampled orders (n pairs if paired)."""
+def estimate_permutation(ev, n: int, paired: bool = False, seed=None):
+    """Average marginal contributions over n sampled orders (n pairs if paired).
+
+    Returns (ShapleyVector, B), B the drawn orders' `marginal_vectors`.
+    """
     if n < 1:
         raise DomainError(f"sample size must be positive, got {n}")
     rng = derive_rng(seed, 0)
     perms = sample_permutations(ev.q, n, rng)
-    B = marginal_vectors(ev, perms)
+    B = marginal_vectors(ev, perms, paired)
     if paired:
-        B += marginal_vectors(ev, perms[:, ::-1])
         phi = 0.5 * B.mean(axis=0)
         tag = "permutation-paired"
     else:
         phi = B.mean(axis=0)
         tag = "permutation"
-    return exact.ShapleyVector(phi=phi, method_tag=tag)
+    return exact.ShapleyVector(phi=phi, method_tag=tag), B
 
 
 def group_sums(phi, partition) -> np.ndarray:

@@ -364,6 +364,26 @@ def test_unpaired_walk_covariance_scales_estimator_variance(reference_spec):
     for s in range(reps):
         estimates[s] = permutation.estimate_permutation(
             GameEvaluator(reference_spec), n, paired=False, seed=np.random.SeedSequence([96, s])
-        ).phi
+        )[0].phi
     ratio = estimates.std(axis=0, ddof=1) / asymptotics.predicted_stderr(report, n)
     assert np.all((ratio > 0.8) & (ratio < 1.2))
+
+
+def test_exact_walk_covariance_memory_stays_within_three_and_a_half_order_arrays():
+    # At q = 8 the paired walk over all q! orders holds the orders, the
+    # forward and the complement masks (payoffs written over both), and no
+    # buffered copy of either: the traced peak stays below 3.5 q! x q float
+    # arrays.
+    import tracemalloc
+
+    q = 8
+    rng = np.random.default_rng(97)
+    spec = parse_spec(random_game_doc(rng, q))
+    tracemalloc.start()
+    try:
+        report = asymptotics.permutation_covariance_exact(GameEvaluator(spec), paired=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.matrix.shape == (q, q)
+    assert peak <= 3.5 * 8 * 40320 * q

@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,6 +314,29 @@ def test_unwritable_csv_exits_two(tmp_path):
     assert out == ""
     assert err.startswith("SchemaError: cannot write")
     assert "Traceback" not in err
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("parent", ["missing", "file"])
+def test_csv_in_missing_directory_fails_before_computing(tmp_path, monkeypatch, parent):
+    from pairshap import games
+
+    rows = []
+    values = games.ValueFunctionSpec.values
+    monkeypatch.setattr(games.ValueFunctionSpec, "values", lambda self, Z: rows.append(len(Z)) or values(self, Z))
+    if parent == "file":
+        (tmp_path / "file").write_text("")
+    csv_path = tmp_path / parent / "rows.csv"
+    doc = json.loads((Path(__file__).resolve().parents[1] / "configs" / "bias_variance_q4.json").read_text())
+    doc["outputs"] = {"csv": str(csv_path)}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    code, out, err = call(["experiment", "--config", str(cfg)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("SchemaError: cannot write CSV file")
+    assert "is not a directory" in err
+    assert rows == []
     assert not csv_path.exists()
 
 

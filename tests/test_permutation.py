@@ -1,9 +1,12 @@
 """Permutation estimators: walks, pairing, group sums, separated games."""
+from functools import partial
+
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
 from pairshap import exact, kernel, permutation
+from pairshap.estimators import ESTIMATORS
 from pairshap.errors import DimensionError, DomainError, NonFiniteError, PartitionError, SizeGuard, SpecError
 from pairshap.games import GameEvaluator, mask_rows, parse_spec
 from pairshap.streams import derive_rng
@@ -39,15 +42,17 @@ def walk_by_rows(ev, perms) -> np.ndarray:
 
 
 class RowCounter:
-    """Game wrapper recording how many rows each `values` call receives."""
+    """Game wrapper recording how many rows each `values` call receives, and their bitmasks."""
 
     def __init__(self, game):
         self.game = game
         self.q = game.q
         self.calls: list[int] = []
+        self.masks: list[np.ndarray] = []
 
     def values(self, Z) -> np.ndarray:
         self.calls.append(len(Z))
+        self.masks.append(np.asarray(Z, dtype=np.int64) @ (np.int64(1) << np.arange(self.q)))
         return self.game.values(Z)
 
 
@@ -92,25 +97,99 @@ def test_marginal_vectors_physical_rows_and_logical_count():
                 assert game.calls == [n] * q
 
 
+def test_paired_marginal_vectors_match_two_one_way_walks():
+    rng = np.random.default_rng(94)
+    kinds = set()
+    for q in range(2, 13):
+        for n in walk_sizes(q):
+            doc = random_game_doc(rng, q)
+            kinds.update(term["kind"] for term in doc["terms"])
+            spec = parse_spec(doc)
+            perms = permutation.sample_permutations(q, n, rng)
+            expected = walk_by_rows(GameEvaluator(spec), perms) + walk_by_rows(GameEvaluator(spec), perms[:, ::-1])
+            ev = GameEvaluator(spec)
+            got = permutation.marginal_vectors(ev, perms, paired=True)
+            assert np.array_equal(got, expected), (q, n)
+            assert ev.eval_count == 2 * q * n
+            take = partial(np.take, exact.value_table(GameEvaluator(spec)), mode="clip")
+            both = exact.marginal_matrix(take, perms) + exact.marginal_matrix(take, perms[:, ::-1])
+            assert np.array_equal(exact.marginal_matrix(take, perms, paired=True), both), (q, n)
+    assert kinds == {"linear", "bilinear", "exp_linear", "exp_bilinear"}
+
+
+def test_paired_walk_physical_rows():
+    rng = np.random.default_rng(95)
+    for q in range(2, 13):
+        spec = parse_spec(random_game_doc(rng, q))
+        row_n, dedup_n = walk_sizes(q)
+        for n, deduplicated in ((row_n, False), (dedup_n, True)):
+            game = RowCounter(spec)
+            ev = GameEvaluator(game)
+            perms = permutation.sample_permutations(q, n, rng)
+            permutation.marginal_vectors(ev, perms, paired=True)
+            assert ev.eval_count == 2 * q * n
+            assert max(game.calls) <= n
+            if deduplicated:
+                # the forward prefixes are tabulated first, then the reverse
+                # order's prefixes, each in ascending mask order
+                forward = np.unique(np.cumsum(np.int64(1) << perms, axis=1))
+                reverse = np.unique(np.cumsum(np.int64(1) << perms[:, ::-1], axis=1))
+                seen = np.concatenate(game.masks)
+                assert np.array_equal(seen, np.concatenate([forward, reverse])), q
+            else:
+                assert game.calls == [n] * (2 * q)
+
+
+def test_permutation_plugin_reuses_the_estimate_walk(reference_spec):
+    n, seed = 40, 17
+    for name in ("permutation", "permutation-paired"):
+        estimator = ESTIMATORS[name]
+        game = RowCounter(reference_spec)
+        ev = GameEvaluator(game)
+        drawn = estimator.estimate(ev, n, seed)
+        calls, evaluations = list(game.calls), ev.eval_count
+        report = estimator.plugin_covariance(ev, n, seed, drawn)
+        assert game.calls == calls and ev.eval_count == evaluations
+        fresh = estimator.plugin_covariance(GameEvaluator(reference_spec), n, seed)
+        assert np.array_equal(report.matrix, fresh.matrix)
+        assert report.provenance == fresh.provenance == f"plug-in(n={n}, seed={seed})"
+        assert report.method == fresh.method == name
+
+
 @pytest.mark.parametrize("n", [14_000, 15_000])
 def test_walk_memory_stays_within_three_order_arrays(n):
     # q = 18 switches to deduplicated lookups at n = ceil(2^18 / 18) = 14564:
     # n = 14 000 walks the row path and n = 15 000 tabulates about 2^17 distinct
     # coalitions.  Either way the walk's traced peak, temporaries included,
-    # stays below three n x q float arrays.
+    # stays below three n x q float arrays, and the paired walk's peak stays
+    # below that of the two one-way walks it replaces.
     import tracemalloc
 
     q = 18
     ev = GameEvaluator(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}))
     perms = permutation.sample_permutations(q, n, np.random.default_rng(93))
-    tracemalloc.start()
-    try:
+
+    def traced(walk):
+        tracemalloc.start()
+        try:
+            B = walk()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return B, peak
+
+    def two_walks():
         B = permutation.marginal_vectors(ev, perms)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+        B += permutation.marginal_vectors(ev, perms[:, ::-1])
+        return B
+
+    B, peak = traced(lambda: permutation.marginal_vectors(ev, perms))
     np.testing.assert_allclose(B, 1.0, atol=1e-12)
     assert peak <= 3 * 8 * n * q
+    _, two_peak = traced(two_walks)
+    B, paired_peak = traced(lambda: permutation.marginal_vectors(ev, perms, paired=True))
+    np.testing.assert_allclose(B, 2.0, atol=1e-12)
+    assert paired_peak <= two_peak
 
 
 def test_marginal_vectors_reject_orders_of_the_wrong_width(hand_game_q3):
@@ -178,6 +257,7 @@ def test_walk_bitmasks_reach_63_players():
     ev, beta = linear_game(63)
     perm = np.random.default_rng(92).permutation(63)
     np.testing.assert_allclose(permutation.marginal_vector(ev, perm), beta, atol=1e-12)
+    np.testing.assert_allclose(permutation.marginal_vectors(ev, perm[None, :], paired=True)[0], 2 * beta, atol=1e-12)
     ev, _ = linear_game(64)
     with pytest.raises(SizeGuard):
         permutation.marginal_vector(ev, np.arange(64))
@@ -239,15 +319,15 @@ def test_estimator_efficiency_every_draw(reference_spec):
     grand = ev.grand_value()
     for paired in (False, True):
         for n in (1, 3, 8):
-            vec = permutation.estimate_permutation(
+            vec, _ = permutation.estimate_permutation(
                 GameEvaluator(reference_spec), n, paired=paired, seed=n
             )
             assert vec.phi.sum() == pytest.approx(grand, abs=1e-9)
 
 
 def test_estimator_determinism(reference_spec):
-    a = permutation.estimate_permutation(GameEvaluator(reference_spec), 16, paired=True, seed=5)
-    b = permutation.estimate_permutation(GameEvaluator(reference_spec), 16, paired=True, seed=5)
+    a, _ = permutation.estimate_permutation(GameEvaluator(reference_spec), 16, paired=True, seed=5)
+    b, _ = permutation.estimate_permutation(GameEvaluator(reference_spec), 16, paired=True, seed=5)
     assert np.array_equal(a.phi, b.phi)
     assert a.method_tag == "permutation-paired"
 
@@ -264,7 +344,7 @@ def test_evaluation_budget(reference_spec):
 
 def test_constant_game_estimates_zero():
     game = TableGame(4, np.full(16, 7.7))
-    vec = permutation.estimate_permutation(GameEvaluator(game), 5, paired=True, seed=2)
+    vec, _ = permutation.estimate_permutation(GameEvaluator(game), 5, paired=True, seed=2)
     np.testing.assert_allclose(vec.phi, np.zeros(4), atol=1e-12)
 
 
@@ -302,7 +382,7 @@ def test_unbiasedness_at_small_n():
     for s in range(reps):
         estimates[s] = permutation.estimate_permutation(
             GameEvaluator(spec), n, paired=False, seed=np.random.SeedSequence([74, s])
-        ).phi
+        )[0].phi
     mean = estimates.mean(axis=0)
     stderr = estimates.std(axis=0, ddof=1) / np.sqrt(reps)
     np.testing.assert_array_less(np.abs(mean - REFERENCE_PHI), 3.0 * stderr + 1e-12)
