@@ -119,8 +119,8 @@ def kernel_matrices_plugin(batch, phi):
     """
     values = phi.phi if isinstance(phi, exact.ShapleyVector) else np.asarray(phi, dtype=float)
     partial = values[:-1]
-    n = batch.draws.shape[0]
-    q = batch.draws.shape[1]
+    m, q = batch.design.shape[0], batch.design.shape[1] + 1
+    n = m // 2 if batch.paired else m
     if batch.paired:
         x = batch.design[:n]
         draw_y = batch.response[:n]

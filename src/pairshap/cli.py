@@ -205,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run an experiment config and write CSV")
     p.add_argument("--config", required=True, help="experiment JSON file")
-    p.add_argument("--jobs", type=int, default=1, help="worker threads for replicates")
+    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; must be positive, changes nothing")
     p.set_defaults(handler=_cmd_experiment)
 
     p = sub.add_parser("blocks", help="player groups from the paired-walk covariance")

@@ -13,7 +13,6 @@ O(q 2^q) time without any 2^q x q matrix.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import partial
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, SizeGuard
-from .games import mask_rows, prefix_masks
+from .games import full_mask, prefix_masks
 
 SUBSET_LIMIT = 25
 PERMUTATION_LIMIT = 9
@@ -75,8 +74,8 @@ def kernel_weights(q: int) -> KernelWeights:
 def value_table(ev) -> np.ndarray:
     """Payoff of every coalition, indexed by bitmask.  Exactly 2^q evaluations.
 
-    The game sees the coalitions in mask order, CHUNK_ROWS rows per call, so
-    its own temporaries stay those of one chunk whatever q is.
+    The masks go to `ev.values_at` in order, CHUNK_ROWS at a time, so the
+    game's own temporaries stay those of one chunk whatever q is.
     """
     q = ev.q
     _guard(q, SUBSET_LIMIT, "value table enumeration")
@@ -84,7 +83,7 @@ def value_table(ev) -> np.ndarray:
     table = np.empty(size)
     for start in range(0, size, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, size)
-        table[start:stop] = ev.evaluate_many(mask_rows(np.arange(start, stop, dtype=np.int64), q))
+        ev.values_at(np.arange(start, stop, dtype=np.int64)[:, None], out=table[start:stop, None])
     return table
 
 
@@ -178,9 +177,20 @@ def shapley_subset(ev) -> ShapleyVector:
 
 
 def all_permutations(q: int) -> np.ndarray:
-    """Every player order as an array of shape (q!, q)."""
+    """Every player order as an array of shape (q!, q), in lexicographic order.
+
+    The orders of k players are each first player f followed by the orders of
+    k - 1 players, in which every player from f on is shifted up by one.
+    """
     _guard(q, PERMUTATION_LIMIT, "permutation enumeration")
-    return np.array(list(itertools.permutations(range(q))), dtype=np.int64)
+    perms = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, q + 1):
+        blocks = np.empty((k, perms.shape[0], k), dtype=np.int64)
+        for first in range(k):
+            blocks[first, :, 0] = first
+            np.add(perms, perms >= first, out=blocks[first, :, 1:])
+        perms = blocks.reshape(-1, k)
+    return perms
 
 
 def marginal_matrix(values_at, perms: np.ndarray, paired: bool = False) -> np.ndarray:
@@ -203,7 +213,7 @@ def marginal_matrix(values_at, perms: np.ndarray, paired: bool = False) -> np.nd
     """
     masks = prefix_masks(perms)
     if paired:
-        full = np.int64((1 << perms.shape[1]) - 1)
+        full = full_mask(perms.shape[1])
         rev = np.empty_like(masks)
         rev[:, 0] = full
         np.bitwise_xor(masks[:, :-1], full, out=rev[:, 1:])

@@ -7,11 +7,10 @@ spectra for the two paired estimators, and `additive_recovery` checks that
 group attribution sums of an additively separated game are recovered from a
 single paired walk.  Every replicate draws from its own substream keyed by
 (master seed, method, size index, replicate index), so results do not depend
-on execution order or worker count.
+on execution order.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -88,7 +87,7 @@ def _replicate_seeds(config: ExperimentConfig, method: str, n_index: int) -> lis
     ]
 
 
-def run_bias_variance(config: ExperimentConfig, jobs: int = 1) -> list[BiasVarianceRow]:
+def run_bias_variance(config: ExperimentConfig) -> list[BiasVarianceRow]:
     """Replicate every (method, size) cell and summarize against exact values."""
     _validate_bias_variance(config)
     spec = config.vf
@@ -101,18 +100,7 @@ def run_bias_variance(config: ExperimentConfig, jobs: int = 1) -> list[BiasVaria
         cost = estimator.cost(q)
         for n_index, n in enumerate(config.sizes):
             seeds = _replicate_seeds(config, method, n_index)
-            estimates = np.empty((config.reps, q))
-
-            def one(rep: int) -> None:
-                estimates[rep] = estimator.estimate(GameEvaluator(spec), n, seeds[rep])[0].phi
-
-            if jobs > 1:
-                with ThreadPoolExecutor(max_workers=jobs) as pool:
-                    list(pool.map(one, range(config.reps)))
-            else:
-                for rep in range(config.reps):
-                    one(rep)
-
+            estimates = np.array([estimator.estimate(GameEvaluator(spec), n, seed)[0].phi for seed in seeds])
             tau = asymptotics.predicted_stderr(report, n)
             errors = estimates - exact_phi
             bias = np.abs(errors).mean(axis=0)
@@ -253,6 +241,7 @@ _CONFIG_KEYS = {"kind", "vf", "methods", "sizes", "reps", "master_seed", "output
 def run_from_config(doc: dict, jobs: int = 1) -> dict:
     """Parse an experiment document, run it, and write its CSV output.
 
+    `jobs` is validated but changes nothing; a thread pool measured slower.
     Returns a summary with the kind, the output path, and the row count.
     """
     if not isinstance(doc, dict):
@@ -298,7 +287,7 @@ def run_from_config(doc: dict, jobs: int = 1) -> dict:
     )
 
     if kind == "bias_variance":
-        rows = run_bias_variance(config, jobs=jobs)
+        rows = run_bias_variance(config)
         write = write_bias_variance_csv
     elif kind == "method_comparison":
         rows = run_method_comparison(config)

@@ -5,6 +5,8 @@ players through a linear or bilinear form, optionally wrapped in an
 exponential.  Evaluation always subtracts the raw value of the empty
 coalition, so every game is normalized to worth exactly zero at the empty
 set.  Player indices are 1-based in documents and 0-based everywhere in code.
+Elsewhere a coalition is an int64 bitmask, and the game is reached only
+through `GameEvaluator.values_at`, which turns masks into indicator rows.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from .errors import DimensionError, DomainError, NonFiniteError, SchemaError, Si
 TERM_KINDS = ("linear", "bilinear", "exp_linear", "exp_bilinear")
 
 # Coalition bitmasks are int64 with bit j standing for player j; bits 0..62
-# stay clear of the sign bit.
+# stay clear of the sign bit, so no game may have more players.
 MASK_LIMIT = 63
 
 _TERM_KEYS = {
@@ -121,6 +123,19 @@ def mask_rows(masks, q: int) -> np.ndarray:
     return np.unpackbits(data.view(np.uint8).reshape(-1, 8), axis=1, count=q, bitorder="little")
 
 
+def member_masks(members) -> np.ndarray:
+    """Bitmasks of the rows of an (m, q) boolean membership matrix; the inverse of `mask_rows`."""
+    q = np.shape(members)[1]
+    _guard_masks(q)
+    return members @ (np.int64(1) << np.arange(q, dtype=np.int64))
+
+
+def full_mask(q: int) -> np.int64:
+    """Bitmask of the grand coalition of q players, 2^q - 1."""
+    _guard_masks(q)
+    return np.int64((1 << q) - 1)
+
+
 def _guard_masks(q: int) -> None:
     if q > MASK_LIMIT:
         raise SizeGuard(f"coalition bitmasks support q <= {MASK_LIMIT}, got q = {q}")
@@ -130,8 +145,9 @@ def parse_spec(doc) -> ValueFunctionSpec:
     """Build a ValueFunctionSpec from a JSON string or an already-parsed dict.
 
     Raises SchemaError for structural problems, DimensionError when
-    coefficient shapes disagree with the index list, and DomainError for
-    out-of-range values (q < 2, indices outside 1..q, duplicates).
+    coefficient shapes disagree with the index list, DomainError for
+    out-of-range values (q < 2, indices outside 1..q, duplicates, non-finite
+    numbers), and SizeGuard for more players than a coalition bitmask holds.
     """
     if isinstance(doc, (str, bytes)):
         try:
@@ -150,6 +166,7 @@ def parse_spec(doc) -> ValueFunctionSpec:
         raise SchemaError("'q' must be an integer")
     if q < 2:
         raise DomainError(f"q must be at least 2, got {q}")
+    _guard_masks(q)
     if not isinstance(doc["terms"], list) or not doc["terms"]:
         raise SchemaError("'terms' must be a non-empty list")
     return ValueFunctionSpec(q=q, terms=tuple(_parse_term(t, q, i) for i, t in enumerate(doc["terms"])))
@@ -192,8 +209,8 @@ def _parse_term(raw, q: int, pos: int) -> Term:
         if coeffs.shape != (k, k):
             raise DimensionError(f"{where}: A must be {k}x{k}, got shape {coeffs.shape}")
 
-    offset = raw.get("offset", 0.0)
-    if not isinstance(offset, (int, float)) or isinstance(offset, bool):
+    offset = _as_float_array(raw.get("offset", 0.0), where, "offset")
+    if offset.ndim:
         raise SchemaError(f"{where}: 'offset' must be a number")
 
     return Term(
@@ -205,10 +222,14 @@ def _parse_term(raw, q: int, pos: int) -> Term:
 
 
 def _as_float_array(values, where: str, name: str) -> np.ndarray:
+    # a ragged list leaves lists among the entries; JSON booleans are not numbers
+    entries = np.asarray(values, dtype=object)
+    if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in entries.flat):
+        raise SchemaError(f"{where}: '{name}' must be a number or a rectangular list of numbers")
     try:
-        arr = np.asarray(values, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"{where}: '{name}' must be numeric") from exc
+        arr = entries.astype(float)
+    except OverflowError as exc:
+        raise DomainError(f"{where}: '{name}' contains non-finite entries") from exc
     if not np.all(np.isfinite(arr)):
         raise DomainError(f"{where}: '{name}' contains non-finite entries")
     return arr
@@ -225,8 +246,8 @@ class GameEvaluator:
 
     `eval_count` is the paper's logical cost: 1 per kernel draw, 2 per paired
     kernel draw, q per walked order and 2q per paired order.  The game may
-    see far fewer rows: a prefix walk through `values_at` whose masks
-    outnumber the 2^q coalitions evaluates each distinct coalition once.
+    see far fewer rows: a lookup whose masks outnumber the 2^q coalitions
+    evaluates each distinct coalition once.
     """
 
     def __init__(self, game):
@@ -234,18 +255,6 @@ class GameEvaluator:
         self.q = int(game.q)
         self.eval_count = 0
         self._grand: float | None = None
-
-    def evaluate(self, z) -> float:
-        z = np.asarray(z)
-        if z.ndim != 1:
-            raise DimensionError(f"expected a single coalition vector, got shape {z.shape}")
-        self.eval_count += 1
-        return float(self.game.values(z[None, :])[0])
-
-    def evaluate_many(self, Z) -> np.ndarray:
-        out = self.game.values(Z)
-        self.eval_count += len(out)
-        return out
 
     def values_at(self, masks, out=None) -> np.ndarray:
         """Payoffs of the coalitions encoded by an (n, k) int64 bitmask array.
@@ -292,5 +301,5 @@ class GameEvaluator:
 
     def grand_value(self) -> float:
         if self._grand is None:
-            self._grand = self.evaluate(np.ones(self.q, dtype=np.uint8))
+            self._grand = float(self.values_at([[full_mask(self.q)]])[0, 0])
         return self._grand

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import exact, linalg
 from .errors import DimensionError, DomainError, RankDeficient
+from .games import full_mask, mask_rows, member_masks
 from .streams import derive_rng
 
 RANK_RETRY_LIMIT = 100
@@ -25,9 +26,9 @@ RANK_TOL = 1e-10
 class KernelSampleBatch:
     """One accepted batch of kernel draws.
 
-    `draws` holds the n sampled coalitions.  For paired batches the design
-    and response stack the n draw rows first and the n complement rows
-    second, so row i and row n + i form a pair.  `retries` counts the
+    `draws` holds the n sampled coalitions as bitmasks.  For paired batches
+    the design and response stack the n draw rows first and the n complement
+    rows second, so row i and row n + i form a pair.  `retries` counts the
     rank-deficient batches that were discarded before this one.
     """
 
@@ -40,26 +41,35 @@ class KernelSampleBatch:
 
 
 def sample_coalitions(weights: exact.KernelWeights, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n coalitions: for each a size from `weights`, then members uniformly."""
+    """Draw n coalitions as bitmasks: for each a size s from `weights`, then s members uniformly.
+
+    The members are the s players of smallest uniform key: those whose key is
+    at most the row's s-th smallest, or, if ties change a row's count, by rank.
+    """
     q = weights.q
     s = rng.choice(np.arange(1, q), size=n, p=weights.size_probs)
     u = rng.random((n, q))
-    ranks = np.argsort(np.argsort(u, axis=1), axis=1)
-    return (ranks < s[:, None]).astype(np.uint8)
+    kth = np.take_along_axis(np.sort(u, axis=1), s[:, None] - 1, axis=1)
+    members = u <= kth
+    # every row holds at least s such keys, so the totals differ exactly when a row does
+    if np.count_nonzero(members) != s.sum():
+        members = np.argsort(np.argsort(u, axis=1), axis=1) < s[:, None]
+    return member_masks(members)
 
 
-def design_response(ev, rows: np.ndarray):
-    """Centered design and response for a matrix of coalition rows.
+def _design(masks: np.ndarray, q: int):
+    """Design rows (the first q-1 indicators minus the last) and last indicators of coalition bitmasks."""
+    Z = mask_rows(masks, q).astype(float)
+    return Z[:, :-1] - Z[:, -1:], Z[:, -1]
 
-    Each design row is the first q-1 indicators minus the last; the response
-    subtracts the last indicator times the (cached) grand value.
+
+def design_response(ev, masks: np.ndarray):
+    """Centered design and response for a 1-D array of coalition bitmasks.
+
+    The response subtracts the last indicator times the (cached) grand value.
     """
-    vals = ev.evaluate_many(rows)
-    grand = ev.grand_value()
-    Z = rows.astype(float)
-    x = Z[:, :-1] - Z[:, -1:]
-    y = vals - Z[:, -1] * grand
-    return x, y
+    x, last = _design(masks, ev.q)
+    return x, ev.values_at(masks[:, None])[:, 0] - last * ev.grand_value()
 
 
 def _solve_design(ev, x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
@@ -84,8 +94,8 @@ def estimate_kernel(ev, n: int, paired: bool = False, seed=None):
     for attempt in range(RANK_RETRY_LIMIT):
         rng = derive_rng(seed, attempt)
         draws = sample_coalitions(weights, n, rng)
-        rows = np.vstack([draws, 1 - draws]) if paired else draws
-        x, y = design_response(ev, rows)
+        masks = np.concatenate([draws, full_mask(ev.q) ^ draws]) if paired else draws
+        x, y = design_response(ev, masks)
         phi = _solve_design(ev, x, y)
         if phi is None:
             continue
@@ -100,19 +110,17 @@ def estimate_kernel(ev, n: int, paired: bool = False, seed=None):
 
 
 def solve_bilinear_basis(ev, basis) -> exact.ShapleyVector:
-    """Exact paired solve on q-1 chosen coalitions plus their complements.
+    """Exact paired solve on q-1 chosen coalitions, given as bitmasks, plus their complements.
 
     For games whose payoff is a quadratic form in the coalition indicator,
     this reproduces the Shapley values exactly whatever independent basis is
     chosen; `bilinearity_test` exploits that invariance.
     """
-    basis = np.asarray(basis)
-    if basis.shape != (ev.q - 1, ev.q):
-        raise DimensionError(
-            f"basis must have shape ({ev.q - 1}, {ev.q}), got {basis.shape}"
-        )
-    rows = np.vstack([basis, 1 - basis])
-    x, y = design_response(ev, rows)
+    basis = np.asarray(basis, dtype=np.int64)
+    if basis.shape != (ev.q - 1,):
+        raise DimensionError(f"basis must hold {ev.q - 1} coalition bitmasks, got shape {basis.shape}")
+    masks = np.concatenate([basis, full_mask(ev.q) ^ basis])
+    x, y = design_response(ev, masks)
     phi = _solve_design(ev, x, y)
     if phi is None:
         raise RankDeficient("basis coalitions are linearly dependent")
@@ -120,14 +128,13 @@ def solve_bilinear_basis(ev, basis) -> exact.ShapleyVector:
 
 
 def random_independent_basis(q: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw nonempty proper coalitions until their paired design has full rank."""
+    """Draw q-1 nonempty proper coalitions, as bitmasks, until their paired design has full rank."""
+    full = full_mask(q)
     for _ in range(RANK_RETRY_LIMIT):
-        masks = rng.integers(1, 2**q - 1, size=q - 1, dtype=np.int64)
-        basis = ((masks[:, None] >> np.arange(q)) & 1).astype(np.uint8)
-        Z = basis.astype(float)
-        x = Z[:, :-1] - Z[:, -1:]
+        masks = rng.integers(1, full, size=q - 1, dtype=np.int64)
+        x, _ = _design(masks, q)
         if linalg.rank(x.T @ x, RANK_TOL) == q - 1:
-            return basis
+            return masks
     raise RankDeficient(f"no independent basis found in {RANK_RETRY_LIMIT} draws")
 
 

@@ -38,11 +38,6 @@ def marginal_vectors(ev, perms, paired: bool = False) -> np.ndarray:
     return exact.marginal_matrix(ev.values_at, perms, paired)
 
 
-def marginal_vector(ev, perm) -> np.ndarray:
-    """Marginal-contribution vector of a single permutation."""
-    return marginal_vectors(ev, np.asarray(perm)[None, :])[0]
-
-
 def estimate_permutation(ev, n: int, paired: bool = False, seed=None):
     """Average marginal contributions over n sampled orders (n pairs if paired).
 

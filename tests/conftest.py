@@ -75,6 +75,20 @@ class TableGame:
         return self.table[masks]
 
 
+class UnplayableGame:
+    """Game of any player count whose payoffs must never be asked for.
+
+    Documents cannot declare more than 63 players, so this is how tests
+    reach the guards of the routes themselves.
+    """
+
+    def __init__(self, q: int):
+        self.q = q
+
+    def values(self, Z):
+        raise AssertionError(f"game evaluated on {len(Z)} coalitions")
+
+
 @pytest.fixture
 def hand_game_q3() -> GameEvaluator:
     return GameEvaluator(TableGame(3, HAND_TABLE_Q3))

@@ -27,6 +27,11 @@ def evaluate_many(spec: ValueFunctionSpec, Z) -> np.ndarray:
     return spec.values(Z)
 
 
+def marginal_vector(ev, perm) -> np.ndarray:
+    """Marginal-contribution vector of a single permutation."""
+    return permutation.marginal_vectors(ev, np.asarray(perm)[None, :])[0]
+
+
 def complement(z) -> np.ndarray:
     """Indicator of the complementary coalition."""
     z = np.asarray(z)
@@ -107,5 +112,5 @@ def separated_exact_check(ev, d: int, perm) -> np.ndarray:
     perm = np.asarray(perm)
     if perm.shape != (ev.q,) or not np.array_equal(np.sort(perm), np.arange(ev.q)):
         raise DomainError("perm must be a permutation of 0..q-1")
-    paired = 0.5 * (permutation.marginal_vector(ev, perm) + permutation.marginal_vector(ev, perm[::-1]))
+    paired = 0.5 * (marginal_vector(ev, perm) + marginal_vector(ev, perm[::-1]))
     return paired[:d]

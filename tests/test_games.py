@@ -9,6 +9,7 @@ from pairshap.errors import (
     DomainError,
     NonFiniteError,
     SchemaError,
+    SizeGuard,
 )
 from pairshap.games import GameEvaluator, parse_spec
 
@@ -88,6 +89,15 @@ def test_multi_term_document_parses():
         (lambda d: d["terms"][0].pop("beta"), SchemaError),
         (lambda d: d["terms"][0].update(A=[[1.0]]), SchemaError),
         (lambda d: d["terms"][0].update(offset="x"), SchemaError),
+        (lambda d: d.update(q=64), SizeGuard),
+        (lambda d: d.update(q=100_000_000_000), SizeGuard),
+        (lambda d: d["terms"][0].update(beta=["1", 2, 3, 4]), SchemaError),
+        (lambda d: d["terms"][0].update(beta=[True, 2, 3, 4]), SchemaError),
+        (lambda d: d["terms"][0].update(offset=True), SchemaError),
+        (lambda d: d["terms"][0].update(offset=[1.0]), SchemaError),
+        (lambda d: d["terms"][0].update(offset=float("inf")), DomainError),
+        (lambda d: d["terms"][0].update(offset=10**400), DomainError),
+        (lambda d: d["terms"][0].update(beta=[10**400, 2, 3, 4]), DomainError),
     ],
 )
 def test_parse_rejections(mutate, expected):
@@ -190,9 +200,9 @@ def test_reversal_identity_exhaustive_small_q():
 def test_evaluator_counts_and_caches_grand_value(reference_spec):
     ev = GameEvaluator(reference_spec)
     assert ev.eval_count == 0
-    ev.evaluate(np.ones(4, dtype=np.uint8))
+    ev.values_at([[15]])
     assert ev.eval_count == 1
-    ev.evaluate_many(np.zeros((5, 4), dtype=np.uint8))
+    ev.values_at(np.zeros((5, 1), dtype=np.int64))
     assert ev.eval_count == 6
     first = ev.grand_value()
     second = ev.grand_value()
@@ -202,5 +212,4 @@ def test_evaluator_counts_and_caches_grand_value(reference_spec):
 
 def test_evaluator_wraps_table_games(hand_game_q3):
     assert hand_game_q3.q == 3
-    assert hand_game_q3.evaluate(np.array([1, 0, 0])) == 1.0
-    assert hand_game_q3.evaluate(np.array([1, 1, 1])) == 17.0
+    np.testing.assert_array_equal(hand_game_q3.values_at([[1], [7]]), [[1.0], [17.0]])

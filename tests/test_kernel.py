@@ -4,13 +4,14 @@ import pytest
 from scipy.stats import chi2
 
 from pairshap import exact, kernel
-from pairshap.errors import DimensionError, DomainError, RankDeficient
+from pairshap.errors import DimensionError, DomainError, RankDeficient, SizeGuard
 from pairshap.estimators import ESTIMATORS
-from pairshap.games import GameEvaluator, parse_spec
+from pairshap.games import GameEvaluator, mask_rows, parse_spec
 from pairshap.streams import derive_rng
 
 from conftest import (
     REFERENCE_PHI,
+    UnplayableGame,
     bilinear_shapley,
     random_bilinear_doc,
 )
@@ -39,7 +40,7 @@ def test_single_draw_sampler_q2_always_singleton():
 def test_batch_sampler_size_frequencies_q4():
     kw = exact.kernel_weights(4)
     rng = derive_rng(102, 0)
-    Z = kernel.sample_coalitions(kw, 1_000_000, rng)
+    Z = mask_rows(kernel.sample_coalitions(kw, 1_000_000, rng), 4)
     sizes = Z.sum(axis=1)
     freq = np.array([(sizes == s).mean() for s in (1, 2, 3)])
     np.testing.assert_allclose(freq, [4 / 11, 3 / 11, 4 / 11], atol=0.01)
@@ -49,13 +50,63 @@ def test_batch_sampler_chi_square_over_all_coalitions_q4():
     kw = exact.kernel_weights(4)
     rng = derive_rng(103, 0)
     n = 1_000_000
-    Z = kernel.sample_coalitions(kw, n, rng)
+    Z = mask_rows(kernel.sample_coalitions(kw, n, rng), 4)
     masks = coalition_to_mask(Z)
     observed = np.bincount(masks, minlength=16)[1:15]
     sizes = coalition_matrix(4)[1:15].sum(axis=1)
     expected = np.array([coalition_probability(kw, int(s)) for s in sizes]) * n
     statistic = float(((observed - expected) ** 2 / expected).sum())
     assert statistic < chi2.isf(0.001, df=13)
+
+
+def members_by_rank(u, s):
+    """Reference member rows: the s players of lowest uniform key in each row."""
+    return (np.argsort(np.argsort(u, axis=1), axis=1) < s[:, None]).astype(np.uint8)
+
+
+def test_batch_sampler_matches_members_by_rank():
+    for q in range(2, 13):
+        kw = exact.kernel_weights(q)
+        masks = kernel.sample_coalitions(kw, 5_000, derive_rng(105, q))
+        rng = derive_rng(105, q)
+        s = rng.choice(np.arange(1, q), size=5_000, p=kw.size_probs)
+        u = rng.random((5_000, q))
+        assert np.array_equal(mask_rows(masks, q), members_by_rank(u, s)), q
+
+
+class TiedKeys:
+    """Random generator whose uniform keys are rounded to quarters, so rows hold ties."""
+
+    def __init__(self, seed):
+        self.rng = np.random.default_rng(seed)
+
+    def choice(self, *args, **kwargs):
+        return self.rng.choice(*args, **kwargs)
+
+    def random(self, shape):
+        return np.floor(4 * self.rng.random(shape)) / 4
+
+
+def test_batch_sampler_keeps_sizes_when_keys_tie():
+    q, n = 6, 2_000
+    kw = exact.kernel_weights(q)
+    masks = kernel.sample_coalitions(kw, n, TiedKeys(106))
+    stub = TiedKeys(106)
+    s = stub.choice(np.arange(1, q), size=n, p=kw.size_probs)
+    u = stub.random((n, q))
+    Z = mask_rows(masks, q)
+    np.testing.assert_array_equal(Z.sum(axis=1), s)
+    assert np.array_equal(Z, members_by_rank(u, s))
+
+
+def test_kernel_routes_refuse_64_players():
+    ev = GameEvaluator(UnplayableGame(64))
+    for paired in (False, True):
+        with pytest.raises(SizeGuard):
+            kernel.estimate_kernel(ev, 100, paired=paired, seed=1)
+    with pytest.raises(SizeGuard):
+        kernel.bilinearity_test(ev, trials=2, tol=1e-8, seed=1)
+    assert ev.eval_count == 0
 
 
 def test_single_draw_sampler_chi_square_q4():
@@ -132,10 +183,11 @@ def test_evaluation_budget(reference_spec):
 def test_batch_layout(reference_spec):
     n = 10
     _, batch = kernel.estimate_kernel(GameEvaluator(reference_spec), n, paired=True, seed=3)
-    assert batch.draws.shape == (n, 4)
+    draws = mask_rows(batch.draws, 4)
+    assert draws.shape == (n, 4)
     assert batch.design.shape == (2 * n, 3)
     assert batch.response.shape == (2 * n,)
-    sizes = batch.draws.sum(axis=1)
+    sizes = draws.sum(axis=1)
     assert np.all((sizes >= 1) & (sizes <= 3))
     # complement rows negate the design rows
     np.testing.assert_array_equal(batch.design[n:], -batch.design[:n])
@@ -182,7 +234,8 @@ def test_unit_basis_solves_bilinear_closed_form():
     q = 5
     doc, A = random_bilinear_doc(rng, q)
     spec = parse_spec(doc)
-    basis = np.eye(q, dtype=np.uint8)[: q - 1]
+    # the singletons of players 1..q-1
+    basis = np.int64(1) << np.arange(q - 1)
     vector = kernel.solve_bilinear_basis(GameEvaluator(spec), basis)
     np.testing.assert_allclose(vector.phi, bilinear_shapley(A), atol=1e-9)
     assert vector.method_tag == "kernel-paired-basis"
@@ -212,11 +265,11 @@ def test_two_bases_disagree_on_reference_game(reference_spec):
 
 
 def test_dependent_basis_raises(reference_spec):
-    basis = np.array([[1, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]], dtype=np.uint8)
+    # {1}, {1} and {2}
     with pytest.raises(RankDeficient):
-        kernel.solve_bilinear_basis(GameEvaluator(reference_spec), basis)
+        kernel.solve_bilinear_basis(GameEvaluator(reference_spec), [1, 1, 2])
     with pytest.raises(DimensionError):
-        kernel.solve_bilinear_basis(GameEvaluator(reference_spec), np.eye(4, dtype=np.uint8))
+        kernel.solve_bilinear_basis(GameEvaluator(reference_spec), [1, 2, 4, 8])
 
 
 def test_bilinearity_test_verdicts(reference_spec):

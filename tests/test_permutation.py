@@ -8,19 +8,20 @@ from scipy.stats import chi2
 from pairshap import exact, kernel, permutation
 from pairshap.estimators import ESTIMATORS
 from pairshap.errors import DimensionError, DomainError, NonFiniteError, PartitionError, SizeGuard, SpecError
-from pairshap.games import GameEvaluator, mask_rows, parse_spec
+from pairshap.games import GameEvaluator, mask_rows, member_masks, parse_spec
 from pairshap.streams import derive_rng
 
 from conftest import (
     REFERENCE_PHI,
     TableGame,
+    UnplayableGame,
     bilinear_shapley,
     random_bilinear_doc,
     random_game_doc,
     separated_doc,
     three_block_doc,
 )
-from oracles import prefix_coalition, separated_exact_check
+from oracles import evaluate, evaluate_many, marginal_vector, prefix_coalition, separated_exact_check
 
 
 def walk_by_rows(ev, perms) -> np.ndarray:
@@ -33,7 +34,7 @@ def walk_by_rows(ev, perms) -> np.ndarray:
     previous = np.zeros(n)
     for t in range(q):
         Z[rows, perms[:, t]] = 1
-        current = ev.evaluate_many(Z)
+        current = evaluate_many(ev.game, Z)
         gains[:, t] = current - previous
         previous = current
     B = np.empty_like(gains)
@@ -197,7 +198,7 @@ def test_marginal_vectors_reject_orders_of_the_wrong_width(hand_game_q3):
         with pytest.raises(DimensionError):
             permutation.marginal_vectors(hand_game_q3, np.tile(np.arange(width), (5, 1)))
         with pytest.raises(DimensionError):
-            permutation.marginal_vector(hand_game_q3, np.arange(width))
+            marginal_vector(hand_game_q3, np.arange(width))
     with pytest.raises(DimensionError):
         permutation.marginal_vectors(hand_game_q3, np.arange(3))
 
@@ -218,6 +219,7 @@ def test_mask_rows_unpacks_bits_in_player_order():
     Z = mask_rows(masks, 63)
     assert Z.dtype == np.uint8 and Z.shape == (4, 63)
     np.testing.assert_array_equal(Z, (masks[:, None] >> np.arange(63)) & 1)
+    np.testing.assert_array_equal(member_masks(Z.astype(bool)), masks)
     np.testing.assert_array_equal(mask_rows(masks[:3], 3), [[0, 0, 0], [1, 0, 0], [0, 1, 1]])
 
 
@@ -249,22 +251,17 @@ def test_walk_raises_only_when_it_visits_a_non_finite_coalition(n):
 
 
 def test_walk_bitmasks_reach_63_players():
-    def linear_game(q):
-        beta = np.linspace(-1.0, 1.0, q)
-        doc = {"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": list(beta)}]}
-        return GameEvaluator(parse_spec(doc)), beta
-
-    ev, beta = linear_game(63)
+    beta = np.linspace(-1.0, 1.0, 63)
+    ev = GameEvaluator(parse_spec({"q": 63, "terms": [{"kind": "linear", "indices": list(range(1, 64)), "beta": list(beta)}]}))
     perm = np.random.default_rng(92).permutation(63)
-    np.testing.assert_allclose(permutation.marginal_vector(ev, perm), beta, atol=1e-12)
+    np.testing.assert_allclose(marginal_vector(ev, perm), beta, atol=1e-12)
     np.testing.assert_allclose(permutation.marginal_vectors(ev, perm[None, :], paired=True)[0], 2 * beta, atol=1e-12)
-    ev, _ = linear_game(64)
     with pytest.raises(SizeGuard):
-        permutation.marginal_vector(ev, np.arange(64))
+        marginal_vector(GameEvaluator(UnplayableGame(64)), np.arange(64))
 
 
 def test_marginal_vector_hand_game(hand_game_q3):
-    b = permutation.marginal_vector(hand_game_q3, np.array([0, 1, 2]))
+    b = marginal_vector(hand_game_q3, np.array([0, 1, 2]))
     np.testing.assert_allclose(b, [1.0, 2.0, 14.0], atol=1e-12)
 
 
@@ -272,12 +269,12 @@ def test_marginal_vector_matches_prefix_definition(reference_ev):
     rng = np.random.default_rng(70)
     for _ in range(10):
         perm = rng.permutation(4)
-        b = permutation.marginal_vector(reference_ev, perm)
+        b = marginal_vector(reference_ev, perm)
         for j in range(4):
             before = prefix_coalition(perm, j)
             after = before.copy()
             after[j] = 1
-            gain = reference_ev.evaluate(after) - reference_ev.evaluate(before)
+            gain = evaluate(reference_ev.game, after) - evaluate(reference_ev.game, before)
             assert b[j] == pytest.approx(gain, abs=1e-12)
 
 
@@ -288,7 +285,7 @@ def test_marginal_vector_telescopes_to_grand_value():
         spec = parse_spec(random_game_doc(rng, q))
         ev = GameEvaluator(spec)
         perm = rng.permutation(q)
-        b = permutation.marginal_vector(ev, perm)
+        b = marginal_vector(ev, perm)
         assert b.sum() == pytest.approx(ev.grand_value(), abs=1e-10)
 
 
@@ -297,7 +294,7 @@ def test_marginal_vector_linear_game_is_beta():
     spec = parse_spec(
         {"q": 3, "terms": [{"kind": "linear", "indices": [1, 2, 3], "beta": list(beta)}]}
     )
-    b = permutation.marginal_vector(GameEvaluator(spec), np.arange(3))
+    b = marginal_vector(GameEvaluator(spec), np.arange(3))
     np.testing.assert_allclose(b, beta, atol=1e-12)
 
 
@@ -356,8 +353,8 @@ def test_bilinear_single_paired_permutation_is_exact():
         ev = GameEvaluator(parse_spec(doc))
         perm = rng.permutation(q)
         estimate = 0.5 * (
-            permutation.marginal_vector(ev, perm)
-            + permutation.marginal_vector(ev, perm[::-1])
+            marginal_vector(ev, perm)
+            + marginal_vector(ev, perm[::-1])
         )
         np.testing.assert_allclose(estimate, bilinear_shapley(A), atol=1e-10)
 
@@ -418,11 +415,11 @@ def test_additive_recovery_single_permutation_three_block_game():
     ev = GameEvaluator(spec)
     for trial in range(50):
         perm = rng.permutation(9)
-        single = permutation.marginal_vector(ev, perm)
+        single = marginal_vector(ev, perm)
         np.testing.assert_allclose(
             permutation.group_sums(single, groups), exact_sums, atol=1e-9
         )
-        paired = 0.5 * (single + permutation.marginal_vector(ev, perm[::-1]))
+        paired = 0.5 * (single + marginal_vector(ev, perm[::-1]))
         np.testing.assert_allclose(
             permutation.group_sums(paired, groups), exact_sums, atol=1e-9
         )
