@@ -13,6 +13,7 @@ O(q 2^q) time without any 2^q x q matrix.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import partial
 
@@ -177,20 +178,9 @@ def shapley_subset(ev) -> ShapleyVector:
 
 
 def all_permutations(q: int) -> np.ndarray:
-    """Every player order as an array of shape (q!, q), in lexicographic order.
-
-    The orders of k players are each first player f followed by the orders of
-    k - 1 players, in which every player from f on is shifted up by one.
-    """
+    """Every player order as an array of shape (q!, q)."""
     _guard(q, PERMUTATION_LIMIT, "permutation enumeration")
-    perms = np.zeros((1, 0), dtype=np.int64)
-    for k in range(1, q + 1):
-        blocks = np.empty((k, perms.shape[0], k), dtype=np.int64)
-        for first in range(k):
-            blocks[first, :, 0] = first
-            np.add(perms, perms >= first, out=blocks[first, :, 1:])
-        perms = blocks.reshape(-1, k)
-    return perms
+    return np.array(list(itertools.permutations(range(q))), dtype=np.int64)
 
 
 def marginal_matrix(values_at, perms: np.ndarray, paired: bool = False) -> np.ndarray:

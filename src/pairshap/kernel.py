@@ -41,20 +41,11 @@ class KernelSampleBatch:
 
 
 def sample_coalitions(weights: exact.KernelWeights, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n coalitions as bitmasks: for each a size s from `weights`, then s members uniformly.
-
-    The members are the s players of smallest uniform key: those whose key is
-    at most the row's s-th smallest, or, if ties change a row's count, by rank.
-    """
+    """Draw n coalitions as bitmasks: for each a size s from `weights`, then s members uniformly."""
     q = weights.q
     s = rng.choice(np.arange(1, q), size=n, p=weights.size_probs)
     u = rng.random((n, q))
-    kth = np.take_along_axis(np.sort(u, axis=1), s[:, None] - 1, axis=1)
-    members = u <= kth
-    # every row holds at least s such keys, so the totals differ exactly when a row does
-    if np.count_nonzero(members) != s.sum():
-        members = np.argsort(np.argsort(u, axis=1), axis=1) < s[:, None]
-    return member_masks(members)
+    return member_masks(np.argsort(np.argsort(u, axis=1), axis=1) < s[:, None])
 
 
 def _design(masks: np.ndarray, q: int):
