@@ -47,7 +47,9 @@ class CovarianceReport:
 def _make_report(matrix: np.ndarray, method: str, provenance: str, q: int, scale: float) -> CovarianceReport:
     matrix = 0.5 * (matrix + matrix.T)
     eigenvalues, _ = linalg.eig_sym(matrix)
-    degenerate = bool(np.max(np.abs(matrix)) <= DEGENERATE_ATOL * max(1.0, scale) ** 2)
+    # |matrix| <= atol * scale^2, divided by the scale so that no square overflows
+    scale = max(1.0, scale)
+    degenerate = bool(np.max(np.abs(matrix)) / scale <= DEGENERATE_ATOL * scale)
     return CovarianceReport(
         method=method,
         provenance=provenance,

@@ -23,6 +23,11 @@ TERM_KINDS = ("linear", "bilinear", "exp_linear", "exp_bilinear")
 # stay clear of the sign bit, so no game may have more players.
 MASK_LIMIT = 63
 
+# A batch of n sampled draws is an n x q array (orders, or membership keys
+# and ranks), and walks and fits keep a few float arrays of that shape, so
+# every sampler refuses more than DRAW_LIMIT = n * q entries up front.
+DRAW_LIMIT = 2**24
+
 _TERM_KEYS = {
     "linear": {"kind", "indices", "beta", "offset"},
     "exp_linear": {"kind", "indices", "beta", "offset"},
@@ -134,6 +139,12 @@ def full_mask(q: int) -> np.int64:
     """Bitmask of the grand coalition of q players, 2^q - 1."""
     _guard_masks(q)
     return np.int64((1 << q) - 1)
+
+
+def guard_draws(n: int, q: int) -> None:
+    """SizeGuard when n draws of q players exceed DRAW_LIMIT entries."""
+    if n * q > DRAW_LIMIT:
+        raise SizeGuard(f"sampled draws support n * q <= {DRAW_LIMIT}, got n = {n} at q = {q}")
 
 
 def _guard_masks(q: int) -> None:

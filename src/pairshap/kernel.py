@@ -15,7 +15,7 @@ import numpy as np
 
 from . import exact, linalg
 from .errors import DimensionError, DomainError, RankDeficient
-from .games import full_mask, mask_rows, member_masks
+from .games import full_mask, guard_draws, mask_rows, member_masks
 from .streams import derive_rng
 
 RANK_RETRY_LIMIT = 100
@@ -43,6 +43,7 @@ class KernelSampleBatch:
 def sample_coalitions(weights: exact.KernelWeights, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw n coalitions as bitmasks: for each a size s from `weights`, then s members uniformly."""
     q = weights.q
+    guard_draws(n, q)
     s = rng.choice(np.arange(1, q), size=n, p=weights.size_probs)
     u = rng.random((n, q))
     return member_masks(np.argsort(np.argsort(u, axis=1), axis=1) < s[:, None])

@@ -12,11 +12,13 @@ import numpy as np
 
 from . import exact
 from .errors import DimensionError, DomainError, PartitionError
+from .games import guard_draws
 from .streams import derive_rng
 
 
 def sample_permutations(q: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n independent uniform player orders, one per row."""
+    guard_draws(n, q)
     base = np.tile(np.arange(q), (n, 1))
     return rng.permuted(base, axis=1, out=base)
 

@@ -114,3 +114,37 @@ def separated_exact_check(ev, d: int, perm) -> np.ndarray:
         raise DomainError("perm must be a permutation of 0..q-1")
     paired = 0.5 * (marginal_vector(ev, perm) + marginal_vector(ev, perm[::-1]))
     return paired[:d]
+
+
+def cyclic_jacobi(A):
+    """Eigenvalues (descending) and eigenvectors of symmetric A by one rotation at a time.
+
+    The row-by-row cyclic Jacobi that `linalg.eig_sym` ran before its
+    rotations were grouped into parallel rounds: the same rotation formulas,
+    the same stopping rule and sweep budget, and pairs visited as
+    (0, 1), (0, 2), ..., (n-2, n-1).
+    """
+    a = np.array(A, dtype=float)
+    n = a.shape[0]
+    V = np.eye(n)
+    threshold = linalg.EIG_OFFDIAG_RTOL * float(np.linalg.norm(a))
+    for _ in range(linalg.EIG_MAX_SWEEPS):
+        if np.linalg.norm(a - np.diag(np.diag(a))) <= threshold:
+            break
+        for p in range(n - 1):
+            for r in range(p + 1, n):
+                if a[p, r] == 0.0:
+                    continue
+                theta = (a[r, r] - a[p, p]) / (2.0 * a[p, r])
+                t = 1.0 if theta == 0.0 else np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
+                c = 1.0 / np.sqrt(t * t + 1.0)
+                s = t * c
+                J = np.eye(n)
+                J[p, p] = J[r, r] = c
+                J[p, r], J[r, p] = s, -s
+                a = J.T @ a @ J
+                a[p, r] = a[r, p] = 0.0
+                V = V @ J
+    w = np.diag(a).copy()
+    order = np.argsort(-w, kind="stable")
+    return w[order], V[:, order]

@@ -338,6 +338,21 @@ def test_size_guards():
         asymptotics.permutation_covariance_exact(GameEvaluator(mid))
 
 
+@pytest.mark.parametrize("scale", [0.0, 3.0, 1e6])
+@pytest.mark.parametrize("ratio", [0.25, 0.999, 1.001, 4.0])
+def test_degenerate_verdict_is_entry_against_squared_scale(scale, ratio):
+    bound = asymptotics.DEGENERATE_ATOL * max(1.0, scale) ** 2
+    report = asymptotics._make_report(np.diag([ratio * bound, 0.0]), "kernel", "test", 3, scale)
+    assert report.degenerate == (ratio <= 1.0)
+
+
+def test_degenerate_verdict_survives_scales_whose_square_overflows():
+    report = asymptotics._make_report(np.diag([1e290, 0.0]), "kernel", "test", 3, 1e160)
+    assert report.degenerate
+    report = asymptotics._make_report(np.diag([1e300, 0.0]), "kernel", "test", 3, 1e150)
+    assert not report.degenerate
+
+
 def test_report_to_dict_round_trip(reference_ev):
     report = asymptotics.permutation_covariance_exact(reference_ev, paired=True)
     payload = asymptotics.report_to_dict(report)

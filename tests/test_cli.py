@@ -306,6 +306,50 @@ def test_malformed_value_function_exits_two(tmp_path, doc, argv, error):
     assert "Traceback" not in err
 
 
+# payoffs near 1e295 are finite, but their squares overflow
+OVERFLOWING_DOC = {"q": 4, "terms": [{"kind": "exp_linear", "indices": [1, 2, 3, 4], "beta": [170, 170, 170, 170]}]}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["asymptotics", "--method", method] for method in ESTIMATORS),
+        ["sample", "--method", "kernel", "--n", "100", "--seed", "1"],
+        ["sample", "--method", "permutation", "--n", "100", "--seed", "1"],
+    ],
+    ids=[*(f"asymptotics-{method}" for method in ESTIMATORS), "sample-kernel", "sample-permutation"],
+)
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_overflowing_covariance_exits_three(tmp_path, argv):
+    vf = tmp_path / "vf.json"
+    vf.write_text(json.dumps(OVERFLOWING_DOC))
+    code, out, err = call([argv[0], "--vf", str(vf), *argv[1:]])
+    assert code == 3
+    assert out == ""
+    assert "NonFiniteError: " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sample", "--method", "kernel", "--n", "1000000000000"],
+        ["sample", "--method", "permutation", "--paired", "--n", "1000000000000"],
+        ["asymptotics", "--method", "kernel-paired", "--plugin", "1000000000000"],
+        ["asymptotics", "--method", "permutation", "--plugin", "1000000000000"],
+        ["blocks", "--threshold", "1e-8", "--plugin", "1000000000000"],
+    ],
+    ids=["sample-kernel", "sample-permutation-paired", "asymptotics-kernel-paired", "asymptotics-permutation",
+         "blocks"],
+)
+def test_huge_sample_size_exits_two(vf_path, argv):
+    code, out, err = call([argv[0], "--vf", vf_path, *argv[1:], "--seed", "1"])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("SizeGuard: sampled draws support n * q <= ")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, config",
     [
@@ -420,6 +464,8 @@ def test_missing_subcommand_exits_two(capsys):
 # Drawn CLI inputs for the exit-code contract: tiny games, small sizes, and
 # seeds and config fields that are often negative or of the wrong type.
 _INTS = st.integers(-3, 40)
+# sample sizes, now and then far beyond the draw limit
+_SIZES = st.one_of(_INTS, st.just(10**12))
 _SEED_TEXT = st.one_of(st.integers(-3, 2**70).map(str), st.sampled_from(["x", "1.5", ""]))
 
 
@@ -435,12 +481,17 @@ def _game(draw):
     else:
         term["beta"] = draw(st.lists(coeff, min_size=q, max_size=q))
     doc = {"q": q, "terms": [term]}
-    fault = draw(st.sampled_from([None, None, "q", "coefficient", "ragged", "offset"]))
+    fault = draw(st.sampled_from([None, None, "q", "coefficient", "magnitude", "ragged", "offset"]))
     coeffs = term.get("A", [term.get("beta")])
     if fault == "q":
         doc["q"] = draw(st.sampled_from([64, 65, 100_000_000_000]))
     elif fault == "coefficient":
         coeffs[-1][-1] = draw(st.sampled_from(["1", True, False, None, 10**400]))
+    elif fault == "magnitude":
+        # finite payoffs whose squares, or whose exponentials, overflow
+        big = draw(st.sampled_from([170.0, -170.0, 1e160, 1e300]))
+        for row in coeffs:
+            row[:] = [big] * len(row)
     elif fault == "ragged":
         coeffs[-1].append(0.5)
     elif fault == "offset":
@@ -455,16 +506,16 @@ def _command(draw, vf: str, tmp: str):
     command = draw(st.sampled_from(["sample", "asymptotics", "blocks", "bilinear-test", "experiment", "experiment"]))
     if command == "sample":
         argv = ["sample", "--vf", vf, "--method", draw(st.sampled_from(["kernel", "permutation"]))]
-        argv += ["--n", str(draw(_INTS)), *seed, "--stderr-from", draw(st.sampled_from(["exact", "plugin"]))]
+        argv += ["--n", str(draw(_SIZES)), *seed, "--stderr-from", draw(st.sampled_from(["exact", "plugin"]))]
         return argv + (["--paired"] if draw(st.booleans()) else [])
     if command == "asymptotics":
         argv = ["asymptotics", "--vf", vf, "--method", draw(st.sampled_from([*ESTIMATORS, "other"]))]
         if draw(st.booleans()):
-            argv += ["--plugin", str(draw(_INTS))] + (seed if draw(st.booleans()) else [])
+            argv += ["--plugin", str(draw(_SIZES))] + (seed if draw(st.booleans()) else [])
         return argv + (["--adjusted"] if draw(st.booleans()) else [])
     if command == "blocks":
         argv = ["blocks", "--vf", vf, "--threshold", draw(st.sampled_from(["1e-8", "0", "-1"]))]
-        return argv + (["--plugin", str(draw(_INTS)), *seed] if draw(st.booleans()) else [])
+        return argv + (["--plugin", str(draw(_SIZES)), *seed] if draw(st.booleans()) else [])
     if command == "bilinear-test":
         return ["bilinear-test", "--vf", vf, "--trials", str(draw(_INTS)), "--tol", "1e-9", *seed]
     with open(vf, encoding="utf-8") as fh:

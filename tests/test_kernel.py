@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from pairshap import exact, kernel
+from pairshap import exact, games, kernel
 from pairshap.errors import DimensionError, DomainError, RankDeficient, SizeGuard
 from pairshap.estimators import ESTIMATORS
 from pairshap.games import GameEvaluator, mask_rows, parse_spec
@@ -107,6 +107,16 @@ def test_kernel_routes_refuse_64_players():
     with pytest.raises(SizeGuard):
         kernel.bilinearity_test(ev, trials=2, tol=1e-8, seed=1)
     assert ev.eval_count == 0
+
+
+def test_sampler_refuses_draws_over_the_limit(monkeypatch):
+    kw = exact.kernel_weights(4)
+    with pytest.raises(SizeGuard):
+        kernel.sample_coalitions(kw, 10**12, derive_rng(107))
+    monkeypatch.setattr(games, "DRAW_LIMIT", 40)
+    assert kernel.sample_coalitions(kw, 10, derive_rng(107)).shape == (10,)
+    with pytest.raises(SizeGuard):
+        kernel.sample_coalitions(kw, 11, derive_rng(107))
 
 
 def test_single_draw_sampler_chi_square_q4():

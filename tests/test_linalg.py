@@ -1,9 +1,14 @@
 """Solve, eigendecomposition, and rank detection; numpy.linalg is the oracle."""
+import itertools
+
 import numpy as np
 import pytest
 
-from pairshap import linalg
-from pairshap.errors import DimensionError, DomainError, NoConvergence, SingularMatrix
+from pairshap import asymptotics, linalg
+from pairshap.errors import DimensionError, DomainError, NoConvergence, NonFiniteError, SingularMatrix
+from pairshap.games import GameEvaluator, parse_spec
+
+from oracles import cyclic_jacobi
 
 
 def random_spd(rng, n):
@@ -90,6 +95,127 @@ def test_eig_convergence_budget_is_enforced():
     assert w.shape == (20,)
     assert linalg.EIG_MAX_SWEEPS == 100
     assert isinstance(NoConvergence("x"), Exception)
+
+
+def test_eig_sweep_budget_raises(monkeypatch):
+    rng = np.random.default_rng(14)
+    M = rng.normal(size=(20, 20))
+    monkeypatch.setattr(linalg, "EIG_MAX_SWEEPS", 1)
+    with pytest.raises(NoConvergence):
+        linalg.eig_sym(0.5 * (M + M.T))
+
+
+@pytest.mark.parametrize("n", range(1, 26))
+def test_round_robin_rounds_are_disjoint_and_cover_every_pair_once(n):
+    rounds = linalg._round_robin(n)
+    assert len(rounds) == (n - 1 if n % 2 == 0 else n)
+    met = []
+    for p, r, pr, rp, pp, rr in rounds:
+        assert np.all(p < r)
+        assert len(set(p.tolist()) | set(r.tolist())) == 2 * len(p)
+        assert len(p) == n // 2
+        np.testing.assert_array_equal(pr, p * n + r)
+        np.testing.assert_array_equal(rp, r * n + p)
+        np.testing.assert_array_equal(pp, p * n + p)
+        np.testing.assert_array_equal(rr, r * n + r)
+        met += zip(p.tolist(), r.tolist())
+    assert sorted(met) == list(itertools.combinations(range(n), 2))
+
+
+def assert_matches_eigvalsh(A, rtol=1e-13):
+    w, V = linalg.eig_sym(A)
+    reference = np.linalg.eigvalsh(A)[::-1]
+    scale = max(np.max(np.abs(reference)), np.finfo(float).tiny)
+    assert np.max(np.abs(w - reference)) <= rtol * scale
+    np.testing.assert_allclose(V.T @ V, np.eye(len(w)), atol=1e-13)
+    np.testing.assert_allclose(V @ np.diag(w) @ V.T, A, atol=1e-13 * scale)
+
+
+def test_eig_matches_the_cyclic_loop():
+    rng = np.random.default_rng(20)
+    for n in list(range(1, 13)) + [17]:
+        M = rng.normal(size=(n, n))
+        A = 0.5 * (M + M.T)
+        w, V = linalg.eig_sym(A)
+        w_loop, V_loop = cyclic_jacobi(A)
+        assert np.max(np.abs(w - w_loop)) <= 1e-13 * max(1.0, np.max(np.abs(w_loop)))
+        # eigenvectors of simple eigenvalues agree up to sign
+        np.testing.assert_allclose(np.abs(np.sum(V * V_loop, axis=0)), 1.0, atol=1e-10)
+
+
+def test_eig_clustered_and_repeated_spectra():
+    rng = np.random.default_rng(16)
+    u = rng.normal(size=9)
+    B = random_spd(rng, 4)
+    assert_matches_eigvalsh(np.eye(7))
+    assert_matches_eigvalsh(np.eye(9) + np.outer(u, u))
+    assert_matches_eigvalsh(np.kron(np.eye(3), B))
+    assert_matches_eigvalsh(np.eye(6) + 1e-9 * np.outer(u[:6], u[:6]))
+
+
+def test_eig_paired_walk_covariance_of_a_separated_game():
+    # players 6 and 7 belong to no term: zero rows beside the ones null space
+    doc = {
+        "q": 7,
+        "terms": [
+            {"kind": "exp_bilinear", "indices": [1, 2, 3], "A": [[0.3, -0.2, 0.1], [0.0, 0.4, 0.2], [0.1, 0.0, -0.3]]},
+            {"kind": "exp_linear", "indices": [4, 5], "beta": [0.5, -0.7]},
+        ],
+    }
+    report = asymptotics.permutation_covariance_exact(GameEvaluator(parse_spec(doc)), paired=True)
+    assert np.all(report.matrix[5:] == 0.0)
+    assert_matches_eigvalsh(report.matrix)
+
+
+def test_eig_paired_kernel_covariance_at_q18():
+    beta = np.random.default_rng(17).uniform(-0.3, 0.3, size=18)
+    doc = {"q": 18, "terms": [{"kind": "exp_linear", "indices": list(range(1, 19)), "beta": beta.tolist()}]}
+    _, _, report = asymptotics.kernel_matrices_exact(GameEvaluator(parse_spec(doc)), paired=True)
+    assert report.matrix.shape == (17, 17)
+    assert_matches_eigvalsh(report.matrix)
+
+
+def test_eig_diagonal_input_returns_permuted_identity():
+    d = np.array([3.0, -1.0, 2.0, 5.0, 0.0, 2.0])
+    w, V = linalg.eig_sym(np.diag(d))
+    order = np.argsort(-d, kind="stable")
+    np.testing.assert_array_equal(w, d[order])
+    np.testing.assert_array_equal(V, np.eye(6)[:, order])
+
+
+def test_eig_scales_exactly_by_powers_of_two():
+    rng = np.random.default_rng(18)
+    M = rng.normal(size=(9, 9))
+    A = M + M.T
+    w, V = linalg.eig_sym(A)
+    for power in (-600, 600):
+        w_scaled, V_scaled = linalg.eig_sym(np.ldexp(A, power))
+        np.testing.assert_array_equal(w_scaled, np.ldexp(w, power))
+        np.testing.assert_array_equal(V_scaled, V)
+    # squares of these entries overflow; the rank-one spectrum must survive
+    w, _ = linalg.eig_sym(np.full((2, 2), 1e200))
+    np.testing.assert_allclose(w, [2e200, 0.0], rtol=1e-15, atol=1e185)
+
+
+def test_eig_ignores_memory_layout():
+    rng = np.random.default_rng(19)
+    M = rng.normal(size=(7, 7))
+    A = M + M.T
+    w, V = linalg.eig_sym(A)
+    w_f, V_f = linalg.eig_sym(np.asfortranarray(A))
+    np.testing.assert_array_equal(w_f, w)
+    np.testing.assert_array_equal(V_f, V)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_inputs_raise(bad):
+    A = np.array([[2.0, bad], [bad, 1.0]])
+    with pytest.raises(NonFiniteError):
+        linalg.eig_sym(A)
+    with pytest.raises(NonFiniteError):
+        linalg.solve_spd(A, np.ones(2))
+    with pytest.raises(NonFiniteError):
+        linalg.solve_spd(np.eye(2), np.array([1.0, bad]))
 
 
 def test_rank_equal_columns():

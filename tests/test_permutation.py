@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from pairshap import exact, kernel, permutation
+from pairshap import exact, games, kernel, permutation
 from pairshap.estimators import ESTIMATORS
 from pairshap.errors import DimensionError, DomainError, NonFiniteError, PartitionError, SizeGuard, SpecError
 from pairshap.games import GameEvaluator, mask_rows, member_masks, parse_spec
@@ -191,6 +191,15 @@ def test_walk_memory_stays_within_three_order_arrays(n):
     B, paired_peak = traced(lambda: permutation.marginal_vectors(ev, perms, paired=True))
     np.testing.assert_allclose(B, 2.0, atol=1e-12)
     assert paired_peak <= two_peak
+
+
+def test_sampler_refuses_orders_over_the_limit(monkeypatch):
+    with pytest.raises(SizeGuard):
+        permutation.sample_permutations(9, 10**12, derive_rng(94))
+    monkeypatch.setattr(games, "DRAW_LIMIT", 45)
+    assert permutation.sample_permutations(9, 5, derive_rng(94)).shape == (5, 9)
+    with pytest.raises(SizeGuard):
+        permutation.sample_permutations(9, 6, derive_rng(94))
 
 
 def test_marginal_vectors_reject_orders_of_the_wrong_width(hand_game_q3):
