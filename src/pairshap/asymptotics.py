@@ -102,9 +102,12 @@ def kernel_matrices_exact(ev, paired: bool = False):
         hessian = J
         residual = y
         method = "kernel"
-    residual -= exact.subset_sums(np.append(partial, -partial.sum()))
-    residual *= residual
-    residual *= 4.0 * p if paired else p
+    # squares of finite payoffs can overflow; `_sandwich` refuses the
+    # non-finite meat with NonFiniteError
+    with np.errstate(over="ignore", invalid="ignore"):
+        residual -= exact.subset_sums(np.append(partial, -partial.sum()))
+        residual *= residual
+        residual *= 4.0 * p if paired else p
     _, meat = exact.pivot_moments(residual, q)
     covariance = _sandwich(hessian, meat)
     report = _make_report(covariance, method, "exact-enumeration", q, scale)
@@ -123,20 +126,23 @@ def kernel_matrices_plugin(batch, phi):
     partial = values[:-1]
     m, q = batch.design.shape[0], batch.design.shape[1] + 1
     n = m // 2 if batch.paired else m
-    if batch.paired:
-        x = batch.design[:n]
-        draw_y = batch.response[:n]
-        comp_y = batch.response[n:]
-        paired_residual = 0.5 * (draw_y - comp_y) - x @ partial
-        meat = (x * (4.0 * paired_residual**2)[:, None]).T @ x / n
-        hessian = 2.0 * (x.T @ x) / n
-        method = "kernel-paired"
-    else:
-        x = batch.design
-        residual = batch.response - x @ partial
-        meat = (x * (residual**2)[:, None]).T @ x / n
-        hessian = x.T @ x / n
-        method = "kernel"
+    # as in kernel_matrices_exact, overflowing squares give a non-finite
+    # meat, which `_sandwich` refuses with NonFiniteError
+    with np.errstate(over="ignore", invalid="ignore"):
+        if batch.paired:
+            x = batch.design[:n]
+            draw_y = batch.response[:n]
+            comp_y = batch.response[n:]
+            paired_residual = 0.5 * (draw_y - comp_y) - x @ partial
+            meat = (x * (4.0 * paired_residual**2)[:, None]).T @ x / n
+            hessian = 2.0 * (x.T @ x) / n
+            method = "kernel-paired"
+        else:
+            x = batch.design
+            residual = batch.response - x @ partial
+            meat = (x * (residual**2)[:, None]).T @ x / n
+            hessian = x.T @ x / n
+            method = "kernel"
     covariance = _sandwich(hessian, meat)
     scale = float(np.max(np.abs(batch.response))) if batch.response.size else 0.0
     provenance = f"plug-in(n={n}, seed={batch.seed})"
@@ -191,7 +197,10 @@ def _walk_covariance(W: np.ndarray, paired: bool, provenance: str) -> Covariance
         method = "permutation"
     scale = max(float(W.max()), -float(W.min())) if W.size else 0.0
     W -= W.mean(axis=0)
-    covariance = W.T @ W / (W.shape[0] - 1)
+    # products of finite contributions can overflow; eig_sym in
+    # `_make_report` refuses the non-finite matrix with NonFiniteError
+    with np.errstate(over="ignore", invalid="ignore"):
+        covariance = W.T @ W / (W.shape[0] - 1)
     return _make_report(covariance, method, provenance, W.shape[1], scale)
 
 

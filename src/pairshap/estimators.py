@@ -1,8 +1,9 @@
 """The four sampling estimators, each resolved by name in one place.
 
 `ESTIMATORS` maps kernel, kernel-paired, permutation and permutation-paired
-to an estimator object with four parts: its estimate, its exact covariance,
-its plug-in covariance and the value-function evaluations one draw costs.
+to an estimator object with five parts: its estimate, the same estimate
+for a stack of seeds at once, its exact covariance, its plug-in covariance
+and the value-function evaluations one draw costs.
 The key order is part of the experiment seeding: replicate substreams are
 keyed by a method's position in it.
 
@@ -26,6 +27,10 @@ class KernelEstimator:
     def estimate(self, ev, n: int, seed):
         """(ShapleyVector, KernelSampleBatch) from n draws, n pairs if paired."""
         return kernel.estimate_kernel(ev, n, paired=self.paired, seed=seed)
+
+    def estimate_stack(self, ev, n: int, seeds) -> list:
+        """What `estimate` returns for each seed, fitted as one stack."""
+        return kernel.estimate_kernel_stack(ev, n, seeds, paired=self.paired)
 
     def exact_covariance(self, ev) -> asymptotics.CovarianceReport:
         return asymptotics.kernel_matrices_exact(ev, paired=self.paired)[2]
@@ -56,6 +61,10 @@ class PermutationEstimator:
     def estimate(self, ev, n: int, seed):
         """(ShapleyVector, marginal matrix of the drawn orders) from n orders, n pairs if paired."""
         return permutation.estimate_permutation(ev, n, paired=self.paired, seed=seed)
+
+    def estimate_stack(self, ev, n: int, seeds) -> list:
+        """What `estimate` returns for each seed, walked as one stack."""
+        return permutation.estimate_permutation_stack(ev, n, seeds, paired=self.paired)
 
     def exact_covariance(self, ev) -> asymptotics.CovarianceReport:
         return asymptotics.permutation_covariance_exact(ev, paired=self.paired)

@@ -129,11 +129,14 @@ def pivot_moments(w: np.ndarray, q: int):
     superset sums, which overwrite w.
     """
     bits = np.int64(1) << np.arange(q, dtype=np.int64)
-    # both[a, b] = sum of w over coalitions holding a and b; both[a, a] holds a
-    both = superset_sums(w, q)[bits[:, None] | bits]
-    pivot = both[:-1, -1]
-    first = np.diag(both)[:-1] - both[-1, -1]
-    second = both[:-1, :-1] - pivot[:, None] - pivot[None, :] + both[-1, -1]
+    # sums of large weights can overflow; the solves that take these moments
+    # refuse non-finite ones with NonFiniteError
+    with np.errstate(over="ignore", invalid="ignore"):
+        # both[a, b] = sum of w over coalitions holding a and b; both[a, a] holds a
+        both = superset_sums(w, q)[bits[:, None] | bits]
+        pivot = both[:-1, -1]
+        first = np.diag(both)[:-1] - both[-1, -1]
+        second = both[:-1, :-1] - pivot[:, None] - pivot[None, :] + both[-1, -1]
     return first, second
 
 

@@ -7,7 +7,8 @@ spectra for the two paired estimators, and `additive_recovery` checks that
 group attribution sums of an additively separated game are recovered from a
 single paired walk.  Every replicate draws from its own substream keyed by
 (master seed, method, size index, replicate index), so results do not depend
-on execution order.
+on execution order, and the replicates of a (method, size) cell are fitted
+in stacks of up to STACK_ENTRIES draw entries each.
 """
 from __future__ import annotations
 
@@ -19,8 +20,13 @@ import numpy as np
 from . import asymptotics, exact, kernel, permutation
 from .errors import DomainError, PartitionError, SchemaError
 from .estimators import ESTIMATORS
-from .games import GameEvaluator, ValueFunctionSpec, parse_spec
+from .games import GameEvaluator, ValueFunctionSpec, guard_draws, parse_spec
 from .streams import derive_rng
+
+# One stack of replicates holds at most this many draw entries (draws x q):
+# as many as the largest single replicate of a q = 4 benchmark cell, so a
+# stack never needs more working memory than that replicate did alone.
+STACK_ENTRIES = 2**14
 
 KINDS = ("bias_variance", "method_comparison", "additive_recovery")
 
@@ -88,7 +94,11 @@ def _replicate_seeds(config: ExperimentConfig, method: str, n_index: int) -> lis
 
 
 def run_bias_variance(config: ExperimentConfig) -> list[BiasVarianceRow]:
-    """Replicate every (method, size) cell and summarize against exact values."""
+    """Replicate every (method, size) cell and summarize against exact values.
+
+    A cell's replicates are estimated in stacks of at most STACK_ENTRIES
+    draw entries; each replicate gives bit for bit its lone estimate.
+    """
     _validate_bias_variance(config)
     spec = config.vf
     q = spec.q
@@ -99,8 +109,15 @@ def run_bias_variance(config: ExperimentConfig) -> list[BiasVarianceRow]:
         report = estimator.exact_covariance(GameEvaluator(spec))
         cost = estimator.cost(q)
         for n_index, n in enumerate(config.sizes):
+            guard_draws(n, q)
             seeds = _replicate_seeds(config, method, n_index)
-            estimates = np.array([estimator.estimate(GameEvaluator(spec), n, seed)[0].phi for seed in seeds])
+            ev = GameEvaluator(spec)
+            per_stack = max(1, STACK_ENTRIES // (n * q))
+            # the inner comprehension drops each stack's draws before the next stack is drawn
+            estimates = np.concatenate([
+                [vector.phi for vector, _ in estimator.estimate_stack(ev, n, seeds[start : start + per_stack])]
+                for start in range(0, len(seeds), per_stack)
+            ])
             tau = asymptotics.predicted_stderr(report, n)
             errors = estimates - exact_phi
             bias = np.abs(errors).mean(axis=0)

@@ -129,8 +129,8 @@ def mask_rows(masks, q: int) -> np.ndarray:
 
 
 def member_masks(members) -> np.ndarray:
-    """Bitmasks of the rows of an (m, q) boolean membership matrix; the inverse of `mask_rows`."""
-    q = np.shape(members)[1]
+    """Bitmasks of the rows of an (..., q) boolean membership array; the inverse of `mask_rows`."""
+    q = np.shape(members)[-1]
     _guard_masks(q)
     return members @ (np.int64(1) << np.arange(q, dtype=np.int64))
 

@@ -40,65 +40,132 @@ class KernelSampleBatch:
     retries: int
 
 
-def sample_coalitions(weights: exact.KernelWeights, n: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw n coalitions as bitmasks: for each a size s from `weights`, then s members uniformly."""
+def sample_coalitions(weights: exact.KernelWeights, n: int, rngs) -> np.ndarray:
+    """Draw n coalitions as bitmasks from each generator: an (r, n) array, row i from rngs[i].
+
+    Each generator draws what a lone batch draws: n sizes s from `weights`,
+    then an n x q array of uniform keys, and a draw's members are its s
+    players of lowest key.  One sort ranks the whole stack: where a draw's
+    s-th smallest key is below its (s+1)-th, the keys up to it are exactly
+    the members.  Draws tied there are ranked by a double argsort, so every
+    draw's members are those the double argsort gives.
+    """
     q = weights.q
     guard_draws(n, q)
-    s = rng.choice(np.arange(1, q), size=n, p=weights.size_probs)
-    u = rng.random((n, q))
-    return member_masks(np.argsort(np.argsort(u, axis=1), axis=1) < s[:, None])
+    sizes = np.empty((len(rngs), n), dtype=np.int64)
+    keys = np.empty((len(rngs), n, q))
+    choices = np.arange(1, q)
+    for i, rng in enumerate(rngs):
+        sizes[i] = rng.choice(choices, size=n, p=weights.size_probs)
+        rng.random(out=keys[i])
+    # the s-th and (s+1)-th smallest keys of each draw, read off the sorted
+    # keys by flat index; s < q, so both exist
+    ordered = np.sort(keys, axis=-1).reshape(-1)
+    at = np.arange(0, ordered.size, q).reshape(sizes.shape) + sizes
+    threshold = ordered[at - 1]
+    tied = threshold == ordered[at]
+    del ordered, at
+    members = keys <= threshold[..., None]
+    if tied.any():
+        members[tied] = np.argsort(np.argsort(keys[tied], axis=1), axis=1) < sizes[tied][:, None]
+    return member_masks(members)
 
 
 def _design(masks: np.ndarray, q: int):
-    """Design rows (the first q-1 indicators minus the last) and last indicators of coalition bitmasks."""
-    Z = mask_rows(masks, q).astype(float)
-    return Z[:, :-1] - Z[:, -1:], Z[:, -1]
+    """Design rows (the first q-1 indicators minus the last) and last indicators of coalition bitmasks.
 
-
-def design_response(ev, masks: np.ndarray):
-    """Centered design and response for a 1-D array of coalition bitmasks.
-
-    The response subtracts the last indicator times the (cached) grand value.
+    One row per mask, in the masks' flattened order; the indicators are
+    subtracted as small integers and converted to float once.
     """
+    Z = mask_rows(masks, q).view(np.int8)
+    return (Z[:, :-1] - Z[:, -1:]).astype(float), Z[:, -1]
+
+
+def design_response(ev, masks: np.ndarray, grand: np.ndarray):
+    """Centered designs and responses of an (r, m) array of coalition bitmasks, one fit per row.
+
+    The whole stack is looked up in one `values_at` call.  Row i's response
+    subtracts the last indicator times grand[i], that fit's grand value.
+    Returns the designs as an (r, m, q-1) array and the responses as (r, m).
+    """
+    r, m = masks.shape
     x, last = _design(masks, ev.q)
-    return x, ev.values_at(masks[:, None])[:, 0] - last * ev.grand_value()
+    values = ev.values_at(masks.reshape(-1, 1)).reshape(r, m)
+    return x.reshape(r, m, -1), values - last.reshape(r, m) * grand[:, None]
 
 
-def _solve_design(ev, x: np.ndarray, y: np.ndarray) -> np.ndarray | None:
-    """Least-squares solve; None when the design is rank deficient."""
-    gram = x.T @ x
-    if linalg.rank(gram, RANK_TOL) < ev.q - 1:
-        return None
-    partial = linalg.solve_spd(gram, x.T @ y)
-    return np.append(partial, ev.grand_value() - partial.sum())
+def _gram(x: np.ndarray) -> np.ndarray:
+    # a stacked matmul forms each slice as the 2-D x.T @ x would
+    return np.matmul(x.transpose(0, 2, 1), x)
+
+
+def _solve_normal(gram: np.ndarray, x: np.ndarray, y: np.ndarray, grand: np.ndarray) -> np.ndarray:
+    """Least-squares solutions of a stack of full-rank fits, completed by efficiency, as an (r, q) array."""
+    partial = linalg.solve_spd(gram, np.matmul(x.transpose(0, 2, 1), y[..., None])[..., 0])
+    return np.concatenate([partial, (grand - partial.sum(axis=1))[:, None]], axis=1)
+
+
+def _with_complements(draws: np.ndarray, paired: bool, q: int) -> np.ndarray:
+    """Each row of draws, followed by the complements of its draws when paired."""
+    return np.concatenate([draws, full_mask(q) ^ draws], axis=1) if paired else draws
+
+
+def estimate_kernel_stack(ev, n: int, seeds, paired: bool = False) -> list:
+    """Least-squares Shapley estimates from n kernel draws (n pairs if paired), one per seed.
+
+    The replicates are fitted as one stack: one sort ranks their draws, one
+    lookup evaluates them, and one elimination solves their normal
+    equations.  Replicate i still draws from derive_rng(seeds[i], attempt),
+    and reads the grand value once, as a lone estimate does, so its result
+    is bit for bit that of `estimate_kernel` with seeds[i].  A replicate
+    whose design is rank deficient alone redraws, from its next attempt's
+    substream, up to RANK_RETRY_LIMIT attempts; RankDeficient is raised
+    after that.  Returns one (ShapleyVector, KernelSampleBatch) per seed.
+    """
+    if n < 1:
+        raise DomainError(f"sample size must be positive, got {n}")
+    q = ev.q
+    weights = exact.kernel_weights(q)
+    draws = sample_coalitions(weights, n, [derive_rng(seed, 0) for seed in seeds])
+    grand = ev.values_at(np.full((len(seeds), 1), full_mask(q)))[:, 0]
+    x, y = design_response(ev, _with_complements(draws, paired, q), grand)
+    gram = _gram(x)
+    retries = np.zeros(len(seeds), dtype=np.int64)
+    pending = np.flatnonzero(linalg.rank(gram, RANK_TOL) < q - 1)
+    for attempt in range(1, RANK_RETRY_LIMIT):
+        if not pending.size:
+            break
+        redrawn = sample_coalitions(weights, n, [derive_rng(seeds[i], attempt) for i in pending])
+        x_new, y_new = design_response(ev, _with_complements(redrawn, paired, q), grand[pending])
+        gram_new = _gram(x_new)
+        draws[pending], x[pending], y[pending], gram[pending] = redrawn, x_new, y_new, gram_new
+        retries[pending] = attempt
+        pending = pending[linalg.rank(gram_new, RANK_TOL) < q - 1]
+    if pending.size:
+        raise RankDeficient(
+            f"design never reached rank {q - 1} in {RANK_RETRY_LIMIT} batches; increase n"
+        )
+    phi = _solve_normal(gram, x, y, grand)
+    tag = "kernel-paired" if paired else "kernel"
+    return [
+        (
+            exact.ShapleyVector(phi=phi[i], method_tag=tag),
+            KernelSampleBatch(
+                draws=draws[i], paired=paired, design=x[i], response=y[i], seed=seed, retries=int(retries[i])
+            ),
+        )
+        for i, seed in enumerate(seeds)
+    ]
 
 
 def estimate_kernel(ev, n: int, paired: bool = False, seed=None):
     """Least-squares Shapley estimate from n kernel draws (n pairs if paired).
 
-    Rank-deficient batches are discarded and redrawn from a fresh substream,
-    up to RANK_RETRY_LIMIT times; RankDeficient is raised after that.
-    Returns the estimate together with the accepted KernelSampleBatch.
+    The one-seed case of `estimate_kernel_stack`: rank-deficient batches are
+    redrawn from fresh substreams, up to RANK_RETRY_LIMIT times.  Returns the
+    estimate together with the accepted KernelSampleBatch.
     """
-    if n < 1:
-        raise DomainError(f"sample size must be positive, got {n}")
-    weights = exact.kernel_weights(ev.q)
-    for attempt in range(RANK_RETRY_LIMIT):
-        rng = derive_rng(seed, attempt)
-        draws = sample_coalitions(weights, n, rng)
-        masks = np.concatenate([draws, full_mask(ev.q) ^ draws]) if paired else draws
-        x, y = design_response(ev, masks)
-        phi = _solve_design(ev, x, y)
-        if phi is None:
-            continue
-        batch = KernelSampleBatch(
-            draws=draws, paired=paired, design=x, response=y, seed=seed, retries=attempt
-        )
-        tag = "kernel-paired" if paired else "kernel"
-        return exact.ShapleyVector(phi=phi, method_tag=tag), batch
-    raise RankDeficient(
-        f"design never reached rank {ev.q - 1} in {RANK_RETRY_LIMIT} batches; increase n"
-    )
+    return estimate_kernel_stack(ev, n, [seed], paired)[0]
 
 
 def solve_bilinear_basis(ev, basis) -> exact.ShapleyVector:
@@ -111,12 +178,12 @@ def solve_bilinear_basis(ev, basis) -> exact.ShapleyVector:
     basis = np.asarray(basis, dtype=np.int64)
     if basis.shape != (ev.q - 1,):
         raise DimensionError(f"basis must hold {ev.q - 1} coalition bitmasks, got shape {basis.shape}")
-    masks = np.concatenate([basis, full_mask(ev.q) ^ basis])
-    x, y = design_response(ev, masks)
-    phi = _solve_design(ev, x, y)
-    if phi is None:
+    grand = np.array([ev.grand_value()])
+    x, y = design_response(ev, _with_complements(basis[None], True, ev.q), grand)
+    gram = _gram(x)
+    if linalg.rank(gram, RANK_TOL)[0] < ev.q - 1:
         raise RankDeficient("basis coalitions are linearly dependent")
-    return exact.ShapleyVector(phi=phi, method_tag="kernel-paired-basis")
+    return exact.ShapleyVector(phi=_solve_normal(gram, x, y, grand)[0], method_tag="kernel-paired-basis")
 
 
 def random_independent_basis(q: int, rng: np.random.Generator) -> np.ndarray:

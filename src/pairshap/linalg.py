@@ -1,10 +1,12 @@
 """Dense symmetric linear algebra with fixed, test-visible tolerances.
 
 The matrices in this package are small (at most a few dozen rows).  Solves
-and ranks eliminate one pivot at a time; the eigensolver is a parallel-order
-Jacobi that applies all the disjoint rotations of a round in one matrix
-product.  `solve_spd` and `eig_sym` raise NonFiniteError for NaN or infinite
-input entries rather than returning NaN.
+and ranks eliminate one pivot at a time, over a whole (r, k, k) stack of
+matrices at once where many small systems share a shape; each slice is
+pivoted on its own and gives bit for bit what its own 2-D call gives.  The
+eigensolver is a parallel-order Jacobi that applies all the disjoint
+rotations of a round in one matrix product.  `solve_spd` and `eig_sym` raise
+NonFiniteError for NaN or infinite input entries rather than returning NaN.
 """
 from __future__ import annotations
 
@@ -26,48 +28,72 @@ def _require_finite(x: np.ndarray, what: str) -> None:
         raise NonFiniteError(f"{what} has NaN or infinite entries")
 
 
-def _square_symmetric(A, rtol: float) -> np.ndarray:
+def _square_symmetric(A, rtol: float, stacks: bool = False) -> np.ndarray:
+    """A as a float array, checked square, finite and symmetric; slice by slice if `stacks`."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise DimensionError(f"expected a square matrix, got shape {A.shape}")
+    if A.ndim not in ((2, 3) if stacks else (2,)) or A.shape[-1] != A.shape[-2]:
+        kind = "a square matrix or a stack of them" if stacks else "a square matrix"
+        raise DimensionError(f"expected {kind}, got shape {A.shape}")
     _require_finite(A, "matrix")
-    scale = float(np.max(np.abs(A))) if A.size else 0.0
-    if scale and float(np.max(np.abs(A - A.T))) > rtol * scale:
-        raise DimensionError("matrix is not symmetric within tolerance")
+    if A.size:
+        scale = np.max(np.abs(A), axis=(-2, -1))
+        asymmetry = np.max(np.abs(A - np.swapaxes(A, -2, -1)), axis=(-2, -1))
+        if np.any(asymmetry > rtol * scale):
+            raise DimensionError("matrix is not symmetric within tolerance")
     return A
 
 
 def solve_spd(A, b):
-    """Solve A x = b for symmetric positive (semi)definite A.
+    """Solve A x = b for symmetric positive (semi)definite A, or for every slice of a stack.
 
-    Gaussian elimination with partial pivoting; `b` may be a vector or a
-    matrix of right-hand-side columns.  Raises SingularMatrix when a pivot
-    falls to SINGULAR_PIVOT_RTOL times the largest initial diagonal entry.
+    Gaussian elimination with partial pivoting.  `A` is k x k with `b` a
+    vector or a matrix of right-hand-side columns, or `A` is an (r, k, k)
+    stack with `b` an (r, k) or (r, k, c) stack; slice i solves A[i] x = b[i].
+    Raises SingularMatrix, naming the slice of a stack, when a pivot falls to
+    SINGULAR_PIVOT_RTOL times the largest initial diagonal entry of its
+    matrix.
     """
-    A = _square_symmetric(A, SOLVE_SYMMETRY_RTOL)
-    n = A.shape[0]
+    A = _square_symmetric(A, SOLVE_SYMMETRY_RTOL, stacks=True)
+    stacked = A.ndim == 3
+    n = A.shape[-1]
     b = np.asarray(b, dtype=float)
-    single = b.ndim == 1
-    B = b[:, None] if single else b
-    if B.shape[0] != n:
-        raise DimensionError(f"right-hand side has {B.shape[0]} rows, matrix has {n}")
+    single = b.ndim == A.ndim - 1
+    B = b[..., None] if single else b
+    if B.shape[:-1] != A.shape[:-1]:
+        raise DimensionError(f"right-hand side of shape {b.shape} does not fit a matrix of shape {A.shape}")
     _require_finite(B, "right-hand side")
+    A = A.reshape(-1, n, n)
+    B = B.reshape(A.shape[0], n, -1)
 
-    aug = np.hstack([A.copy(), B.copy()])
-    pivot_floor = SINGULAR_PIVOT_RTOL * float(np.max(np.abs(np.diag(A)))) if n else 0.0
+    aug = np.concatenate([A, B], axis=2)
+    slices = np.arange(aug.shape[0])
+    pivot_floor = SINGULAR_PIVOT_RTOL * np.max(np.abs(np.diagonal(A, axis1=1, axis2=2)), axis=1, initial=0.0)
     for k in range(n):
-        p = k + int(np.argmax(np.abs(aug[k:, k])))
-        if abs(aug[p, k]) <= pivot_floor:
-            raise SingularMatrix(f"pivot {aug[p, k]:.3e} at step {k} below floor {pivot_floor:.3e}")
-        if p != k:
-            aug[[k, p]] = aug[[p, k]]
-        factors = aug[k + 1 :, k] / aug[k, k]
-        aug[k + 1 :, k:] -= np.outer(factors, aug[k, k:])
+        p = k + np.argmax(np.abs(aug[:, k:, k]), axis=1)
+        pivot = aug[slices, p, k]
+        low = np.abs(pivot) <= pivot_floor
+        if low.any():
+            i = int(np.argmax(low))
+            where = f"slice {i}: " if stacked else ""
+            raise SingularMatrix(f"{where}pivot {pivot[i]:.3e} at step {k} below floor {pivot_floor[i]:.3e}")
+        if k + 1 == n:
+            break
+        if np.any(p != k):
+            top = aug[:, k].copy()
+            aug[:, k] = aug[slices, p]
+            aug[slices, p] = top
+        factors = aug[:, k + 1 :, k] / aug[:, k, k, None]
+        aug[:, k + 1 :, k:] -= factors[:, :, None] * aug[:, k, None, k:]
 
+    # a stacked matmul runs each slice's product through the routine of the
+    # 2-D product, so every slice rounds exactly as its own call would
     X = np.empty_like(B)
     for k in range(n - 1, -1, -1):
-        X[k] = (aug[k, n:] - aug[k, k + 1 : n] @ X[k + 1 :]) / aug[k, k]
-    return X[:, 0] if single else X
+        rest = aug[:, k, n:]
+        if k + 1 < n:
+            rest = rest - np.matmul(aug[:, k, None, k + 1 : n], X[:, k + 1 :])[:, 0]
+        X[:, k] = rest / aug[:, k, k, None]
+    return X.reshape(b.shape)
 
 
 @lru_cache(maxsize=None)
@@ -161,33 +187,50 @@ def eig_sym(A):
     return w[order], V[:, order]
 
 
-def rank(A, tol: float) -> int:
+def rank(A, tol: float):
     """Numerical rank by Gaussian elimination with complete pivoting.
 
     Pivots smaller than `tol` times the largest initial pivot count as zero.
+    `A` is a matrix, giving an int, or an (r, m, n) stack, giving the rank of
+    each slice as an int array; each slice is pivoted on its own.
     """
     if not tol > 0:
         raise DomainError(f"rank tolerance must be positive, got {tol}")
-    M = np.asarray(A, dtype=float).copy()
-    if M.ndim != 2:
-        raise DimensionError(f"expected a matrix, got shape {M.shape}")
-    m, n = M.shape
-    first_pivot = None
-    r = 0
+    M = np.array(A, dtype=float)
+    if M.ndim not in (2, 3):
+        raise DimensionError(f"expected a matrix or a stack of them, got shape {M.shape}")
+    stacked = M.ndim == 3
+    M = M.reshape(-1, *M.shape[-2:])
+    count, m, n = M.shape
+    slices = np.arange(count)
+    ranks = np.zeros(count, dtype=np.intp)
+    # a slice stops counting at its first pivot below the floor
+    live = np.ones(count, dtype=bool)
     for step in range(min(m, n)):
-        sub = np.abs(M[step:, step:])
-        flat = int(np.argmax(sub))
-        pr, pc = divmod(flat, n - step)
-        pivot = sub[pr, pc]
-        if first_pivot is None:
-            first_pivot = pivot
-        if first_pivot == 0.0 or pivot < tol * first_pivot:
+        sub = np.abs(M[:, step:, step:])
+        pr, pc = np.divmod(np.argmax(sub.reshape(count, sub[0].size), axis=1), n - step)
+        pivot = sub[slices, pr, pc]
+        if step == 0:
+            floor = tol * pivot
+            live &= pivot != 0.0
+        live &= ~(pivot < floor)
+        if not live.any():
             break
-        if pr:
-            M[[step, step + pr]] = M[[step + pr, step]]
-        if pc:
-            M[:, [step, step + pc]] = M[:, [step + pc, step]]
-        factors = M[step + 1 :, step] / M[step, step]
-        M[step + 1 :, step:] -= np.outer(factors, M[step, step:])
-        r += 1
-    return r
+        ranks += live
+        if step + 1 == min(m, n):
+            break
+        if pr.any():
+            rows = step + pr
+            top = M[:, step].copy()
+            M[:, step] = M[slices, rows]
+            M[slices, rows] = top
+        if pc.any():
+            cols = step + pc
+            left = M[:, :, step].copy()
+            M[:, :, step] = M[slices, :, cols]
+            M[slices, :, cols] = left
+        # a stopped slice no longer counts; dividing it by one keeps its
+        # entries, all below its floor, small and finite
+        factors = M[:, step + 1 :, step] / np.where(live, M[:, step, step], 1.0)[:, None]
+        M[:, step + 1 :, step:] -= factors[:, :, None] * M[:, step, None, step:]
+    return ranks if stacked else int(ranks[0])

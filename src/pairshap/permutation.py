@@ -40,23 +40,35 @@ def marginal_vectors(ev, perms, paired: bool = False) -> np.ndarray:
     return exact.marginal_matrix(ev.values_at, perms, paired)
 
 
-def estimate_permutation(ev, n: int, paired: bool = False, seed=None):
-    """Average marginal contributions over n sampled orders (n pairs if paired).
+def estimate_permutation_stack(ev, n: int, seeds, paired: bool = False) -> list:
+    """Average marginal contributions over n sampled orders (n pairs if paired), one estimate per seed.
 
-    Returns (ShapleyVector, B), B the drawn orders' `marginal_vectors`.
+    The replicates' orders are walked as one stack.  Replicate i still
+    draws from derive_rng(seeds[i], 0), so its result is bit for bit that of
+    `estimate_permutation` with seeds[i].  Returns one (ShapleyVector, B)
+    per seed, B that replicate's (n, q) block of the stack's
+    `marginal_vectors`.
     """
     if n < 1:
         raise DomainError(f"sample size must be positive, got {n}")
-    rng = derive_rng(seed, 0)
-    perms = sample_permutations(ev.q, n, rng)
-    B = marginal_vectors(ev, perms, paired)
+    perms = np.concatenate([sample_permutations(ev.q, n, derive_rng(seed, 0)) for seed in seeds])
+    B = marginal_vectors(ev, perms, paired).reshape(len(seeds), n, ev.q)
     if paired:
-        phi = 0.5 * B.mean(axis=0)
+        phi = 0.5 * B.mean(axis=1)
         tag = "permutation-paired"
     else:
-        phi = B.mean(axis=0)
+        phi = B.mean(axis=1)
         tag = "permutation"
-    return exact.ShapleyVector(phi=phi, method_tag=tag), B
+    return [(exact.ShapleyVector(phi=phi[i], method_tag=tag), B[i]) for i in range(len(seeds))]
+
+
+def estimate_permutation(ev, n: int, paired: bool = False, seed=None):
+    """Average marginal contributions over n sampled orders (n pairs if paired).
+
+    The one-seed case of `estimate_permutation_stack`.  Returns
+    (ShapleyVector, B), B the drawn orders' `marginal_vectors`.
+    """
+    return estimate_permutation_stack(ev, n, [seed], paired)[0]
 
 
 def group_sums(phi, partition) -> np.ndarray:

@@ -2,6 +2,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -10,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pairshap
 from pairshap.cli import main
 from pairshap.estimators import ESTIMATORS
 
@@ -319,7 +323,6 @@ OVERFLOWING_DOC = {"q": 4, "terms": [{"kind": "exp_linear", "indices": [1, 2, 3,
     ],
     ids=[*(f"asymptotics-{method}" for method in ESTIMATORS), "sample-kernel", "sample-permutation"],
 )
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
 def test_overflowing_covariance_exits_three(tmp_path, argv):
     vf = tmp_path / "vf.json"
     vf.write_text(json.dumps(OVERFLOWING_DOC))
@@ -328,6 +331,31 @@ def test_overflowing_covariance_exits_three(tmp_path, argv):
     assert out == ""
     assert "NonFiniteError: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *(["asymptotics", "--method", method] for method in ESTIMATORS),
+        ["sample", "--method", "kernel", "--paired", "--n", "100", "--seed", "1", "--stderr-from", "plugin"],
+    ],
+    ids=[*(f"asymptotics-{method}" for method in ESTIMATORS), "sample-kernel-plugin"],
+)
+def test_overflowing_covariance_prints_one_error_line(tmp_path, argv):
+    # a separate interpreter with Python's default warning filters, which
+    # print every numpy RuntimeWarning to stderr
+    vf = tmp_path / "vf.json"
+    vf.write_text(json.dumps(OVERFLOWING_DOC))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(pairshap.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pairshap.cli", argv[0], "--vf", str(vf), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("NonFiniteError: ")
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
 @pytest.mark.parametrize(

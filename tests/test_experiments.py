@@ -1,13 +1,38 @@
 """Experiment harness: replication, determinism, CSV output, config parsing."""
+import contextlib
+import hashlib
+import io
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from pairshap import experiments
+from pairshap import exact, experiments
+from pairshap.cli import main
 from pairshap.errors import PartitionError, SchemaError
 from pairshap.estimators import ESTIMATORS
-from pairshap.games import parse_spec
+from pairshap.games import GameEvaluator, parse_spec
 
 from conftest import REFERENCE_DOC, separated_doc
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+
+# sha256 of the CSV bytes that the harness wrote when it still ran one
+# estimate per replicate (numpy 2.4, OpenBLAS 0.3.31, x86-64).  Stacked
+# cells must reproduce them bit for bit.
+BIAS_VARIANCE_Q4_SHA256 = "8dfd757115f0d33b02e2b261a1439a31be227fb0f5fe3a85e1c28d6fc1cd93ae"
+# the benchmark's replicate workload: all four methods, sizes 256 / 1024 /
+# 4096 and 20 replicates, at a fixed master seed
+BENCHMARK_SHAPED_DOC = {
+    "kind": "bias_variance",
+    "vf": REFERENCE_DOC,
+    "methods": list(ESTIMATORS),
+    "sizes": [256, 1024, 4096],
+    "reps": 20,
+    "master_seed": 20260806,
+}
+BENCHMARK_SHAPED_SHA256 = "ecc1369b99f898c5fce41031476fb1b6aaf2a145eced4c71f002f9713ffd19b6"
 
 
 def small_config(**overrides):
@@ -52,6 +77,86 @@ def test_bias_variance_csv_byte_identical_across_jobs(tmp_path):
         parts = line.split(",")
         assert len(parts) == 7
         float(parts[3]), float(parts[4]), float(parts[5])
+
+
+def experiment_csv_sha256(doc, tmp_path) -> str:
+    """sha256 of the CSV that `pairshap experiment` writes for `doc`."""
+    csv = tmp_path / "rows.csv"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(doc, outputs={"csv": str(csv)})))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["experiment", "--config", str(config)]) == 0
+    return hashlib.sha256(csv.read_bytes()).hexdigest()
+
+
+def test_bias_variance_q4_config_csv_is_pinned(tmp_path):
+    doc = json.loads((CONFIGS / "bias_variance_q4.json").read_text())
+    assert experiment_csv_sha256(doc, tmp_path) == BIAS_VARIANCE_Q4_SHA256
+
+
+def test_benchmark_shaped_config_csv_is_pinned(tmp_path):
+    assert experiment_csv_sha256(BENCHMARK_SHAPED_DOC, tmp_path) == BENCHMARK_SHAPED_SHA256
+
+
+def lone_summaries(config):
+    """Per cell (bias, sigma_hat, mean_error), from one `estimate` call per replicate."""
+    exact_phi = exact.shapley_subset(GameEvaluator(config.vf)).phi
+    cells = []
+    for method in config.methods:
+        estimator = ESTIMATORS[method]
+        for n_index, n in enumerate(config.sizes):
+            seeds = experiments._replicate_seeds(config, method, n_index)
+            estimates = np.array([estimator.estimate(GameEvaluator(config.vf), n, seed)[0].phi for seed in seeds])
+            errors = estimates - exact_phi
+            cells.append((np.abs(errors).mean(axis=0), estimates.std(axis=0, ddof=1), errors.mean(axis=0)))
+    return cells
+
+
+Q2_DOC = {"q": 2, "terms": [{"kind": "exp_linear", "indices": [1, 2], "beta": [0.7, -0.4], "offset": 0.2}]}
+
+
+@pytest.mark.parametrize(
+    "doc, sizes, reps, stack_entries",
+    [
+        # one draw per replicate, every cell in one stack
+        (Q2_DOC, (1, 2), 5, experiments.STACK_ENTRIES),
+        # 4 replicates per stack: 10 replicates leave a stack of 2
+        (REFERENCE_DOC, (16,), 10, 256),
+        # a stack holds one replicate, exactly filled and overfilled
+        (REFERENCE_DOC, (64, 100), 3, 256),
+        # the benchmark's largest cell: one replicate per stack
+        (REFERENCE_DOC, (4096,), 3, experiments.STACK_ENTRIES),
+    ],
+    ids=["n1", "remainder", "one-per-stack", "one-per-stack-4096"],
+)
+def test_stacked_cells_equal_lone_estimates(monkeypatch, doc, sizes, reps, stack_entries):
+    monkeypatch.setattr(experiments, "STACK_ENTRIES", stack_entries)
+    config = small_config(vf=parse_spec(doc), sizes=sizes, reps=reps)
+    rows = experiments.run_bias_variance(config)
+    q = config.vf.q
+    for k, (bias, sigma_hat, mean_error) in enumerate(lone_summaries(config)):
+        cell = rows[k * q : (k + 1) * q]
+        assert np.array_equal([r.bias for r in cell], bias), cell[0].method
+        assert np.array_equal([r.sigma_hat for r in cell], sigma_hat), cell[0].method
+        assert np.array_equal([r.mean_error for r in cell], mean_error), cell[0].method
+
+
+@pytest.mark.parametrize("method", list(ESTIMATORS))
+def test_stacked_draws_equal_lone_draws_at_one_sample(method):
+    spec = parse_spec(Q2_DOC)
+    estimator = ESTIMATORS[method]
+    seeds = [np.random.SeedSequence(entropy=[7, rep]) for rep in range(6)]
+    stacked = estimator.estimate_stack(GameEvaluator(spec), 1, seeds)
+    for seed, (vector, drawn) in zip(seeds, stacked):
+        lone_vector, lone_drawn = estimator.estimate(GameEvaluator(spec), 1, seed)
+        assert np.array_equal(vector.phi, lone_vector.phi)
+        assert vector.method_tag == lone_vector.method_tag
+        if method.startswith("kernel"):
+            assert np.array_equal(drawn.draws, lone_drawn.draws)
+            assert np.array_equal(drawn.design, lone_drawn.design)
+            assert np.array_equal(drawn.response, lone_drawn.response)
+        else:
+            assert np.array_equal(drawn, lone_drawn)
 
 
 def test_replicate_streams_differ_by_cell():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from pairshap import exact, games, kernel
+from pairshap import exact, games, kernel, linalg
 from pairshap.errors import DimensionError, DomainError, RankDeficient, SizeGuard
 from pairshap.estimators import ESTIMATORS
 from pairshap.games import GameEvaluator, mask_rows, parse_spec
@@ -40,7 +40,7 @@ def test_single_draw_sampler_q2_always_singleton():
 def test_batch_sampler_size_frequencies_q4():
     kw = exact.kernel_weights(4)
     rng = derive_rng(102, 0)
-    Z = mask_rows(kernel.sample_coalitions(kw, 1_000_000, rng), 4)
+    Z = mask_rows(kernel.sample_coalitions(kw, 1_000_000, [rng])[0], 4)
     sizes = Z.sum(axis=1)
     freq = np.array([(sizes == s).mean() for s in (1, 2, 3)])
     np.testing.assert_allclose(freq, [4 / 11, 3 / 11, 4 / 11], atol=0.01)
@@ -50,7 +50,7 @@ def test_batch_sampler_chi_square_over_all_coalitions_q4():
     kw = exact.kernel_weights(4)
     rng = derive_rng(103, 0)
     n = 1_000_000
-    Z = mask_rows(kernel.sample_coalitions(kw, n, rng), 4)
+    Z = mask_rows(kernel.sample_coalitions(kw, n, [rng])[0], 4)
     masks = coalition_to_mask(Z)
     observed = np.bincount(masks, minlength=16)[1:15]
     sizes = coalition_matrix(4)[1:15].sum(axis=1)
@@ -67,7 +67,7 @@ def members_by_rank(u, s):
 def test_batch_sampler_matches_members_by_rank():
     for q in range(2, 13):
         kw = exact.kernel_weights(q)
-        masks = kernel.sample_coalitions(kw, 5_000, derive_rng(105, q))
+        masks = kernel.sample_coalitions(kw, 5_000, [derive_rng(105, q)])[0]
         rng = derive_rng(105, q)
         s = rng.choice(np.arange(1, q), size=5_000, p=kw.size_probs)
         u = rng.random((5_000, q))
@@ -83,20 +83,79 @@ class TiedKeys:
     def choice(self, *args, **kwargs):
         return self.rng.choice(*args, **kwargs)
 
-    def random(self, shape):
-        return np.floor(4 * self.rng.random(shape)) / 4
+    def random(self, size=None, out=None):
+        keys = np.floor(4 * self.rng.random(size if out is None else out.shape)) / 4
+        if out is None:
+            return keys
+        out[...] = keys
+        return out
 
 
 def test_batch_sampler_keeps_sizes_when_keys_tie():
     q, n = 6, 2_000
     kw = exact.kernel_weights(q)
-    masks = kernel.sample_coalitions(kw, n, TiedKeys(106))
+    masks = kernel.sample_coalitions(kw, n, [TiedKeys(106)])[0]
     stub = TiedKeys(106)
     s = stub.choice(np.arange(1, q), size=n, p=kw.size_probs)
     u = stub.random((n, q))
     Z = mask_rows(masks, q)
     np.testing.assert_array_equal(Z.sum(axis=1), s)
     assert np.array_equal(Z, members_by_rank(u, s))
+
+
+class FixedKeys:
+    """Generator stub that draws the given sizes and uniform keys."""
+
+    def __init__(self, sizes, keys):
+        self.sizes = np.asarray(sizes)
+        self.keys = np.asarray(keys, dtype=float)
+
+    def choice(self, a, size, p):
+        assert size == len(self.sizes)
+        return self.sizes.copy()
+
+    def random(self, size=None, out=None):
+        out[...] = self.keys
+        return out
+
+
+def test_sampler_reranks_only_draws_tied_at_the_threshold(monkeypatch):
+    q = 4
+    keys = [
+        [0.5, 0.25, 0.25, 0.75],  # s = 1: two lowest keys tie at the threshold
+        [0.5, 0.25, 0.25, 0.75],  # s = 2: the same tie, but both are members
+        [0.1, 0.9, 0.9, 0.3],  # s = 2: a tie above the threshold
+        [0.3, 0.3, 0.3, 0.3],  # s = 3: every key ties
+        [0.6, 0.2, 0.4, 0.8],  # s = 2: no tie
+    ]
+    sizes = [1, 2, 2, 3, 2]
+    expected = members_by_rank(np.array(keys), np.array(sizes))
+    sorted_shapes = []
+    argsort = np.argsort
+
+    def recording_argsort(a, *args, **kwargs):
+        sorted_shapes.append(np.shape(a))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", recording_argsort)
+    masks = kernel.sample_coalitions(exact.kernel_weights(q), len(sizes), [FixedKeys(sizes, keys)])[0]
+    Z = mask_rows(masks, q)
+    np.testing.assert_array_equal(Z.sum(axis=1), sizes)
+    assert np.array_equal(Z, expected)
+    # the two draws tied at the threshold, and only they, took the double argsort
+    assert sorted_shapes == [(2, q), (2, q)]
+    sorted_shapes.clear()
+    # ties away from the threshold alone never leave the sort
+    kernel.sample_coalitions(exact.kernel_weights(q), 3, [FixedKeys([2, 2, 2], [keys[1], keys[2], keys[4]])])
+    assert sorted_shapes == []
+
+
+def test_stacked_sampler_rows_are_the_lone_batches():
+    kw = exact.kernel_weights(6)
+    stacked = kernel.sample_coalitions(kw, 300, [derive_rng(108, r) for r in range(4)])
+    assert stacked.shape == (4, 300)
+    for r in range(4):
+        assert np.array_equal(stacked[r], kernel.sample_coalitions(kw, 300, [derive_rng(108, r)])[0])
 
 
 def test_kernel_routes_refuse_64_players():
@@ -112,11 +171,11 @@ def test_kernel_routes_refuse_64_players():
 def test_sampler_refuses_draws_over_the_limit(monkeypatch):
     kw = exact.kernel_weights(4)
     with pytest.raises(SizeGuard):
-        kernel.sample_coalitions(kw, 10**12, derive_rng(107))
+        kernel.sample_coalitions(kw, 10**12, [derive_rng(107)])
     monkeypatch.setattr(games, "DRAW_LIMIT", 40)
-    assert kernel.sample_coalitions(kw, 10, derive_rng(107)).shape == (10,)
+    assert kernel.sample_coalitions(kw, 10, [derive_rng(107)]).shape == (1, 10)
     with pytest.raises(SizeGuard):
-        kernel.sample_coalitions(kw, 11, derive_rng(107))
+        kernel.sample_coalitions(kw, 11, [derive_rng(107)])
 
 
 def test_single_draw_sampler_chi_square_q4():
@@ -188,6 +247,10 @@ def test_evaluation_budget(reference_spec):
         estimator.estimate(ev, n, 2)
         grand = 1 if name.startswith("kernel") else 0
         assert ev.eval_count == estimator.cost(reference_spec.q) * n + grand, name
+        # a stack of replicates spends what its replicates would alone
+        ev = GameEvaluator(reference_spec)
+        estimator.estimate_stack(ev, n, [2, 3, 4])
+        assert ev.eval_count == 3 * (estimator.cost(reference_spec.q) * n + grand), name
 
 
 def test_batch_layout(reference_spec):
@@ -203,6 +266,46 @@ def test_batch_layout(reference_spec):
     np.testing.assert_array_equal(batch.design[n:], -batch.design[:n])
     _, unpaired = kernel.estimate_kernel(GameEvaluator(reference_spec), n, paired=False, seed=3)
     assert unpaired.design.shape == (n, 3)
+
+
+def fail_first_rank_check(monkeypatch, replicate):
+    """Make the first rank check report `replicate` of its stack rank deficient."""
+    rank = linalg.rank
+    stacks = []
+
+    def failing(gram, tol):
+        ranks = rank(gram, tol)
+        if not stacks:
+            ranks[replicate] = 0
+        stacks.append(len(gram))
+        return ranks
+
+    monkeypatch.setattr(linalg, "rank", failing)
+    return stacks
+
+
+def test_rank_deficient_replicate_alone_redraws(monkeypatch, reference_spec):
+    n, seeds = 12, [31, 32, 33]
+    lone = [kernel.estimate_kernel(GameEvaluator(reference_spec), n, seed=seed) for seed in seeds]
+    stacks = fail_first_rank_check(monkeypatch, 1)
+    ev = GameEvaluator(reference_spec)
+    stacked = kernel.estimate_kernel_stack(ev, n, seeds)
+    # the stack, then replicate 1 alone
+    assert stacks == [3, 1]
+    assert [batch.retries for _, batch in stacked] == [0, 1, 0]
+    for i in (0, 2):
+        assert np.array_equal(stacked[i][0].phi, lone[i][0].phi)
+        assert np.array_equal(stacked[i][1].draws, lone[i][1].draws)
+    redrawn = kernel.sample_coalitions(exact.kernel_weights(4), n, [derive_rng(32, 1)])[0]
+    assert np.array_equal(stacked[1][1].draws, redrawn)
+    # replicate 1 gets what a lone estimate whose first batch failed gets
+    fail_first_rank_check(monkeypatch, 0)
+    vector, batch = kernel.estimate_kernel(GameEvaluator(reference_spec), n, seed=32)
+    assert batch.retries == 1
+    assert np.array_equal(stacked[1][0].phi, vector.phi)
+    assert np.array_equal(stacked[1][1].design, batch.design)
+    # the redraw looks up its n draws again, but not the grand value
+    assert ev.eval_count == 3 * (n + 1) + n
 
 
 def test_rank_deficient_raises_after_redraw_budget(reference_spec):

@@ -249,3 +249,67 @@ def test_rank_matches_numpy_on_fuzz():
         r = int(rng.integers(0, min(m, n) + 1))
         A = rng.normal(size=(m, r)) @ rng.normal(size=(r, n)) if r else np.zeros((m, n))
         assert linalg.rank(A, 1e-10) == np.linalg.matrix_rank(A, tol=1e-8)
+
+
+def test_stacked_solve_matches_each_slice_bit_for_bit():
+    rng = np.random.default_rng(30)
+    for k in (1, 2, 3, 7, 12):
+        A = np.stack([random_spd(rng, k) * 10.0 ** rng.integers(-3, 4) for _ in range(5)])
+        b = rng.normal(size=(5, k))
+        B = rng.normal(size=(5, k, 3))
+        X = linalg.solve_spd(A, b)
+        Y = linalg.solve_spd(A, B)
+        assert X.shape == (5, k) and Y.shape == (5, k, 3)
+        for i in range(5):
+            assert np.array_equal(X[i], linalg.solve_spd(A[i], b[i]))
+            assert np.array_equal(Y[i], linalg.solve_spd(A[i], B[i]))
+
+
+def test_stacked_rank_matches_each_slice():
+    rng = np.random.default_rng(31)
+    for _ in range(30):
+        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        slices = []
+        for _ in range(6):
+            r = int(rng.integers(0, min(m, n) + 1))
+            slices.append(rng.normal(size=(m, r)) @ rng.normal(size=(r, n)) if r else np.zeros((m, n)))
+        stack = np.stack(slices)
+        ranks = linalg.rank(stack, 1e-10)
+        assert ranks.tolist() == [linalg.rank(S, 1e-10) for S in slices]
+    # slices that stop at different steps: zero, rank one, full rank
+    stack = np.stack([np.zeros((3, 3)), np.ones((3, 3)), np.eye(3)])
+    assert linalg.rank(stack, 1e-10).tolist() == [0, 1, 3]
+    assert isinstance(linalg.rank(np.eye(3), 1e-10), int)
+
+
+def test_stacked_solve_names_the_singular_slice():
+    A = np.stack([np.eye(3), 2.0 * np.eye(3), np.ones((3, 3)), np.eye(3)])
+    with pytest.raises(SingularMatrix, match=r"^slice 2: pivot "):
+        linalg.solve_spd(A, np.ones((4, 3)))
+    with pytest.raises(SingularMatrix, match=r"^pivot "):
+        linalg.solve_spd(np.ones((3, 3)), np.ones(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_stacked_solve_refuses_non_finite_slices(bad):
+    A = np.stack([np.eye(2)] * 3)
+    A[1, 0, 1] = A[1, 1, 0] = bad
+    with pytest.raises(NonFiniteError):
+        linalg.solve_spd(A, np.ones((3, 2)))
+    b = np.ones((3, 2))
+    b[2, 1] = bad
+    with pytest.raises(NonFiniteError):
+        linalg.solve_spd(np.stack([np.eye(2)] * 3), b)
+
+
+def test_stacked_solve_rejects_bad_shapes():
+    with pytest.raises(DimensionError):
+        linalg.solve_spd(np.stack([np.eye(3)] * 2), np.ones((3, 3)))
+    with pytest.raises(DimensionError):
+        linalg.solve_spd(np.stack([np.eye(3), np.triu(np.ones((3, 3)))]), np.ones((2, 3)))
+    with pytest.raises(DimensionError):
+        linalg.solve_spd(np.ones((2, 2, 2, 2)), np.ones((2, 2, 2)))
+    with pytest.raises(DimensionError):
+        linalg.eig_sym(np.stack([np.eye(2)] * 2))
+    with pytest.raises(DimensionError):
+        linalg.rank(np.ones((2, 2, 2, 2)), 1e-10)
