@@ -74,26 +74,29 @@ def kernel_matrices_exact(ev, paired: bool = False):
     residuals of the exact least-squares fit; paired, it weights the squared
     even parts of those residuals and the design moment doubles because each
     draw contributes its complement row as well.  Paired moments need kernel
-    weights symmetric under complement; NumericError is raised otherwise.
-    Returns (meat, hessian, report).
+    weights symmetric under complement; NumericError is raised otherwise,
+    before the game is evaluated.  Returns (meat, hessian, report).
     """
     q = ev.q
     if q > KERNEL_ENUM_LIMIT:
         raise SizeGuard(f"kernel moment enumeration supports q <= {KERNEL_ENUM_LIMIT}, got q = {q}")
+    if paired:
+        # Each draw S brings its complement N - S (mask 2^q - 1 - S), so the
+        # complement rows carry the weights p[::-1].  The row of N - S is minus
+        # the row of S, so for weights symmetric under complement the
+        # complement rows' design moment is J and their right side is rhs:
+        # the design moment doubles and the paired fit shares the unpaired
+        # solution used below.  A coalition's weight depends on its size
+        # alone, so the per-size weights decide it.
+        per_size = exact.size_weights(q)
+        if not np.allclose(per_size, per_size[::-1], rtol=1e-12, atol=0.0):
+            raise NumericError("paired kernel moments need kernel weights symmetric under complement")
     table = exact.value_table(ev)
     p, y, J, rhs = exact.kernel_moments(table, q)
     del table
     partial = linalg.solve_spd(J, rhs)
     scale = float(np.max(np.abs(y)))
     if paired:
-        # Each draw S brings its complement N - S (mask 2^q - 1 - S), so the
-        # complement rows carry the weights p[::-1].  Their design moment is J
-        # again, since the row of N - S is minus the row of S; their right side
-        # matches only for weights symmetric under complement, and only then
-        # does the paired fit share the unpaired solution used below.
-        complement_rhs, _ = exact.pivot_moments(p[::-1] * y, q)
-        if not np.allclose(complement_rhs, rhs, rtol=0.0, atol=1e-12 * scale):
-            raise NumericError("paired kernel moments need kernel weights symmetric under complement")
         hessian = 2.0 * J
         # the even part 0.5 (y(S) - y(N - S)) of the response
         residual = 0.5 * (y - y[::-1])

@@ -3,13 +3,15 @@
 Subcommands: exact, sample, asymptotics, experiment, blocks, bilinear-test.
 Data goes to stdout (JSON by default, TSV where tabular); error names and
 messages go to stderr.  Exit codes: 0 success, 2 bad input or request
-outside the supported range, 3 numerical failure.  Every randomized
-subcommand requires an explicit --seed.
+outside the supported range, 3 numerical failure, 141 (128 + SIGPIPE)
+stdout closed by its reader.  Every randomized subcommand requires an
+explicit --seed.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import asymptotics, exact, experiments, kernel
@@ -230,13 +232,23 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        # a closed stdout shows here, not in the interpreter's final flush
+        sys.stdout.flush()
+        return code
     except InputError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    except BrokenPipeError:
+        # the reader has gone: the rest of the output goes to devnull, so
+        # that the interpreter's final flush of stdout is quiet too
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
 
 
 if __name__ == "__main__":

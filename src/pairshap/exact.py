@@ -8,8 +8,9 @@ three agree to floating-point accuracy and that agreement is itself a test.
 Enumeration works on length-2^q vectors indexed by coalition bitmask: the
 value table, coalition sizes and weights.  Every moment the subset and
 kernel routes need is a sum of such a vector over the coalitions holding a
-player or a pair of players, which subset and superset sums give in
-O(q 2^q) time without any 2^q x q matrix.
+player or a pair of players.  Subset sums give sizes and fitted values;
+pair sums run the superset-sum (zeta) transform only as far as those
+sums need it.  Both take O(q 2^q) time and form no 2^q x q matrix.
 """
 from __future__ import annotations
 
@@ -27,6 +28,11 @@ SUBSET_LIMIT = 25
 PERMUTATION_LIMIT = 9
 # Coalitions per game call when tabulating all 2^q of them.
 CHUNK_ROWS = 2**15
+# Passes of `pair_sums` with more low masks than this update only those
+# holding at most two players; passes at most 8 wide with this many rows
+# per low mask update one column at a time.
+FULL_PASS_LOWS = 128
+COLUMN_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -107,17 +113,40 @@ def subset_sums(c) -> np.ndarray:
     return s
 
 
-def superset_sums(w: np.ndarray, q: int) -> np.ndarray:
-    """Zeta transform in place: w[S] becomes the sum of w[T] over all T containing S.
+def pair_sums(w: np.ndarray, q: int) -> np.ndarray:
+    """both[a, b] = sum of w[T] over the masks T holding players a and b; both[a, a] holds a.
 
-    Pass j pairs every mask without bit j with the mask that adds it, as
-    the two halves of a reshape(-1, 2, 2^j) view.  O(q 2^q) time and no
-    memory beyond w, which is returned.
+    These are entries of the superset-sum (zeta) transform, computed by its
+    own passes, in place on w and in order: pass j adds to each mask without
+    bit j the mask with it, as the halves of a reshape(-1, 2, 2^j) view, so
+    every entry is the same sum to the bit.  From pass j on, the entries
+    returned read only masks with at most two players below bit j, so a
+    pass with more than FULL_PASS_LOWS low masks updates just those.  A pass
+    at most 8 wide with at least COLUMN_ROWS rows per low mask runs one
+    strided column per low mask, which numpy does faster than its short
+    inner loops.  w is overwritten; beyond it, no step takes more scratch
+    than one of numpy's buffered ufunc loops.
     """
+    bits = np.int64(1) << np.arange(q, dtype=np.int64)
+    held = bits[:, None] | bits
+    if 1 << (q - 1) > FULL_PASS_LOWS:
+        # the masks of at most two players, ascending: 1 + j (j + 1) / 2 lie below bit j
+        few = np.sort(np.append(0, held[np.tri(q, dtype=bool)]))
     for j in range(q):
         halves = w.reshape(-1, 2, 1 << j)
-        halves[:, 0, :] += halves[:, 1, :]
-    return w
+        if 1 << j <= 8 and halves.shape[0] >= COLUMN_ROWS << j:
+            for low in range(1 << j):
+                halves[:, 0, low] += halves[:, 1, low]
+        elif 1 << j > FULL_PASS_LOWS:
+            low = few[: 1 + j * (j + 1) // 2]
+            # in row blocks whose gathers are no larger than numpy's ufunc buffers
+            step = max(1, np.getbufsize() // low.size)
+            for start in range(0, halves.shape[0], step):
+                block = halves[start : start + step]
+                block[:, 0, low] += block[:, 1, low]
+        else:
+            halves[:, 0, :] += halves[:, 1, :]
+    return w[held]
 
 
 def pivot_moments(w: np.ndarray, q: int):
@@ -125,19 +154,25 @@ def pivot_moments(w: np.ndarray, q: int):
 
     Returns (sum_S w_S x_S, sum_S w_S x_S x_S^T) over all masks S, where
     x_i = z_i - z_{q-1} for i < q - 1.  Both follow from the sums of w over
-    the coalitions holding a player or a pair of players, read off the
-    superset sums, which overwrite w.
+    the coalitions holding a player or a pair of players, which `pair_sums`
+    computes over w.
     """
-    bits = np.int64(1) << np.arange(q, dtype=np.int64)
     # sums of large weights can overflow; the solves that take these moments
     # refuse non-finite ones with NonFiniteError
     with np.errstate(over="ignore", invalid="ignore"):
-        # both[a, b] = sum of w over coalitions holding a and b; both[a, a] holds a
-        both = superset_sums(w, q)[bits[:, None] | bits]
+        both = pair_sums(w, q)
         pivot = both[:-1, -1]
         first = np.diag(both)[:-1] - both[-1, -1]
         second = both[:-1, :-1] - pivot[:, None] - pivot[None, :] + both[-1, -1]
     return first, second
+
+
+def size_weights(q: int) -> np.ndarray:
+    """Kernel probability of one coalition of each size 0..q; zero for sizes 0 and q."""
+    kw = kernel_weights(q)
+    per_size = np.zeros(q + 1)
+    per_size[1:q] = kw.size_probs / np.array([float_binomial(q, s) for s in range(1, q)])
+    return per_size
 
 
 def kernel_moments(table: np.ndarray, q: int):
@@ -148,10 +183,7 @@ def kernel_moments(table: np.ndarray, q: int):
     y = v(S) - z_{q-1} v(N), both indexed by bitmask, then the design moment
     sum_S p_S x_S x_S^T and the right side sum_S p_S y_S x_S.
     """
-    kw = kernel_weights(q)
-    per_size = np.zeros(q + 1)
-    per_size[1:q] = kw.size_probs / np.array([float_binomial(q, s) for s in range(1, q)])
-    p = per_size[subset_sums(np.ones(q, dtype=np.uint8))]
+    p = size_weights(q)[subset_sums(np.ones(q, dtype=np.uint8))]
     y = table.copy()
     y[y.size // 2 :] -= table[-1]
     rhs, _ = pivot_moments(p * y, q)

@@ -67,6 +67,20 @@ def coalition_matrix(q: int) -> np.ndarray:
     return mask_rows(np.arange(2**q, dtype=np.int64), q)
 
 
+def superset_sums(w: np.ndarray, q: int) -> np.ndarray:
+    """Zeta transform in place: w[S] becomes the sum of w[T] over all T containing S.
+
+    Pass j pairs every mask without bit j with the mask that adds it, as
+    the two halves of a reshape(-1, 2, 2^j) view, and adds the second to
+    the first.  `exact.pair_sums` runs the same passes over the masks its
+    entries read.
+    """
+    for j in range(q):
+        halves = w.reshape(-1, 2, 1 << j)
+        halves[:, 0, :] += halves[:, 1, :]
+    return w
+
+
 def sample_coalition(weights: exact.KernelWeights, rng: np.random.Generator) -> np.ndarray:
     """Draw one coalition: a size from `weights`, then members uniformly."""
     sizes = np.arange(1, weights.q)

@@ -1,4 +1,5 @@
 """Covariance matrices: golden spectra, identities, plug-in convergence."""
+import hashlib
 import json
 
 import numpy as np
@@ -79,6 +80,30 @@ def test_kernel_moments_match_dense_oracle(paired):
                 (report.matrix, covariance, scale**2),
             ):
                 assert np.max(np.abs(got - expected)) <= 1e-12 * max(np.max(np.abs(expected)), floor)
+
+
+# A fixed q = 14 game, and the sha256 of kernel_matrices_exact's meat,
+# hessian and matrix bytes, unpaired then paired, computed when every pair
+# sum still ran the full superset-sum transform.
+PINNED_Q14_DOC = {
+    "q": 14,
+    "terms": [
+        {"kind": "exp_bilinear", "indices": list(range(1, 8)),
+         "A": [[((3 * i + 5 * j) % 11 - 5) / 40 for j in range(7)] for i in range(7)], "offset": -0.5},
+        {"kind": "exp_linear", "indices": list(range(5, 15)),
+         "beta": [((5 * j) % 9 - 4) / 10 for j in range(10)], "offset": 0.25},
+    ],
+}
+PINNED_Q14_SHA256 = "075a22a11e77136607715cb9ad0e09c9a94cd44d9e344fd8d4bc0c4bf0ac4d36"
+
+
+def test_exact_kernel_report_bytes_are_pinned():
+    digest = hashlib.sha256()
+    for paired in (False, True):
+        meat, hessian, report = asymptotics.kernel_matrices_exact(GameEvaluator(parse_spec(PINNED_Q14_DOC)), paired=paired)
+        for matrix in (meat, hessian, report.matrix):
+            digest.update(np.ascontiguousarray(matrix, dtype=np.float64).tobytes())
+    assert digest.hexdigest() == PINNED_Q14_SHA256
 
 
 def test_paired_moment_check_fires_on_complement_asymmetric_weights(monkeypatch, reference_ev, tmp_path, capsys):

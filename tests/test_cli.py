@@ -333,6 +333,27 @@ def test_overflowing_covariance_exits_three(tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exits_141_quietly(unbuffered):
+    # a reader that has gone: the write end of a pipe whose read end is closed
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONWARNINGS", "PYTHONUNBUFFERED")}
+    env["PYTHONPATH"] = str(Path(pairshap.__file__).resolve().parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    vf = Path(__file__).resolve().parents[1] / "configs" / "exp_linear_q4.json"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pairshap.cli", "exact", "--vf", str(vf)],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -16,7 +16,7 @@ from conftest import (
     random_game_doc,
     subset_shapley_by_players,
 )
-from oracles import coalition_matrix, coalition_probability
+from oracles import coalition_matrix, coalition_probability, superset_sums
 
 ROUTES = (exact.shapley_subset, exact.shapley_all_permutations, exact.shapley_kernel_exact)
 
@@ -166,6 +166,15 @@ def test_kernel_weights_sum_to_one_and_complement_symmetry():
             assert coalition_probability(kw, s) == coalition_probability(kw, q - s)
 
 
+def test_kernel_size_weights_are_exactly_complement_symmetric():
+    # so the complement rows of a paired fit carry the same weights, bit for
+    # bit, and the paired covariance needs no transform to check them
+    for q in range(2, 26):
+        per_size = exact.size_weights(q)
+        assert per_size[0] == per_size[q] == 0.0
+        assert np.array_equal(per_size, per_size[::-1])
+
+
 def test_kernel_weights_rejects_out_of_range_size():
     kw = exact.kernel_weights(5)
     with pytest.raises(DomainError):
@@ -213,8 +222,54 @@ def test_subset_and_superset_sums_match_brute_force():
     np.testing.assert_allclose(exact.subset_sums(c), expected_subset, rtol=0, atol=1e-14)
     sizes = exact.subset_sums(np.ones(q, dtype=np.uint8))
     np.testing.assert_array_equal(sizes, [len(S) for S in members])
-    out = exact.superset_sums(w.copy(), q)
+    out = superset_sums(w.copy(), q)
     np.testing.assert_allclose(out, expected_superset, rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("full_pass_lows, column_rows", [(exact.FULL_PASS_LOWS, exact.COLUMN_ROWS), (8, 1)])
+@pytest.mark.parametrize("q", [*range(2, 15), 18])
+def test_pair_sums_are_the_gathered_superset_sums_bit_for_bit(monkeypatch, q, full_pass_lows, column_rows):
+    # As set, passes run whole, as strided columns from q = 8 and masked
+    # from q = 9, in several row blocks at q = 18.  Lowered, every pass at
+    # most 8 wide runs as columns and every later one is masked.
+    monkeypatch.setattr(exact, "FULL_PASS_LOWS", full_pass_lows)
+    monkeypatch.setattr(exact, "COLUMN_ROWS", column_rows)
+    rng = np.random.default_rng(400 + q)
+    size = 1 << q
+    signs = rng.choice([-1.0, 1.0], size=(3, size))
+    spanning = 10.0 ** rng.uniform(-300.0, 300.0, size=(2, size))
+    vectors = [
+        signs[0] * spanning[0],
+        signs[1] * spanning[1] * (rng.random(size) < 0.5),
+        # sums of these overflow to +-inf, and inf - inf gives nan
+        signs[2] * rng.uniform(0.5, 1.0, size) * 1.7e308,
+        rng.normal(size=size),
+    ]
+    bits = np.int64(1) << np.arange(q, dtype=np.int64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w in vectors:
+            expected = superset_sums(w.copy(), q)[bits[:, None] | bits]
+            assert np.array_equal(exact.pair_sums(w.copy(), q), expected, equal_nan=True)
+        overflowed = superset_sums(vectors[2].copy(), q)[bits[:, None] | bits]
+    assert q < 3 or not np.isfinite(overflowed).all()
+
+
+@pytest.mark.parametrize("q", [16, 18])
+def test_pivot_moments_scratch_is_a_quarter_vector(q):
+    # Beyond w, which it overwrites, pivot_moments holds the masked passes'
+    # gathers and the buffers of numpy's strided loops: three of getbufsize()
+    # elements, whatever q is.
+    import tracemalloc
+
+    exact.pivot_moments(np.ones(1 << 9), 9)  # one-time imports are not scratch
+    w = np.random.default_rng(39).normal(size=1 << q)
+    tracemalloc.start()
+    try:
+        exact.pivot_moments(w, q)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * (2**q // 4 + 3 * np.getbufsize())
 
 
 def test_value_table_calls_the_game_in_chunks_of_rows():
