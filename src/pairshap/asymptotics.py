@@ -91,15 +91,16 @@ def kernel_matrices_exact(ev, paired: bool = False):
         per_size = exact.size_weights(q)
         if not np.allclose(per_size, per_size[::-1], rtol=1e-12, atol=0.0):
             raise NumericError("paired kernel moments need kernel weights symmetric under complement")
-    table = exact.value_table(ev)
-    p, y, J, rhs = exact.kernel_moments(table, q)
-    del table
+    p, y, J, rhs = exact.kernel_moments(ev.value_table(), q)
     partial = linalg.solve_spd(J, rhs)
     scale = float(np.max(np.abs(y)))
     if paired:
         hessian = 2.0 * J
-        # the even part 0.5 (y(S) - y(N - S)) of the response
-        residual = 0.5 * (y - y[::-1])
+        # the even part 0.5 (y(S) - y(N - S)) of the response; y is released
+        # before the products below make their temporaries
+        residual = y - y[::-1]
+        residual *= 0.5
+        del y
         method = "kernel-paired"
     else:
         hessian = J
@@ -163,7 +164,7 @@ def permutation_covariance_exact(ev, paired: bool = True) -> CovarianceReport:
     diagonal, and for bilinear games it vanishes entirely.
     """
     perms = exact.all_permutations(ev.q)
-    table = exact.value_table(ev)
+    table = ev.value_table()
     # prefixes of whole orders are always in range; clipping gathers unbuffered
     W = exact.marginal_matrix(partial(np.take, table, mode="clip"), perms, paired)
     return _walk_covariance(W, paired, "exact-enumeration")

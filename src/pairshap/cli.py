@@ -62,7 +62,9 @@ def _cmd_exact(args) -> int:
         "kernel": exact.shapley_kernel_exact,
     }
     chosen = list(routes) if args.method == "all" else [args.method]
-    results = {name: routes[name](GameEvaluator(spec)).phi for name in chosen}
+    # one evaluator, so the routes share one value table
+    ev = GameEvaluator(spec)
+    results = {name: routes[name](ev).phi for name in chosen}
     if args.tsv:
         print("method\tj\tphi")
         for name in chosen:
@@ -90,7 +92,7 @@ def _cmd_sample(args) -> int:
     evaluations = ev.eval_count
 
     if args.stderr_from == "exact":
-        report = estimator.exact_covariance(GameEvaluator(spec))
+        report = estimator.exact_covariance(ev)
     else:
         report = estimator.plugin_covariance(ev, args.n, args.seed, drawn)
     stderr_vec = asymptotics.predicted_stderr(report, args.n)
@@ -131,7 +133,7 @@ def _cmd_asymptotics(args) -> int:
 
 def _cmd_experiment(args) -> int:
     doc = _load_json(args.config)
-    summary = experiments.run_from_config(doc, jobs=args.jobs)
+    summary = experiments.run_from_config(doc)
     _emit(summary)
     return 0
 
@@ -207,7 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run an experiment config and write CSV")
     p.add_argument("--config", required=True, help="experiment JSON file")
-    p.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; must be positive, changes nothing")
     p.set_defaults(handler=_cmd_experiment)
 
     p = sub.add_parser("blocks", help="player groups from the paired-walk covariance")

@@ -6,9 +6,10 @@ least-squares characterization over all nonempty proper coalitions.  All
 three agree to floating-point accuracy and that agreement is itself a test.
 
 Enumeration works on length-2^q vectors indexed by coalition bitmask: the
-value table, coalition sizes and weights.  Every moment the subset and
-kernel routes need is a sum of such a vector over the coalitions holding a
-player or a pair of players.  Subset sums give sizes and fitted values;
+value table, coalition sizes and weights.  Every route here reads the
+table that `GameEvaluator.value_table` builds once per evaluator.  Every
+moment the subset and kernel routes need is a sum of such a vector over
+the coalitions holding a player or a pair of players.  Subset sums give sizes and fitted values;
 pair sums run the superset-sum (zeta) transform only as far as those
 sums need it.  Both take O(q 2^q) time and form no 2^q x q matrix.
 """
@@ -24,10 +25,7 @@ from . import linalg
 from .errors import DomainError, SizeGuard
 from .games import full_mask, prefix_masks
 
-SUBSET_LIMIT = 25
 PERMUTATION_LIMIT = 9
-# Coalitions per game call when tabulating all 2^q of them.
-CHUNK_ROWS = 2**15
 # Passes of `pair_sums` with more low masks than this update only those
 # holding at most two players; passes at most 8 wide with this many rows
 # per low mask update one column at a time.
@@ -76,27 +74,6 @@ def kernel_weights(q: int) -> KernelWeights:
     raw = (q - 1) / (sizes * (q - sizes))
     normalizer = float(raw.sum())
     return KernelWeights(q=q, size_probs=raw / normalizer, normalizer=normalizer)
-
-
-def value_table(ev) -> np.ndarray:
-    """Payoff of every coalition, indexed by bitmask.  Exactly 2^q evaluations.
-
-    The masks go to `ev.values_at` in order, CHUNK_ROWS at a time, so the
-    game's own temporaries stay those of one chunk whatever q is.
-    """
-    q = ev.q
-    _guard(q, SUBSET_LIMIT, "value table enumeration")
-    size = 1 << q
-    table = np.empty(size)
-    for start in range(0, size, CHUNK_ROWS):
-        stop = min(start + CHUNK_ROWS, size)
-        ev.values_at(np.arange(start, stop, dtype=np.int64)[:, None], out=table[start:stop, None])
-    return table
-
-
-def _guard(q: int, limit: int, what: str) -> None:
-    if q > limit:
-        raise SizeGuard(f"{what} supports q <= {limit}, got q = {q}")
 
 
 def subset_sums(c) -> np.ndarray:
@@ -200,21 +177,23 @@ def shapley_subset(ev) -> ShapleyVector:
     The first sum runs over the upper halves of a reshape(-1, 2, 2^j) view.
     """
     q = ev.q
-    _guard(q, SUBSET_LIMIT, "subset enumeration")
-    table = value_table(ev)
+    table = ev.value_table()
     sizes = subset_sums(np.ones(q, dtype=np.uint8))
     weights = np.array([1.0 / (q * float_binomial(q - 1, s)) for s in range(q)] + [0.0])
     joined = np.append(0.0, weights[:-1] + weights[1:])
     base = float(weights[sizes] @ table)
-    table *= joined[sizes]
+    # the table is the evaluator's, so the weights are scaled by it, not it by them
+    weighted = joined[sizes]
     del sizes
-    phi = np.array([table.reshape(-1, 2, 1 << j)[:, 1, :].sum() for j in range(q)]) - base
+    weighted *= table
+    phi = np.array([weighted.reshape(-1, 2, 1 << j)[:, 1, :].sum() for j in range(q)]) - base
     return ShapleyVector(phi=phi, method_tag="subset")
 
 
 def all_permutations(q: int) -> np.ndarray:
     """Every player order as an array of shape (q!, q)."""
-    _guard(q, PERMUTATION_LIMIT, "permutation enumeration")
+    if q > PERMUTATION_LIMIT:
+        raise SizeGuard(f"permutation enumeration supports q <= {PERMUTATION_LIMIT}, got q = {q}")
     return np.array(list(itertools.permutations(range(q))), dtype=np.int64)
 
 
@@ -261,10 +240,8 @@ def marginal_matrix(values_at, perms: np.ndarray, paired: bool = False) -> np.nd
 
 def shapley_all_permutations(ev) -> ShapleyVector:
     """Shapley values as the average marginal contribution over all q! orders."""
-    q = ev.q
-    _guard(q, PERMUTATION_LIMIT, "permutation enumeration")
-    table = value_table(ev)
-    perms = all_permutations(q)
+    perms = all_permutations(ev.q)
+    table = ev.value_table()
     # prefixes of whole orders are always in range; clipping gathers unbuffered
     B = marginal_matrix(partial(np.take, table, mode="clip"), perms)
     return ShapleyVector(phi=B.mean(axis=0), method_tag="permutation")
@@ -276,8 +253,7 @@ def shapley_kernel_exact(ev) -> ShapleyVector:
     The last player's value is recovered from the efficiency constraint:
     it equals the grand value minus the sum of the solved components.
     """
-    _guard(ev.q, SUBSET_LIMIT, "kernel enumeration")
-    table = value_table(ev)
+    table = ev.value_table()
     _, _, hessian, rhs = kernel_moments(table, ev.q)
     partial = linalg.solve_spd(hessian, rhs)
     phi = np.append(partial, table[-1] - partial.sum())

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics, exact, kernel, permutation
-from .errors import DomainError, PartitionError, SchemaError
+from .errors import PartitionError, SchemaError, SizeGuard
 from .estimators import ESTIMATORS
-from .games import GameEvaluator, ValueFunctionSpec, guard_draws, parse_spec
+from .games import DRAW_LIMIT, GameEvaluator, ValueFunctionSpec, guard_draws, parse_spec
 from .streams import derive_rng
 
 # One stack of replicates holds at most this many draw entries (draws x q):
@@ -86,32 +86,31 @@ class RecoveryRow:
 
 
 def _replicate_seeds(config: ExperimentConfig, method: str, n_index: int) -> list:
+    """Entropy keys [master_seed, method_id, n_index, rep] of a cell's replicates, for `derive_rng`."""
     method_id = list(ESTIMATORS).index(method)
-    return [
-        np.random.SeedSequence(entropy=[config.master_seed, method_id, n_index, rep])
-        for rep in range(config.reps)
-    ]
+    return [[config.master_seed, method_id, n_index, rep] for rep in range(config.reps)]
 
 
 def run_bias_variance(config: ExperimentConfig) -> list[BiasVarianceRow]:
     """Replicate every (method, size) cell and summarize against exact values.
 
     A cell's replicates are estimated in stacks of at most STACK_ENTRIES
-    draw entries; each replicate gives bit for bit its lone estimate.
+    draw entries; each replicate gives bit for bit its lone estimate.  One
+    evaluator serves the whole run, so the game is tabulated once and every
+    replicate reads that table.
     """
     _validate_bias_variance(config)
     spec = config.vf
     q = spec.q
-    exact_phi = exact.shapley_subset(GameEvaluator(spec)).phi
+    ev = GameEvaluator(spec)
+    exact_phi = exact.shapley_subset(ev).phi
     rows: list[BiasVarianceRow] = []
     for method in config.methods:
         estimator = ESTIMATORS[method]
-        report = estimator.exact_covariance(GameEvaluator(spec))
+        report = estimator.exact_covariance(ev)
         cost = estimator.cost(q)
         for n_index, n in enumerate(config.sizes):
-            guard_draws(n, q)
             seeds = _replicate_seeds(config, method, n_index)
-            ev = GameEvaluator(spec)
             per_stack = max(1, STACK_ENTRIES // (n * q))
             # the inner comprehension drops each stack's draws before the next stack is drawn
             estimates = np.concatenate([
@@ -147,9 +146,10 @@ def run_method_comparison(config: ExperimentConfig) -> list[ComparisonRow]:
     eigenvalues; the kernel spectrum is reported whole.
     """
     q = config.vf.q
+    ev = GameEvaluator(config.vf)
     rows: list[ComparisonRow] = []
     for estimator in (ESTIMATORS["kernel-paired"], ESTIMATORS["permutation-paired"]):
-        report = estimator.exact_covariance(GameEvaluator(config.vf))
+        report = estimator.exact_covariance(ev)
         if report.matrix.shape == (q, q):
             raw = asymptotics.positive_eigenvalues(report)
         else:
@@ -173,18 +173,16 @@ def run_additive_recovery(config: ExperimentConfig, partition, kernel_n: int = 1
     groups = [np.asarray(sorted(int(i) for i in g), dtype=np.int64) for g in partition]
     _check_partition_against_terms(spec, groups)
 
-    exact_sums = permutation.group_sums(exact.shapley_subset(GameEvaluator(spec)).phi, groups)
-
     ev = GameEvaluator(spec)
+    exact_sums = permutation.group_sums(exact.shapley_subset(ev).phi, groups)
+
     rng = derive_rng(config.master_seed, 0)
     perms = permutation.sample_permutations(spec.q, 1, rng)
     walk = 0.5 * permutation.marginal_vectors(ev, perms, paired=True)[0]
     perm_sums = permutation.group_sums(walk, groups)
 
     kernel_seed = np.random.SeedSequence(entropy=config.master_seed, spawn_key=(1,))
-    kernel_vec, _ = kernel.estimate_kernel(
-        GameEvaluator(spec), kernel_n, paired=True, seed=kernel_seed
-    )
+    kernel_vec, _ = kernel.estimate_kernel(ev, kernel_n, paired=True, seed=kernel_seed)
     kernel_sums = permutation.group_sums(kernel_vec.phi, groups)
 
     return [
@@ -221,6 +219,12 @@ def _validate_bias_variance(config: ExperimentConfig) -> None:
         raise SchemaError("sample sizes must be strictly ascending")
     if config.reps < 2:
         raise SchemaError(f"need at least 2 replicates, got {config.reps}")
+    # sized before any work: the largest cell's draws, and the replicates'
+    # seeds and estimates, which grow as reps and reps x q
+    q = config.vf.q
+    guard_draws(config.sizes[-1], q)
+    if config.reps * q > DRAW_LIMIT:
+        raise SizeGuard(f"replicates support reps * q <= {DRAW_LIMIT}, got reps = {config.reps} at q = {q}")
 
 
 def _fmt(value: float) -> str:
@@ -255,10 +259,9 @@ def write_recovery_csv(rows: list[RecoveryRow], path) -> None:
 _CONFIG_KEYS = {"kind", "vf", "methods", "sizes", "reps", "master_seed", "outputs", "partition", "kernel_n"}
 
 
-def run_from_config(doc: dict, jobs: int = 1) -> dict:
+def run_from_config(doc: dict) -> dict:
     """Parse an experiment document, run it, and write its CSV output.
 
-    `jobs` is validated but changes nothing; a thread pool measured slower.
     Returns a summary with the kind, the output path, and the row count.
     """
     if not isinstance(doc, dict):
@@ -283,8 +286,6 @@ def run_from_config(doc: dict, jobs: int = 1) -> dict:
     parent = Path(csv).parent
     if not parent.is_dir():
         raise SchemaError(f"cannot write CSV file {csv!r}: {str(parent)!r} is not a directory")
-    if not _is_int(jobs) or jobs < 1:
-        raise DomainError(f"jobs must be a positive integer, got {jobs!r}")
     methods = doc.get("methods", list(ESTIMATORS))
     if not isinstance(methods, list) or not all(isinstance(m, str) for m in methods):
         raise SchemaError("'methods' must be a list of method names")

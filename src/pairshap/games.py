@@ -28,6 +28,12 @@ MASK_LIMIT = 63
 # every sampler refuses more than DRAW_LIMIT = n * q entries up front.
 DRAW_LIMIT = 2**24
 
+# A value table holds one float per coalition: 2^25 of them take 256 MB.  It
+# is built in mask order, at most CHUNK_ROWS coalitions per game call, so the
+# game's own temporaries stay those of one chunk whatever q is.
+TABLE_LIMIT = 25
+CHUNK_ROWS = 2**15
+
 _TERM_KEYS = {
     "linear": {"kind", "indices", "beta", "offset"},
     "exp_linear": {"kind", "indices", "beta", "offset"},
@@ -253,12 +259,15 @@ class GameEvaluator:
     an (m, q) binary matrix to m normalized payoffs can be wrapped;
     ValueFunctionSpec is the standard one.  The grand-coalition value is
     cached after its first (counted) evaluation because several estimators
-    reuse it on every draw.
+    reuse it on every draw.  The value table of all 2^q payoffs is built the
+    first time an exact route asks for it and kept: every later route and
+    every lookup reads it, and the game is not called again.
 
     `eval_count` is the paper's logical cost: 1 per kernel draw, 2 per paired
-    kernel draw, q per walked order and 2q per paired order.  The game may
-    see far fewer rows: a lookup whose masks outnumber the 2^q coalitions
-    evaluates each distinct coalition once.
+    kernel draw, q per walked order, 2q per paired order and 2^q per value
+    table a route asks for.  The game may see far fewer rows: a lookup whose
+    masks outnumber the 2^q coalitions evaluates each distinct coalition
+    once, and a table is evaluated once per evaluator.
     """
 
     def __init__(self, game):
@@ -266,13 +275,39 @@ class GameEvaluator:
         self.q = int(game.q)
         self.eval_count = 0
         self._grand: float | None = None
+        self._table: np.ndarray | None = None
+
+    def value_table(self) -> np.ndarray:
+        """Payoff of every coalition, indexed by bitmask, as a read-only array.
+
+        The first call evaluates the 2^q coalitions in mask order, as slices
+        of min(CHUNK_ROWS, 2^(q-1)) rows per game call; later calls return
+        the same array.  Every call counts 2^q logical evaluations.
+        SizeGuard for q > TABLE_LIMIT, before anything is allocated.
+        """
+        q = self.q
+        if q > TABLE_LIMIT:
+            raise SizeGuard(f"value tables support q <= {TABLE_LIMIT}, got q = {q}")
+        if self._table is None:
+            size = 1 << q
+            step = min(CHUNK_ROWS, size // 2)
+            table = np.empty(size)
+            for start in range(0, size, step):
+                masks = np.arange(start, start + step, dtype=np.int64)
+                table[start : start + step] = self.game.values(mask_rows(masks, q))
+            table.flags.writeable = False
+            self._table = table
+        self.eval_count += 1 << q
+        return self._table
 
     def values_at(self, masks, out=None) -> np.ndarray:
         """Payoffs of the coalitions encoded by an (n, k) int64 bitmask array.
 
-        Counts one logical evaluation per mask.  When the masks outnumber
-        the 2^q coalitions, the distinct ones are tabulated, n/2 at a time,
-        and gathered by one `take`; otherwise each column is evaluated as n
+        Counts one logical evaluation per mask.  Once the value table is
+        built, the payoffs are gathered from it by one `take` and the game
+        is not called.  Otherwise, when the masks outnumber the 2^q
+        coalitions, the distinct ones are tabulated, n/2 at a time, and
+        gathered by one `take`; else each column is evaluated as n
         indicator rows.  Either way the game sees at most n rows per call,
         and only coalitions that appear in `masks` reach it.  `out`, a float
         (n, k) array, may share memory with `masks`: each mask is read
@@ -288,7 +323,8 @@ class GameEvaluator:
         if out is None:
             out = np.empty(masks.shape)
         size = 1 << q
-        if size <= masks.size:
+        table = self._table
+        if table is None and size <= masks.size:
             seen = np.zeros(size, dtype=bool)
             seen[masks] = True
             table = np.zeros(size)
@@ -301,12 +337,13 @@ class GameEvaluator:
                     distinct += start
                     table[distinct] = self.game.values(mask_rows(distinct, q))
             del seen
+        if table is None:
+            for col in range(masks.shape[1]):
+                out[:, col] = self.game.values(mask_rows(masks[:, col], q))
+        else:
             # the masks were range-checked above, so clipping never bites;
             # unlike the default mode it writes into `out` without a buffer
             np.take(table, masks, out=out, mode="clip")
-        else:
-            for col in range(masks.shape[1]):
-                out[:, col] = self.game.values(mask_rows(masks[:, col], q))
         self.eval_count += masks.size
         return out
 

@@ -12,8 +12,9 @@ import numpy as np
 def derive_rng(seed, *key: int) -> np.random.Generator:
     """Return a PCG64 generator for the substream identified by `key`.
 
-    `seed` is an integer master seed, a SeedSequence, or None (fresh OS
-    entropy; only seeded runs are reproducible).  Extending the spawn key
+    `seed` is an integer master seed, a list of them (an entropy key, as
+    experiment replicates use), a SeedSequence, or None (fresh OS entropy;
+    only seeded runs are reproducible).  Extending the spawn key
     rather than reseeding keeps substreams statistically independent.
     """
     if isinstance(seed, np.random.SeedSequence):

@@ -75,6 +75,39 @@ class TableGame:
         return self.table[masks]
 
 
+class RowCounter:
+    """Game wrapper recording how many rows each `values` call receives, and their bitmasks."""
+
+    def __init__(self, game):
+        self.game = game
+        self.q = game.q
+        self.calls: list[int] = []
+        self.masks: list[np.ndarray] = []
+
+    def values(self, Z) -> np.ndarray:
+        self.calls.append(len(Z))
+        self.masks.append(np.asarray(Z, dtype=np.int64) @ (np.int64(1) << np.arange(self.q)))
+        return self.game.values(Z)
+
+
+@pytest.fixture
+def spec_rows(monkeypatch) -> list[int]:
+    """Row counts of every `ValueFunctionSpec.values` call made during the test, in order.
+
+    This reaches the games that the CLI and the experiments parse
+    themselves, which a RowCounter cannot wrap.
+    """
+    calls: list[int] = []
+    values = ValueFunctionSpec.values
+
+    def counted(self, Z):
+        calls.append(len(Z))
+        return values(self, Z)
+
+    monkeypatch.setattr(ValueFunctionSpec, "values", counted)
+    return calls
+
+
 class UnplayableGame:
     """Game of any player count whose payoffs must never be asked for.
 

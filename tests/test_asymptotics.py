@@ -66,7 +66,7 @@ def test_kernel_moments_match_dense_oracle(paired):
     for q in range(2, 11):
         for _ in range(3):
             spec = parse_spec(random_game_doc(rng, q))
-            table = exact.value_table(GameEvaluator(spec))
+            table = GameEvaluator(spec).value_table()
             scale = float(np.max(np.abs(table)))
             partial, meat, hessian = dense_kernel_moments(table, q, paired)
             inverse = np.linalg.inv(hessian)

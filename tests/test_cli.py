@@ -59,6 +59,13 @@ def test_exact_all_methods(vf_path, capsys):
     assert payload["max_pairwise_discrepancy"] <= 1e-9
 
 
+def test_exact_routes_share_one_value_table(vf_path, capsys, spec_rows):
+    code, _, _ = run(capsys, ["exact", "--vf", vf_path, "--method", "all"])
+    assert code == 0
+    # the 16 coalitions once, as two slices of 8 rows
+    assert spec_rows == [8, 8]
+
+
 def test_exact_single_method_has_no_discrepancy_field(vf_path, capsys):
     code, out, _ = run(capsys, ["exact", "--vf", vf_path, "--method", "subset"])
     assert code == 0
@@ -107,6 +114,30 @@ def test_sample_permutation_plugin_stderr(vf_path, capsys):
     assert payload["method"] == "permutation-paired"
     assert payload["evaluations"] == 64 * 2 * 4
     assert payload["stderr_source"].startswith("plug-in")
+
+
+@pytest.mark.parametrize(
+    "method, paired, evaluations",
+    [
+        ("kernel", False, 64 + 1),
+        ("kernel", True, 2 * 64 + 1),
+        ("permutation", False, 64 * 4),
+        ("permutation", True, 64 * 8),
+    ],
+)
+def test_sample_evaluations_count_the_draws_not_the_exact_stderr(vf_path, capsys, method, paired, evaluations):
+    argv = ["sample", "--vf", vf_path, "--method", method, "--n", "64", "--seed", "3", "--stderr-from", "exact"]
+    code, out, _ = run(capsys, argv + (["--paired"] if paired else []))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["evaluations"] == evaluations
+    assert payload["stderr_source"] == "exact-enumeration"
+
+
+def test_experiment_has_no_jobs_option(tmp_path):
+    code, out, err = call(["experiment", "--config", str(tmp_path / "cfg.json"), "--jobs", "1"])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --jobs 1" in err
 
 
 def test_sample_is_deterministic(vf_path, capsys):
@@ -233,28 +264,26 @@ def test_experiment_end_to_end(tmp_path, vf_path, capsys):
     assert summary == {"kind": "bias_variance", "csv": str(csv_path), "rows": 2 * 2 * 4}
     first = csv_path.read_bytes()
 
-    code, _, _ = run(capsys, ["experiment", "--config", str(cfg), "--jobs", "4"])
+    code, _, _ = run(capsys, ["experiment", "--config", str(cfg)])
     assert code == 0
     assert csv_path.read_bytes() == first
 
 
 @pytest.mark.parametrize(
-    "change, extra_args",
+    "change",
     [
-        ({"kind": "additive_recovery", "kernel_n": "abc"}, []),
-        ({"kind": "additive_recovery", "kernel_n": 2.5}, []),
-        ({"kind": "additive_recovery", "kernel_n": True}, []),
-        ({"reps": "5"}, []),
-        ({"sizes": [True, 4]}, []),
-        ({"methods": "kernel"}, []),
-        ({"outputs": {"csv": 5}}, []),
-        ({}, ["--jobs", "0"]),
-        ({}, ["--jobs", "-2"]),
+        {"kind": "additive_recovery", "kernel_n": "abc"},
+        {"kind": "additive_recovery", "kernel_n": 2.5},
+        {"kind": "additive_recovery", "kernel_n": True},
+        {"reps": "5"},
+        {"sizes": [True, 4]},
+        {"methods": "kernel"},
+        {"outputs": {"csv": 5}},
     ],
     ids=["kernel_n-str", "kernel_n-float", "kernel_n-bool", "reps-str", "sizes-bool",
-         "methods-str", "csv-int", "jobs-zero", "jobs-negative"],
+         "methods-str", "csv-int"],
 )
-def test_mistyped_experiment_config_exits_two(tmp_path, capsys, change, extra_args):
+def test_mistyped_experiment_config_exits_two(tmp_path, capsys, change):
     config = {
         "kind": "bias_variance",
         "vf": REFERENCE_DOC,
@@ -268,10 +297,10 @@ def test_mistyped_experiment_config_exits_two(tmp_path, capsys, change, extra_ar
     config.update(change)
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    code, out, err = run(capsys, ["experiment", "--config", str(cfg), *extra_args])
+    code, out, err = run(capsys, ["experiment", "--config", str(cfg)])
     assert code == 2
     assert out == ""
-    assert err.startswith(("SchemaError:", "DomainError:"))
+    assert err.startswith("SchemaError:")
     assert "must be" in err
     assert "Traceback" not in err
     assert not (tmp_path / "rows.csv").exists()
@@ -573,7 +602,8 @@ def _command(draw, vf: str, tmp: str):
     sizes = st.lists(st.integers(1, 24), min_size=1, max_size=2, unique=True).map(sorted)
     fields = {
         "master_seed": (st.integers(0, 2**70), st.one_of(st.integers(-3, -1), st.sampled_from(["7", 2.5, True]))),
-        "reps": (st.integers(2, 3), st.one_of(st.integers(-3, 1), st.sampled_from(["2", 2.5, None]))),
+        # 2**24 replicates of at least 2 players exceed the replicate limit
+        "reps": (st.integers(2, 3), st.one_of(st.integers(-3, 1), st.sampled_from(["2", 2.5, None, 2**24]))),
         "sizes": (sizes, st.sampled_from([[True, 4], 8, [0], [-1], [3, 3], [4, 2], []])),
         "kernel_n": (st.integers(1, 24), st.one_of(st.integers(-3, 0), st.sampled_from(["abc", 2.5, True]))),
         "methods": (
@@ -582,7 +612,6 @@ def _command(draw, vf: str, tmp: str):
         ),
         "partition": (st.just([game["terms"][0]["indices"]]), st.sampled_from([[[1], [1]], "x", [[0]]])),
         "csv": (st.just(f"{tmp}/rows.csv"), st.sampled_from([f"{tmp}/missing/rows.csv", "", 5, None])),
-        "jobs": (st.integers(1, 2).map(str), st.sampled_from(["0", "-1", "x"])),
     }
     fault = draw(st.sampled_from([None, *fields]))
     values = {key: draw(bad if key == fault else good) for key, (good, bad) in fields.items()}
@@ -592,7 +621,7 @@ def _command(draw, vf: str, tmp: str):
     cfg = f"{tmp}/cfg.json"
     with open(cfg, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
-    return ["experiment", "--config", cfg, "--jobs", values["jobs"]]
+    return ["experiment", "--config", cfg]
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=250)

@@ -4,7 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from pairshap import asymptotics, exact
+from pairshap import asymptotics, exact, games
 from pairshap.errors import DomainError, SizeGuard
 from pairshap.games import GameEvaluator, parse_spec
 
@@ -128,7 +128,7 @@ def test_size_guards():
     )
     with pytest.raises(SizeGuard):
         exact.shapley_all_permutations(GameEvaluator(mid))
-    assert exact.SUBSET_LIMIT == 25
+    assert games.TABLE_LIMIT == 25
     assert exact.PERMUTATION_LIMIT == 9
 
 
@@ -192,7 +192,7 @@ def test_coalition_matrix_layout():
 
 
 def test_marginal_matrix_rows_telescope(hand_game_q3):
-    table = exact.value_table(hand_game_q3)
+    table = hand_game_q3.value_table()
     perms = exact.all_permutations(3)
     B = exact.marginal_matrix(partial(np.take, table), perms)
     np.testing.assert_allclose(B.sum(axis=1), np.full(6, 17.0), atol=1e-12)
@@ -206,7 +206,7 @@ def test_subset_route_matches_player_loop_oracle():
     for q in range(2, 11):
         for _ in range(3):
             spec = parse_spec(random_game_doc(rng, q))
-            expected = subset_shapley_by_players(exact.value_table(GameEvaluator(spec)), q)
+            expected = subset_shapley_by_players(GameEvaluator(spec).value_table(), q)
             phi = exact.shapley_subset(GameEvaluator(spec)).phi
             assert np.max(np.abs(phi - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -286,8 +286,8 @@ def test_value_table_calls_the_game_in_chunks_of_rows():
             return spec.values(Z)
 
     ev = GameEvaluator(Recording())
-    table = exact.value_table(ev)
-    assert rows == [exact.CHUNK_ROWS] * (2**q // exact.CHUNK_ROWS)
+    table = ev.value_table()
+    assert rows == [games.CHUNK_ROWS] * (2**q // games.CHUNK_ROWS)
     assert ev.eval_count == 2**q
     np.testing.assert_array_equal(table, exact.subset_sums(np.ones(q)))
 
@@ -312,4 +312,4 @@ def test_enumeration_memory_stays_within_vectors(route):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 8 * (12 * 2**q + exact.CHUNK_ROWS * q)
+    assert peak <= 8 * (12 * 2**q + games.CHUNK_ROWS * q)

@@ -10,11 +10,11 @@ import pytest
 
 from pairshap import exact, experiments
 from pairshap.cli import main
-from pairshap.errors import PartitionError, SchemaError
+from pairshap.errors import PartitionError, SchemaError, SizeGuard
 from pairshap.estimators import ESTIMATORS
 from pairshap.games import GameEvaluator, parse_spec
 
-from conftest import REFERENCE_DOC, separated_doc
+from conftest import REFERENCE_DOC, RowCounter, separated_doc
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -66,7 +66,7 @@ def test_bias_variance_row_grid():
         assert np.isfinite(r.mean_error)
 
 
-def test_bias_variance_csv_byte_identical_across_jobs(tmp_path):
+def test_bias_variance_csv_has_one_round_tripping_row_per_cell_and_player(tmp_path):
     a = tmp_path / "a.csv"
     experiments.write_bias_variance_csv(experiments.run_bias_variance(small_config()), a)
     lines = a.read_text().splitlines()
@@ -89,9 +89,12 @@ def experiment_csv_sha256(doc, tmp_path) -> str:
     return hashlib.sha256(csv.read_bytes()).hexdigest()
 
 
-def test_bias_variance_q4_config_csv_is_pinned(tmp_path):
+def test_bias_variance_q4_config_csv_is_pinned(tmp_path, spec_rows):
     doc = json.loads((CONFIGS / "bias_variance_q4.json").read_text())
     assert experiment_csv_sha256(doc, tmp_path) == BIAS_VARIANCE_Q4_SHA256
+    # one value table serves the exact values, the four covariances and
+    # every replicate: the game sees its 16 coalitions once
+    assert spec_rows == [8, 8]
 
 
 def test_benchmark_shaped_config_csv_is_pinned(tmp_path):
@@ -164,8 +167,32 @@ def test_replicate_streams_differ_by_cell():
     a = experiments._replicate_seeds(config, "kernel", 0)
     b = experiments._replicate_seeds(config, "kernel", 1)
     c = experiments._replicate_seeds(config, "permutation", 0)
-    states = {tuple(s.generate_state(4)) for s in a + b + c}
+    states = {tuple(np.random.SeedSequence(entropy=key).generate_state(4)) for key in a + b + c}
     assert len(states) == 3 * config.reps
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [dict(sizes=(4, 2**23)), dict(reps=2**22 + 1)],
+    ids=["draws", "reps"],
+)
+def test_bias_variance_refuses_oversized_runs_before_the_game_is_called(overrides):
+    game = RowCounter(parse_spec(REFERENCE_DOC))
+    with pytest.raises(SizeGuard):
+        experiments.run_bias_variance(small_config(vf=game, **overrides))
+    assert game.calls == []
+
+
+@pytest.mark.parametrize("change", [{"sizes": [4, 2**23]}, {"reps": 10**8}], ids=["draws", "reps"])
+def test_oversized_bias_variance_config_exits_two_with_no_game_rows(tmp_path, capsys, spec_rows, change):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(config_doc(tmp_path, **change)))
+    assert main(["experiment", "--config", str(config)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("SizeGuard:") and captured.err.count("\n") == 1
+    assert spec_rows == []
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_dispersion_shrinks_with_sample_size():

@@ -11,9 +11,9 @@ from pairshap.errors import (
     SchemaError,
     SizeGuard,
 )
-from pairshap.games import GameEvaluator, parse_spec
+from pairshap.games import GameEvaluator, mask_rows, parse_spec
 
-from conftest import REFERENCE_DOC, random_game_doc
+from conftest import REFERENCE_DOC, RowCounter, UnplayableGame, random_game_doc
 from oracles import (
     complement,
     evaluate,
@@ -208,6 +208,56 @@ def test_evaluator_counts_and_caches_grand_value(reference_spec):
     second = ev.grand_value()
     assert first == second
     assert ev.eval_count == 7  # cached after one counted call
+
+
+def test_value_table_is_built_once_read_only_and_counted_per_call(reference_spec):
+    game = RowCounter(reference_spec)
+    ev = GameEvaluator(game)
+    table = ev.value_table()
+    # mask order, in two slices of 2^(q-1) rows
+    assert game.calls == [8, 8]
+    assert np.array_equal(np.concatenate(game.masks), np.arange(16))
+    assert ev.eval_count == 16
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0] = 1.0
+    assert ev.value_table() is table
+    assert game.calls == [8, 8]
+    assert ev.eval_count == 32
+    one_by_one = [reference_spec.values(mask_rows(np.array([m]), 4))[0] for m in range(16)]
+    np.testing.assert_allclose(table, one_by_one, rtol=1e-15, atol=0.0)
+
+
+def test_lookups_after_the_value_table_read_it(reference_spec):
+    game = RowCounter(reference_spec)
+    ev = GameEvaluator(game)
+    table = ev.value_table()
+    # fewer masks than coalitions, then more: both of the lookups without a table
+    few = np.array([[3, 15], [0, 7], [15, 1]])
+    many = np.random.default_rng(5).integers(0, 16, size=(40, 2))
+    assert np.array_equal(ev.values_at(few), table[few])
+    out = np.empty(many.shape)
+    assert ev.values_at(many, out=out) is out
+    assert np.array_equal(out, table[many])
+    assert ev.grand_value() == table[-1]
+    assert game.calls == [8, 8]
+    assert ev.eval_count == 16 + few.size + many.size + 1
+
+
+def test_value_table_refuses_more_than_25_players_before_allocating():
+    import tracemalloc
+
+    ev = GameEvaluator(UnplayableGame(26))
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuard):
+            ev.value_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # a table of 2^26 floats would take 512 MB
+    assert peak < 2**20
+    assert ev.eval_count == 0
 
 
 def test_evaluator_wraps_table_games(hand_game_q3):

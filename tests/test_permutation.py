@@ -13,6 +13,7 @@ from pairshap.streams import derive_rng
 
 from conftest import (
     REFERENCE_PHI,
+    RowCounter,
     TableGame,
     UnplayableGame,
     bilinear_shapley,
@@ -40,21 +41,6 @@ def walk_by_rows(ev, perms) -> np.ndarray:
     B = np.empty_like(gains)
     np.put_along_axis(B, perms, gains, axis=1)
     return B
-
-
-class RowCounter:
-    """Game wrapper recording how many rows each `values` call receives, and their bitmasks."""
-
-    def __init__(self, game):
-        self.game = game
-        self.q = game.q
-        self.calls: list[int] = []
-        self.masks: list[np.ndarray] = []
-
-    def values(self, Z) -> np.ndarray:
-        self.calls.append(len(Z))
-        self.masks.append(np.asarray(Z, dtype=np.int64) @ (np.int64(1) << np.arange(self.q)))
-        return self.game.values(Z)
 
 
 def walk_sizes(q: int) -> tuple[int, int]:
@@ -112,7 +98,7 @@ def test_paired_marginal_vectors_match_two_one_way_walks():
             got = permutation.marginal_vectors(ev, perms, paired=True)
             assert np.array_equal(got, expected), (q, n)
             assert ev.eval_count == 2 * q * n
-            take = partial(np.take, exact.value_table(GameEvaluator(spec)), mode="clip")
+            take = partial(np.take, GameEvaluator(spec).value_table(), mode="clip")
             both = exact.marginal_matrix(take, perms) + exact.marginal_matrix(take, perms[:, ::-1])
             assert np.array_equal(exact.marginal_matrix(take, perms, paired=True), both), (q, n)
     assert kinds == {"linear", "bilinear", "exp_linear", "exp_bilinear"}
