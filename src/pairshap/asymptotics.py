@@ -19,7 +19,7 @@ from . import exact, linalg, permutation
 from .errors import DimensionError, DomainError, NumericError, SizeGuard
 from .streams import derive_rng
 
-KERNEL_ENUM_LIMIT = 20
+KERNEL_ENUM_LIMIT = 25
 DEGENERATE_ATOL = 1e-13
 NULLSPACE_RTOL = 1e-12
 
@@ -69,7 +69,7 @@ def _sandwich(hessian: np.ndarray, meat: np.ndarray) -> np.ndarray:
 def kernel_matrices_exact(ev, paired: bool = False):
     """Population design moment, residual moment, and sandwich covariance.
 
-    Enumerates the full kernel sampling distribution (q <= 20) as vectors
+    Enumerates the full kernel sampling distribution (q <= 25) as vectors
     indexed by coalition bitmask.  Unpaired, the meat weights squared
     residuals of the exact least-squares fit; paired, it weights the squared
     even parts of those residuals and the design moment doubles because each

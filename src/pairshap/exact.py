@@ -23,7 +23,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, SizeGuard
-from .games import full_mask, prefix_masks
+from .games import full_mask, prefix_masks, subset_sums
 
 PERMUTATION_LIMIT = 9
 # Passes of `pair_sums` with more low masks than this update only those
@@ -74,20 +74,6 @@ def kernel_weights(q: int) -> KernelWeights:
     raw = (q - 1) / (sizes * (q - sizes))
     normalizer = float(raw.sum())
     return KernelWeights(q=q, size_probs=raw / normalizer, normalizer=normalizer)
-
-
-def subset_sums(c) -> np.ndarray:
-    """s[mask] = sum of c[j] over the players j in mask, for all 2^len(c) masks.
-
-    Built by doubling: the masks whose highest bit is j are the masks below
-    2^j with c[j] added.  With c all ones this gives coalition sizes; with
-    c = (beta, -sum(beta)) it gives the pivoted design times beta.
-    """
-    c = np.asarray(c)
-    s = np.zeros(1 << c.size, dtype=c.dtype)
-    for j, cj in enumerate(c):
-        np.add(s[: 1 << j], cj, out=s[1 << j : 2 << j])
-    return s
 
 
 def pair_sums(w: np.ndarray, q: int) -> np.ndarray:

@@ -6,7 +6,8 @@ exponential.  Evaluation always subtracts the raw value of the empty
 coalition, so every game is normalized to worth exactly zero at the empty
 set.  Player indices are 1-based in documents and 0-based everywhere in code.
 Elsewhere a coalition is an int64 bitmask, and the game is reached only
-through `GameEvaluator.values_at`, which turns masks into indicator rows.
+through `GameEvaluator`: `values_at` turns masks into indicator rows, and
+`value_table` tabulates every coalition.
 """
 from __future__ import annotations
 
@@ -28,11 +29,14 @@ MASK_LIMIT = 63
 # every sampler refuses more than DRAW_LIMIT = n * q entries up front.
 DRAW_LIMIT = 2**24
 
-# A value table holds one float per coalition: 2^25 of them take 256 MB.  It
-# is built in mask order, at most CHUNK_ROWS coalitions per game call, so the
-# game's own temporaries stay those of one chunk whatever q is.
+# A value table holds one float per coalition: 2^25 of them take 256 MB.
+# Whatever is evaluated as indicator rows for it (a game known only by its
+# `values`, or a bilinear term) is evaluated in mask order, at most
+# CHUNK_ROWS coalitions at a time, so those temporaries stay the size of one
+# chunk whatever q is.
 TABLE_LIMIT = 25
 CHUNK_ROWS = 2**15
+LINEAR_KINDS = ("linear", "exp_linear")
 
 _TERM_KEYS = {
     "linear": {"kind", "indices", "beta", "offset"},
@@ -57,18 +61,38 @@ class Term:
     offset: float = 0.0
 
     def raw_values(self, Z: np.ndarray) -> np.ndarray:
-        zsub = Z[:, self.indices].astype(float)
-        if self.kind == "linear":
-            core = zsub @ self.coeffs
-        elif self.kind == "bilinear":
-            core = np.einsum("ni,ij,nj->n", zsub, self.coeffs, zsub)
-        elif self.kind == "exp_linear":
-            with np.errstate(over="ignore"):
-                core = np.exp(zsub @ self.coeffs)
-        else:
-            with np.errstate(over="ignore"):
-                core = np.exp(np.einsum("ni,ij,nj->n", zsub, self.coeffs, zsub))
+        """Raw payoffs of the rows of a coalition matrix.
+
+        A linear form adds beta[k] z[indices[k]] to zero for k = 0, 1, ...,
+        the additions `table` makes, so a row's payoff has the same bits
+        whatever batch it comes in.
+        """
+        # sums of finite coefficients, and their exponentials, can overflow;
+        # the game refuses non-finite payoffs with NonFiniteError
+        with np.errstate(over="ignore"):
+            if self.kind in LINEAR_KINDS:
+                core = np.zeros(Z.shape[0])
+                for j, b in zip(self.indices, self.coeffs):
+                    core += Z[:, j] * b
+            else:
+                core = _quadratic_form(Z[:, self.indices].astype(float), self.coeffs)
+            if self.kind.startswith("exp"):
+                np.exp(core, out=core)
         return core + self.offset
+
+    def table(self) -> np.ndarray:
+        """Raw payoff of every coalition of a linear-kind term's own players.
+
+        Indexed by the term's own bitmask, bit k standing for player
+        indices[k].  The linear form is `subset_sums` of beta: each payoff
+        is the sum `raw_values` forms, added in the same order.
+        """
+        with np.errstate(over="ignore"):
+            local = subset_sums(self.coeffs)
+            if self.kind == "exp_linear":
+                np.exp(local, out=local)
+        local += self.offset
+        return local
 
 
 @dataclass(frozen=True)
@@ -94,10 +118,96 @@ class ValueFunctionSpec:
         total = np.zeros(Z.shape[0])
         for term in self.terms:
             total += term.raw_values(Z)
+        return self._normalized(total)
+
+    def value_table(self) -> np.ndarray:
+        """Payoff of every coalition, indexed by bitmask: `values` of all 2^q, to the bit.
+
+        The terms are added in order, as `values` adds them.  A linear-kind
+        term is tabulated over its own players by `Term.table` and spread
+        to the 2^q masks, in mask-order chunks unless it reads every player
+        in order; a bilinear term is evaluated on mask-order chunks of
+        indicator rows.  No 2^q index array is formed.  SizeGuard for
+        q > TABLE_LIMIT, before anything is allocated.
+        """
+        q = self.q
+        _guard_table(q)
+        step, starts = _table_chunks(q)
+        total = None
+        for term in self.terms:
+            local = term.table() if term.kind in LINEAR_KINDS else None
+            if local is not None and np.array_equal(term.indices, np.arange(q)):
+                # `values` adds the first term to zeros; a linear-kind payoff
+                # is never -0.0, so that sum is the term's table as it stands
+                total = local if total is None else np.add(total, local, out=total)
+                continue
+            if total is None:
+                total = np.zeros(1 << q)
+            if local is None:
+                for start in starts:
+                    masks = np.arange(start, start + step, dtype=np.int64)
+                    total[start : start + step] += term.raw_values(mask_rows(masks, q))
+            else:
+                # a chunk's masks are its start plus the masks below step,
+                # whose bits are disjoint, and so are their term bitmasks
+                lows = _term_masks(term.indices, np.arange(step, dtype=np.int64))
+                for start in starts:
+                    total[start : start + step] += local[lows + _term_masks(term.indices, np.int64(start))]
+        return self._normalized(total)
+
+    def _normalized(self, total: np.ndarray) -> np.ndarray:
         total -= self._raw_empty
         if not np.all(np.isfinite(total)):
             raise NonFiniteError("value function produced a non-finite payoff")
         return total
+
+
+def _quadratic_form(zsub: np.ndarray, A: np.ndarray) -> np.ndarray:
+    """z^T A z for every row z of zsub."""
+    if A.shape == (2, 2):
+        # einsum rounds a two-player form differently in a one-row batch;
+        # these are its four terms, added in the order it adds them in
+        # larger batches
+        core = np.zeros(zsub.shape[0])
+        for i in range(2):
+            for j in range(2):
+                core += zsub[:, i] * A[i, j] * zsub[:, j]
+        return core
+    return np.einsum("ni,ij,nj->n", zsub, A, zsub)
+
+
+def subset_sums(c) -> np.ndarray:
+    """s[mask] = sum of c[j] over the players j in mask, for all 2^len(c) masks.
+
+    Built by doubling: the masks whose highest bit is j are the masks below
+    2^j with c[j] added, so each sum adds its terms to zero in the order of
+    c.  With c all ones this gives coalition sizes; with c = beta it gives
+    a linear form of every coalition.
+    """
+    c = np.asarray(c)
+    s = np.zeros(1 << c.size, dtype=c.dtype)
+    for j, cj in enumerate(c):
+        np.add(s[: 1 << j], cj, out=s[1 << j : 2 << j])
+    return s
+
+
+def _term_masks(indices: np.ndarray, masks):
+    """Bitmask over a term's own players, bit k for player indices[k], of each coalition bitmask."""
+    local = np.zeros_like(masks)
+    for k, j in enumerate(indices):
+        local |= ((masks >> j) & 1) << k
+    return local
+
+
+def _table_chunks(q: int):
+    """Rows per chunk, min(CHUNK_ROWS, 2^(q-1)), and the first mask of each chunk."""
+    step = min(CHUNK_ROWS, 1 << (q - 1))
+    return step, range(0, 1 << q, step)
+
+
+def _guard_table(q: int) -> None:
+    if q > TABLE_LIMIT:
+        raise SizeGuard(f"value tables support q <= {TABLE_LIMIT}, got q = {q}")
 
 
 def as_coalitions(Z, q: int) -> np.ndarray:
@@ -211,7 +321,7 @@ def _parse_term(raw, q: int, pos: int) -> Term:
         raise DomainError(f"{where}: duplicate indices")
     k = len(indices)
 
-    if kind in ("linear", "exp_linear"):
+    if kind in LINEAR_KINDS:
         beta = raw.get("beta")
         if beta is None:
             raise SchemaError(f"{where}: kind {kind!r} requires 'beta'")
@@ -267,7 +377,8 @@ class GameEvaluator:
     kernel draw, q per walked order, 2q per paired order and 2^q per value
     table a route asks for.  The game may see far fewer rows: a lookup whose
     masks outnumber the 2^q coalitions evaluates each distinct coalition
-    once, and a table is evaluated once per evaluator.
+    once, and a table is built once per evaluator, by a ValueFunctionSpec
+    with rows only for its bilinear terms.
     """
 
     def __init__(self, game):
@@ -280,21 +391,24 @@ class GameEvaluator:
     def value_table(self) -> np.ndarray:
         """Payoff of every coalition, indexed by bitmask, as a read-only array.
 
-        The first call evaluates the 2^q coalitions in mask order, as slices
-        of min(CHUNK_ROWS, 2^(q-1)) rows per game call; later calls return
-        the same array.  Every call counts 2^q logical evaluations.
-        SizeGuard for q > TABLE_LIMIT, before anything is allocated.
+        The first call builds it: a ValueFunctionSpec tabulates itself
+        (`ValueFunctionSpec.value_table`); any other game is called on the
+        2^q coalitions in mask order, as slices of min(CHUNK_ROWS, 2^(q-1))
+        rows.  Later calls return the same array.  Every call counts 2^q
+        logical evaluations.  SizeGuard for q > TABLE_LIMIT, before anything
+        is allocated.
         """
         q = self.q
-        if q > TABLE_LIMIT:
-            raise SizeGuard(f"value tables support q <= {TABLE_LIMIT}, got q = {q}")
+        _guard_table(q)
         if self._table is None:
-            size = 1 << q
-            step = min(CHUNK_ROWS, size // 2)
-            table = np.empty(size)
-            for start in range(0, size, step):
-                masks = np.arange(start, start + step, dtype=np.int64)
-                table[start : start + step] = self.game.values(mask_rows(masks, q))
+            if isinstance(self.game, ValueFunctionSpec):
+                table = self.game.value_table()
+            else:
+                step, starts = _table_chunks(q)
+                table = np.empty(1 << q)
+                for start in starts:
+                    masks = np.arange(start, start + step, dtype=np.int64)
+                    table[start : start + step] = self.game.values(mask_rows(masks, q))
             table.flags.writeable = False
             self._table = table
         self.eval_count += 1 << q

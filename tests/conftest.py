@@ -108,6 +108,24 @@ def spec_rows(monkeypatch) -> list[int]:
     return calls
 
 
+@pytest.fixture
+def spec_tables(monkeypatch) -> list[int]:
+    """Player counts of every `ValueFunctionSpec.value_table` call made during the test, in order.
+
+    A spec tabulates itself without calling its `values`, so `spec_rows`
+    does not see these.
+    """
+    calls: list[int] = []
+    value_table = ValueFunctionSpec.value_table
+
+    def counted(self):
+        calls.append(self.q)
+        return value_table(self)
+
+    monkeypatch.setattr(ValueFunctionSpec, "value_table", counted)
+    return calls
+
+
 class UnplayableGame:
     """Game of any player count whose payoffs must never be asked for.
 

@@ -83,8 +83,11 @@ def test_kernel_moments_match_dense_oracle(paired):
 
 
 # A fixed q = 14 game, and the sha256 of kernel_matrices_exact's meat,
-# hessian and matrix bytes, unpaired then paired, computed when every pair
-# sum still ran the full superset-sum transform.
+# hessian and matrix bytes, unpaired then paired.  Computed when every pair
+# sum still ran the full superset-sum transform, and computed again when
+# linear forms came to add their coefficients in `indices` order; that
+# moved the meat by at most 6.3e-16 and the matrix by 8.2e-16 of their
+# largest entries.
 PINNED_Q14_DOC = {
     "q": 14,
     "terms": [
@@ -94,7 +97,7 @@ PINNED_Q14_DOC = {
          "beta": [((5 * j) % 9 - 4) / 10 for j in range(10)], "offset": 0.25},
     ],
 }
-PINNED_Q14_SHA256 = "075a22a11e77136607715cb9ad0e09c9a94cd44d9e344fd8d4bc0c4bf0ac4d36"
+PINNED_Q14_SHA256 = "536e2b71f3287f01d4df7c3e187f95a5bee425175f2adf999998a84f861d34e0"
 
 
 def test_exact_kernel_report_bytes_are_pinned():
@@ -354,7 +357,7 @@ def test_dimension_adjusted_eigs(tmp_path, capsys):
 
 def test_size_guards():
     spec = parse_spec(
-        {"q": 21, "terms": [{"kind": "linear", "indices": [1], "beta": [1.0]}]}
+        {"q": 26, "terms": [{"kind": "linear", "indices": [1], "beta": [1.0]}]}
     )
     with pytest.raises(SizeGuard):
         asymptotics.kernel_matrices_exact(GameEvaluator(spec), paired=False)

@@ -59,11 +59,12 @@ def test_exact_all_methods(vf_path, capsys):
     assert payload["max_pairwise_discrepancy"] <= 1e-9
 
 
-def test_exact_routes_share_one_value_table(vf_path, capsys, spec_rows):
+def test_exact_routes_share_one_value_table(vf_path, capsys, spec_rows, spec_tables):
     code, _, _ = run(capsys, ["exact", "--vf", vf_path, "--method", "all"])
     assert code == 0
-    # the 16 coalitions once, as two slices of 8 rows
-    assert spec_rows == [8, 8]
+    # the 16 coalitions tabulated once, by subset sums, with no rows
+    assert spec_tables == [4]
+    assert spec_rows == []
 
 
 def test_exact_single_method_has_no_discrepancy_field(vf_path, capsys):
@@ -383,19 +384,25 @@ def test_closed_stdout_exits_141_quietly(unbuffered):
     assert proc.stderr == ""
 
 
+# exponentials that overflow in the value table itself
+OVERFLOWING_PAYOFF_DOC = {"q": 4, "terms": [{"kind": "exp_linear", "indices": [1, 2, 3, 4], "beta": [800] * 4}]}
+
+
 @pytest.mark.parametrize(
-    "argv",
+    "doc, argv",
     [
-        *(["asymptotics", "--method", method] for method in ESTIMATORS),
-        ["sample", "--method", "kernel", "--paired", "--n", "100", "--seed", "1", "--stderr-from", "plugin"],
+        *((OVERFLOWING_DOC, ["asymptotics", "--method", method]) for method in ESTIMATORS),
+        (OVERFLOWING_DOC,
+         ["sample", "--method", "kernel", "--paired", "--n", "100", "--seed", "1", "--stderr-from", "plugin"]),
+        (OVERFLOWING_PAYOFF_DOC, ["exact"]),
     ],
-    ids=[*(f"asymptotics-{method}" for method in ESTIMATORS), "sample-kernel-plugin"],
+    ids=[*(f"asymptotics-{method}" for method in ESTIMATORS), "sample-kernel-plugin", "exact-payoffs"],
 )
-def test_overflowing_covariance_prints_one_error_line(tmp_path, argv):
+def test_overflowing_covariance_prints_one_error_line(tmp_path, doc, argv):
     # a separate interpreter with Python's default warning filters, which
     # print every numpy RuntimeWarning to stderr
     vf = tmp_path / "vf.json"
-    vf.write_text(json.dumps(OVERFLOWING_DOC))
+    vf.write_text(json.dumps(doc))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = str(Path(pairshap.__file__).resolve().parent.parent)
     proc = subprocess.run(

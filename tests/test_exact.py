@@ -1,5 +1,7 @@
 """Exact Shapley routes: golden values, axioms, and route agreement."""
+import re
 from functools import partial
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -130,6 +132,18 @@ def test_size_guards():
         exact.shapley_all_permutations(GameEvaluator(mid))
     assert games.TABLE_LIMIT == 25
     assert exact.PERMUTATION_LIMIT == 9
+
+
+def test_readme_size_limits_are_the_code_limits():
+    text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").split())
+    found = re.search(
+        r"Size limits: subset enumeration and the exact kernel route up to q=(\d+), "
+        r"full permutation enumeration up to q=(\d+), exact kernel covariances up to q=(\d+)\.",
+        text,
+    )
+    assert found, "README has no 'Size limits:' sentence in the expected form"
+    documented = [int(limit) for limit in found.groups()]
+    assert documented == [games.TABLE_LIMIT, exact.PERMUTATION_LIMIT, asymptotics.KERNEL_ENUM_LIMIT]
 
 
 def test_float_binomial():

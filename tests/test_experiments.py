@@ -89,12 +89,13 @@ def experiment_csv_sha256(doc, tmp_path) -> str:
     return hashlib.sha256(csv.read_bytes()).hexdigest()
 
 
-def test_bias_variance_q4_config_csv_is_pinned(tmp_path, spec_rows):
+def test_bias_variance_q4_config_csv_is_pinned(tmp_path, spec_rows, spec_tables):
     doc = json.loads((CONFIGS / "bias_variance_q4.json").read_text())
     assert experiment_csv_sha256(doc, tmp_path) == BIAS_VARIANCE_Q4_SHA256
     # one value table serves the exact values, the four covariances and
-    # every replicate: the game sees its 16 coalitions once
-    assert spec_rows == [8, 8]
+    # every replicate: the game is tabulated once and sees no rows
+    assert spec_tables == [4]
+    assert spec_rows == []
 
 
 def test_benchmark_shaped_config_csv_is_pinned(tmp_path):

@@ -11,7 +11,8 @@ from pairshap.errors import (
     SchemaError,
     SizeGuard,
 )
-from pairshap.games import GameEvaluator, mask_rows, parse_spec
+from pairshap import games, kernel
+from pairshap.games import TERM_KINDS, GameEvaluator, mask_rows, parse_spec
 
 from conftest import REFERENCE_DOC, RowCounter, UnplayableGame, random_game_doc
 from oracles import (
@@ -263,3 +264,92 @@ def test_value_table_refuses_more_than_25_players_before_allocating():
 def test_evaluator_wraps_table_games(hand_game_q3):
     assert hand_game_q3.q == 3
     np.testing.assert_array_equal(hand_game_q3.values_at([[1], [7]]), [[1.0], [17.0]])
+
+
+def same_bits(a, b) -> bool:
+    """Whether two float arrays hold the same bits, so 0.0 and -0.0 differ."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def one_kind_doc(rng: np.random.Generator, kind: str, q: int) -> dict:
+    """One to three terms of one kind; the first reads every player, in order or shuffled."""
+    terms = []
+    for t in range(int(rng.integers(1, 4))):
+        k = q if t == 0 else int(rng.integers(1, q + 1))
+        order = np.arange(q) if t == 0 and rng.random() < 0.5 else rng.permutation(q)
+        term = {"kind": kind, "indices": [int(i) + 1 for i in order[:k]], "offset": float(rng.uniform(-1, 1))}
+        # coefficients of mixed magnitudes, so that the order of additions shows
+        shape = (k,) if kind in games.LINEAR_KINDS else (k, k)
+        top = 0 if kind.startswith("exp") else 3
+        coeffs = rng.uniform(-1, 1, size=shape) * 10.0 ** rng.integers(-3, top, size=shape) / k
+        term["beta" if kind in games.LINEAR_KINDS else "A"] = coeffs.tolist()
+        terms.append(term)
+    return {"q": q, "terms": terms}
+
+
+@pytest.mark.parametrize("kind", TERM_KINDS)
+def test_value_table_is_the_rows_to_the_bit(kind):
+    # the spec's table, its rows in any batches and order, and every path
+    # of values_at give one payoff per coalition
+    rng = np.random.default_rng(TERM_KINDS.index(kind) + 50)
+    for _ in range(40):
+        q = int(rng.integers(2, 11))
+        spec = parse_spec(one_kind_doc(rng, kind, q))
+        table = spec.value_table()
+        order = rng.permutation(2**q)
+        cuts = np.sort(rng.choice(np.arange(1, 2**q), size=min(6, 2**q - 1), replace=False))
+        batches = [order[i : i + 1] for i in range(4)] + np.split(order, cuts)
+        for batch in batches:
+            assert same_bits(spec.values(mask_rows(batch, q)), table[batch])
+        few = rng.integers(0, 2**q, size=(int(rng.integers(1, 2**q)), 1))
+        many = rng.integers(0, 2**q, size=(2**q + 3, 2))
+        ev = GameEvaluator(spec)
+        rows, distinct = ev.values_at(few), ev.values_at(many)
+        ev.value_table()
+        assert same_bits(rows, table[few]) and same_bits(ev.values_at(few), rows)
+        assert same_bits(distinct, table[many]) and same_bits(ev.values_at(many), distinct)
+        assert same_bits(ev.value_table(), table)
+
+
+@pytest.mark.parametrize("width", range(1, 9))
+def test_bilinear_payoffs_do_not_depend_on_their_batch(width):
+    # a form over two players once rounded differently in a batch of one row
+    rng = np.random.default_rng(width + 60)
+    q = width + 1
+    seeds = range(8)
+    for kind in ("bilinear", "exp_bilinear"):
+        for _ in range(20):
+            A = rng.uniform(-1, 1, size=(width, width)) * 10.0 ** rng.integers(-3, 1, size=(width, width)) / width
+            term = {"kind": kind, "indices": list(range(1, width + 1)), "A": A.tolist()}
+            spec = parse_spec({"q": q, "terms": [term]})
+            masks = rng.integers(0, 2**q, size=40)
+            alone = [spec.values(mask_rows(masks[i : i + 1], q))[0] for i in range(masks.size)]
+            assert same_bits(spec.values(mask_rows(masks, q)), alone)
+            # a stack reads the table of its cell's evaluator; a lone estimate
+            # evaluates its grand value as one row and its 2q draws as a batch
+            ev = GameEvaluator(spec)
+            ev.value_table()
+            stacked = kernel.estimate_kernel_stack(ev, 2 * q, seeds)
+            for seed, (vector, _) in zip(seeds, stacked):
+                assert same_bits(vector.phi, kernel.estimate_kernel(GameEvaluator(spec), 2 * q, seed=seed)[0].phi)
+
+
+@pytest.mark.parametrize("indices", [list(range(1, 21)), list(range(1, 21, 2))], ids=["full-width", "half-width"])
+def test_value_table_build_memory(indices):
+    # the table, the term's own table and a few chunk-sized temporaries: a
+    # 2^q index array, or a second 2^q float array, would go past the bound
+    import tracemalloc
+
+    q, k = 20, len(indices)
+    beta = np.random.default_rng(70).uniform(-0.3, 0.3, size=k).tolist()
+    spec = parse_spec({"q": q, "terms": [{"kind": "exp_linear", "indices": indices, "beta": beta}]})
+    tracemalloc.start()
+    try:
+        table = spec.value_table()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the bytes of the finiteness check's boolean array are the 2^q beyond 8 * 2^q
+    assert peak <= 9 * 2**q + 8 * (2**k + 4 * games.CHUNK_ROWS)
+    assert same_bits(table[:: 2 ** (q // 2)], spec.values(mask_rows(np.arange(0, 2**q, 2 ** (q // 2)), q)))
