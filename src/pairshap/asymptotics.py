@@ -66,6 +66,26 @@ def _sandwich(hessian: np.ndarray, meat: np.ndarray) -> np.ndarray:
     return linalg.solve_spd(hessian, inner.T)
 
 
+def _subtract_fitted(residual: np.ndarray, coefs: np.ndarray) -> None:
+    """residual -= subset_sums(coefs), to the bit, with a quarter of residual as scratch.
+
+    `subset_sums` adds a mask's top players' coefficients, in order, to the
+    sum over its lower players, so each of the (up to) eight blocks of
+    residual that share the top three players' bits takes the lower sums
+    plus those players' coefficients.  The lower sums and one block's
+    fitted values are an eighth of residual each.
+    """
+    top = min(3, coefs.size - 1)
+    lower = exact.subset_sums(coefs[: coefs.size - top])
+    scratch = np.empty_like(lower)
+    for high, block in enumerate(residual.reshape(1 << top, -1)):
+        fitted = lower
+        for b in range(top):
+            if high >> b & 1:
+                fitted = np.add(fitted, coefs[b - top], out=scratch)
+        block -= fitted
+
+
 def kernel_matrices_exact(ev, paired: bool = False):
     """Population design moment, residual moment, and sandwich covariance.
 
@@ -76,6 +96,11 @@ def kernel_matrices_exact(ev, paired: bool = False):
     draw contributes its complement row as well.  Paired moments need kernel
     weights symmetric under complement; NumericError is raised otherwise,
     before the game is evaluated.  Returns (meat, hessian, report).
+
+    Beyond the value table it holds two vectors of length 2^q, the
+    coalition probabilities and the response, and a quarter of one for the
+    fitted values: the paired even part, the residuals and their weighted
+    squares overwrite the response in turn.
     """
     q = ev.q
     if q > KERNEL_ENUM_LIMIT:
@@ -93,25 +118,32 @@ def kernel_matrices_exact(ev, paired: bool = False):
             raise NumericError("paired kernel moments need kernel weights symmetric under complement")
     p, y, J, rhs = exact.kernel_moments(ev.value_table(), q)
     partial = linalg.solve_spd(J, rhs)
-    scale = float(np.max(np.abs(y)))
+    scale = max(float(y.max()), -float(y.min()))
     if paired:
         hessian = 2.0 * J
-        # the even part 0.5 (y(S) - y(N - S)) of the response; y is released
-        # before the products below make their temporaries
-        residual = y - y[::-1]
-        residual *= 0.5
-        del y
+        # the even part 0.5 (y(S) - y(N - S)) of the response, in place: its
+        # entry at N - S is minus its entry at S, exactly, so the lower half
+        # is formed and the upper half mirrors it
+        half = y.size // 2
+        lower = y[:half]
+        lower -= y[::-1][:half]
+        lower *= 0.5
+        np.negative(lower[::-1], out=y[half:])
         method = "kernel-paired"
     else:
         hessian = J
-        residual = y
         method = "kernel"
+    residual = y
     # squares of finite payoffs can overflow; `_sandwich` refuses the
     # non-finite meat with NonFiniteError
     with np.errstate(over="ignore", invalid="ignore"):
-        residual -= exact.subset_sums(np.append(partial, -partial.sum()))
+        _subtract_fitted(residual, np.append(partial, -partial.sum()))
         residual *= residual
-        residual *= 4.0 * p if paired else p
+        if paired:
+            p *= 4.0
+        residual *= p
+    # released before the meat's passes, so their gathers do not add to it
+    del p
     _, meat = exact.pivot_moments(residual, q)
     covariance = _sandwich(hessian, meat)
     report = _make_report(covariance, method, "exact-enumeration", q, scale)

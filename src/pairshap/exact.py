@@ -9,15 +9,18 @@ Enumeration works on length-2^q vectors indexed by coalition bitmask: the
 value table, coalition sizes and weights.  Every route here reads the
 table that `GameEvaluator.value_table` builds once per evaluator.  Every
 moment the subset and kernel routes need is a sum of such a vector over
-the coalitions holding a player or a pair of players.  Subset sums give sizes and fitted values;
-pair sums run the superset-sum (zeta) transform only as far as those
-sums need it.  Both take O(q 2^q) time and form no 2^q x q matrix.
+the coalitions holding a player or a pair of players.  Subset sums give
+sizes and fitted values; pair and one-player sums run the superset-sum
+(zeta) transform only as far as those sums need it.  Both take O(q 2^q)
+time and form no 2^q x q matrix.  The kernel design moment runs no pass
+over 2^q entries: its weights depend on coalition size alone, so its pair
+sums follow from the q + 1 size weights.
 """
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -26,10 +29,12 @@ from .errors import DomainError, SizeGuard
 from .games import full_mask, prefix_masks, subset_sums
 
 PERMUTATION_LIMIT = 9
-# Passes of `pair_sums` with more low masks than this update only those
-# holding at most two players; passes at most 8 wide with this many rows
-# per low mask update one column at a time.
+# Passes of `_superset_passes` with more low masks than this, over vectors
+# of at least MASKED_SIZE entries, update only the low masks they need;
+# passes needing at most 8 low masks, with this many rows, update one
+# column at a time.
 FULL_PASS_LOWS = 128
+MASKED_SIZE = 1 << 14
 COLUMN_ROWS = 128
 
 
@@ -76,32 +81,42 @@ def kernel_weights(q: int) -> KernelWeights:
     return KernelWeights(q=q, size_probs=raw / normalizer, normalizer=normalizer)
 
 
-def pair_sums(w: np.ndarray, q: int) -> np.ndarray:
-    """both[a, b] = sum of w[T] over the masks T holding players a and b; both[a, a] holds a.
+@lru_cache(maxsize=None)
+def _low_masks(q: int, most: int) -> tuple:
+    """Masks below 2^q of at most `most` players (1 or 2), ascending, and how many lie below each bit.
 
-    These are entries of the superset-sum (zeta) transform, computed by its
-    own passes, in place on w and in order: pass j adds to each mask without
-    bit j the mask with it, as the halves of a reshape(-1, 2, 2^j) view, so
-    every entry is the same sum to the bit.  From pass j on, the entries
-    returned read only masks with at most two players below bit j, so a
-    pass with more than FULL_PASS_LOWS low masks updates just those.  A pass
-    at most 8 wide with at least COLUMN_ROWS rows per low mask runs one
-    strided column per low mask, which numpy does faster than its short
-    inner loops.  w is overwritten; beyond it, no step takes more scratch
-    than one of numpy's buffered ufunc loops.
+    Built once per q and most; the mask array is read-only.
     """
     bits = np.int64(1) << np.arange(q, dtype=np.int64)
-    held = bits[:, None] | bits
-    if 1 << (q - 1) > FULL_PASS_LOWS:
-        # the masks of at most two players, ascending: 1 + j (j + 1) / 2 lie below bit j
-        few = np.sort(np.append(0, held[np.tri(q, dtype=bool)]))
+    held = bits if most == 1 else bits[:, None] | bits
+    masks = np.unique(np.append(np.int64(0), held))
+    masks.flags.writeable = False
+    return masks, tuple(np.searchsorted(masks, bits).tolist())
+
+
+def _superset_passes(w: np.ndarray, q: int, most: int) -> None:
+    """The superset-sum (zeta) transform's passes, as far as the sums of w over supersets of `most` players need.
+
+    Pass j adds to each mask without bit j the mask with it, as the halves
+    of a reshape(-1, 2, 2^j) view, in place and in order, so every entry
+    read below is the transform's sum to the bit.  From pass j on, a
+    superset sum of at most `most` players reads only the masks whose bits
+    below j hold at most `most` players, so a pass may update just those
+    low masks.  A pass with at most 8 of them and at least COLUMN_ROWS rows
+    runs one strided column per low mask, which numpy does faster than its
+    short inner loops.  A pass with more than FULL_PASS_LOWS low masks, over
+    a vector of at least MASKED_SIZE entries, gathers and scatters the ones
+    it needs; shorter passes cost less whole than the gathers do.  Beyond
+    w, no step takes more scratch than one of numpy's buffered ufunc loops.
+    """
+    masks, below = _low_masks(q, most)
     for j in range(q):
         halves = w.reshape(-1, 2, 1 << j)
-        if 1 << j <= 8 and halves.shape[0] >= COLUMN_ROWS << j:
-            for low in range(1 << j):
-                halves[:, 0, low] += halves[:, 1, low]
-        elif 1 << j > FULL_PASS_LOWS:
-            low = few[: 1 + j * (j + 1) // 2]
+        low = masks[: below[j]]
+        if low.size <= 8 and halves.shape[0] >= COLUMN_ROWS:
+            for column in low.tolist():
+                halves[:, 0, column] += halves[:, 1, column]
+        elif 1 << j > FULL_PASS_LOWS and w.size >= MASKED_SIZE:
             # in row blocks whose gathers are no larger than numpy's ufunc buffers
             step = max(1, np.getbufsize() // low.size)
             for start in range(0, halves.shape[0], step):
@@ -109,7 +124,35 @@ def pair_sums(w: np.ndarray, q: int) -> np.ndarray:
                 block[:, 0, low] += block[:, 1, low]
         else:
             halves[:, 0, :] += halves[:, 1, :]
-    return w[held]
+
+
+def pair_sums(w: np.ndarray, q: int) -> np.ndarray:
+    """both[a, b] = sum of w[T] over the masks T holding players a and b; both[a, a] holds a.
+
+    These are entries of the superset-sum (zeta) transform, run by
+    `_superset_passes` over the masks they read.  w is overwritten.
+    """
+    _superset_passes(w, q, 2)
+    bits = np.int64(1) << np.arange(q, dtype=np.int64)
+    return w[bits[:, None] | bits]
+
+
+def player_sums(w: np.ndarray, q: int) -> np.ndarray:
+    """one[a] = sum of w[T] over the masks T holding player a: the diagonal of `pair_sums`, to the bit.
+
+    The same passes update only the low masks of at most one player, 1 + j
+    of them at pass j.  w is overwritten.
+    """
+    _superset_passes(w, q, 1)
+    return w[np.int64(1) << np.arange(q, dtype=np.int64)]
+
+
+def _pivoted(both: np.ndarray):
+    """First and second moments of the pivoted design from the pair sums `both` of its weights."""
+    pivot = both[:-1, -1]
+    first = np.diag(both)[:-1] - both[-1, -1]
+    second = both[:-1, :-1] - pivot[:, None] - pivot[None, :] + both[-1, -1]
+    return first, second
 
 
 def pivot_moments(w: np.ndarray, q: int):
@@ -123,11 +166,7 @@ def pivot_moments(w: np.ndarray, q: int):
     # sums of large weights can overflow; the solves that take these moments
     # refuse non-finite ones with NonFiniteError
     with np.errstate(over="ignore", invalid="ignore"):
-        both = pair_sums(w, q)
-        pivot = both[:-1, -1]
-        first = np.diag(both)[:-1] - both[-1, -1]
-        second = both[:-1, :-1] - pivot[:, None] - pivot[None, :] + both[-1, -1]
-    return first, second
+        return _pivoted(pair_sums(w, q))
 
 
 def size_weights(q: int) -> np.ndarray:
@@ -138,20 +177,49 @@ def size_weights(q: int) -> np.ndarray:
     return per_size
 
 
+def design_moment(q: int) -> np.ndarray:
+    """The kernel design moment sum_S p_S x_S x_S^T, from the q + 1 size weights.
+
+    Under the passes of `pair_sums` over p, an entry depends only on its
+    mask's size c and on k, the number of its free bits processed so far:
+    g(k, c) = g(k-1, c) + g(k-1, c+1), with g(0, c) = size_weights(q)[c].
+    So every pair sum is g(q-2, 2) and every one-player sum g(q-1, 1), by
+    the same additions; the result equals pivot_moments(p, q)[1] to the bit.
+    """
+    g = size_weights(q)
+    for _ in range(q - 2):
+        g = g[:-1] + g[1:]
+    both = np.full((q, q), g[2])
+    np.fill_diagonal(both, g[1] + g[2])
+    return _pivoted(both)[1]
+
+
+def _response(table: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """y = v(S) - z_{q-1} v(N) by bitmask, written into out."""
+    half = table.size // 2
+    out[:half] = table[:half]
+    np.subtract(table[half:], table[-1], out=out[half:])
+    return out
+
+
 def kernel_moments(table: np.ndarray, q: int):
     """Normal equations of the exact kernel least-squares fit over every coalition.
 
     Returns (p, y, hessian, rhs): the kernel probability of each coalition
     (zero for the empty and the grand one) and the response
     y = v(S) - z_{q-1} v(N), both indexed by bitmask, then the design moment
-    sum_S p_S x_S x_S^T and the right side sum_S p_S y_S x_S.
+    sum_S p_S x_S x_S^T and the right side sum_S p_S y_S x_S.  The right
+    side reads only one-player sums of p y, formed in y's buffer, which is
+    then rebuilt.
     """
     p = size_weights(q)[subset_sums(np.ones(q, dtype=np.uint8))]
-    y = table.copy()
-    y[y.size // 2 :] -= table[-1]
-    rhs, _ = pivot_moments(p * y, q)
-    _, hessian = pivot_moments(p.copy(), q)
-    return p, y, hessian, rhs
+    y = _response(table, np.empty_like(table))
+    y *= p
+    # as in pivot_moments, overflowing sums reach the solve as non-finite
+    with np.errstate(over="ignore", invalid="ignore"):
+        one = player_sums(y, q)
+        rhs = one[:-1] - one[-1]
+    return p, _response(table, y), design_moment(q), rhs
 
 
 def shapley_subset(ev) -> ShapleyVector:

@@ -240,14 +240,26 @@ def test_subset_and_superset_sums_match_brute_force():
     np.testing.assert_allclose(out, expected_superset, rtol=0, atol=1e-13)
 
 
-@pytest.mark.parametrize("full_pass_lows, column_rows", [(exact.FULL_PASS_LOWS, exact.COLUMN_ROWS), (8, 1)])
+@pytest.mark.parametrize(
+    "full_pass_lows, column_rows, masked_size",
+    [
+        # passes run whole, as strided columns from q = 8, and masked from
+        # q = 14, in several row blocks at q = 18
+        pytest.param(
+            exact.FULL_PASS_LOWS, exact.COLUMN_ROWS, exact.MASKED_SIZE, id=f"{exact.FULL_PASS_LOWS}-{exact.COLUMN_ROWS}"
+        ),
+        # every pass needing at most 8 low masks runs as columns, every later one masked
+        pytest.param(8, 1, 1, id="8-1"),
+        # every pass runs whole
+        pytest.param(1 << 30, 1 << 30, 1 << 30, id="whole"),
+    ],
+)
 @pytest.mark.parametrize("q", [*range(2, 15), 18])
-def test_pair_sums_are_the_gathered_superset_sums_bit_for_bit(monkeypatch, q, full_pass_lows, column_rows):
-    # As set, passes run whole, as strided columns from q = 8 and masked
-    # from q = 9, in several row blocks at q = 18.  Lowered, every pass at
-    # most 8 wide runs as columns and every later one is masked.
+def test_pair_sums_are_the_gathered_superset_sums_bit_for_bit(monkeypatch, q, full_pass_lows, column_rows, masked_size):
+    # and the one-player sums are their diagonal, on every branch of the passes
     monkeypatch.setattr(exact, "FULL_PASS_LOWS", full_pass_lows)
     monkeypatch.setattr(exact, "COLUMN_ROWS", column_rows)
+    monkeypatch.setattr(exact, "MASKED_SIZE", masked_size)
     rng = np.random.default_rng(400 + q)
     size = 1 << q
     signs = rng.choice([-1.0, 1.0], size=(3, size))
@@ -264,8 +276,16 @@ def test_pair_sums_are_the_gathered_superset_sums_bit_for_bit(monkeypatch, q, fu
         for w in vectors:
             expected = superset_sums(w.copy(), q)[bits[:, None] | bits]
             assert np.array_equal(exact.pair_sums(w.copy(), q), expected, equal_nan=True)
+            assert np.array_equal(exact.player_sums(w.copy(), q), np.diag(expected), equal_nan=True)
         overflowed = superset_sums(vectors[2].copy(), q)[bits[:, None] | bits]
     assert q < 3 or not np.isfinite(overflowed).all()
+
+
+@pytest.mark.parametrize("q", range(2, 21))
+def test_design_moment_is_the_pivoted_pair_sums_of_the_weights_bit_for_bit(q):
+    p = exact.size_weights(q)[exact.subset_sums(np.ones(q, dtype=np.uint8))]
+    _, expected = exact.pivot_moments(p, q)
+    assert exact.design_moment(q).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("q", [16, 18])
@@ -304,6 +324,35 @@ def test_value_table_calls_the_game_in_chunks_of_rows():
     assert rows == [games.CHUNK_ROWS] * (2**q // games.CHUNK_ROWS)
     assert ev.eval_count == 2**q
     np.testing.assert_array_equal(table, exact.subset_sums(np.ones(q)))
+
+
+@pytest.mark.parametrize("q", [16, 18])
+@pytest.mark.parametrize("route, vectors", [("kernel", 2.3), ("kernel-paired", 2.3), ("kernel-phi", 2.1)])
+def test_exact_kernel_scratch_beyond_the_table(q, route, vectors):
+    # Beyond the value table, the exact kernel covariance holds the coalition
+    # probabilities, the response (overwritten by the residuals) and a
+    # quarter of a vector for the fitted values; the kernel Shapley values
+    # hold the probabilities and the response.
+    import tracemalloc
+
+    rng = np.random.default_rng(41)
+    beta = rng.uniform(-0.3, 0.3, size=q).tolist()
+    spec = parse_spec({"q": q, "terms": [{"kind": "exp_linear", "indices": list(range(1, q + 1)), "beta": beta}]})
+    run = {
+        "kernel": partial(asymptotics.kernel_matrices_exact, paired=False),
+        "kernel-paired": partial(asymptotics.kernel_matrices_exact, paired=True),
+        "kernel-phi": exact.shapley_kernel_exact,
+    }[route]
+    run(GameEvaluator(spec))  # one-time imports and per-q index lists are not scratch
+    ev = GameEvaluator(spec)
+    ev.value_table()
+    tracemalloc.start()
+    try:
+        run(ev)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * vectors * 2**q
 
 
 @pytest.mark.parametrize("route", ["subset", "kernel-paired"])
