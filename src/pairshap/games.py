@@ -6,8 +6,8 @@ exponential.  Evaluation always subtracts the raw value of the empty
 coalition, so every game is normalized to worth exactly zero at the empty
 set.  Player indices are 1-based in documents and 0-based everywhere in code.
 Elsewhere a coalition is an int64 bitmask, and the game is reached only
-through `GameEvaluator`: `values_at` turns masks into indicator rows, and
-`value_table` tabulates every coalition.
+through `GameEvaluator`: `value_table` tabulates every coalition, and
+`values_at` reads that table or, for fewer masks, their indicator rows.
 """
 from __future__ import annotations
 
@@ -30,10 +30,10 @@ MASK_LIMIT = 63
 DRAW_LIMIT = 2**24
 
 # A value table holds one float per coalition: 2^25 of them take 256 MB.
-# Whatever is evaluated as indicator rows for it (a game known only by its
-# `values`, or a bilinear term) is evaluated in mask order, at most
-# CHUNK_ROWS coalitions at a time, so those temporaries stay the size of one
-# chunk whatever q is.
+# Whatever is tabulated from indicator rows (a game known only by its
+# `values`, or a bilinear term over its own players) is evaluated in mask
+# order, at most CHUNK_ROWS coalitions at a time, so those temporaries stay
+# the size of one chunk whatever the player count is.
 TABLE_LIMIT = 25
 CHUNK_ROWS = 2**15
 LINEAR_KINDS = ("linear", "exp_linear")
@@ -81,12 +81,17 @@ class Term:
         return core + self.offset
 
     def table(self) -> np.ndarray:
-        """Raw payoff of every coalition of a linear-kind term's own players.
+        """Raw payoff of every coalition of the term's own players.
 
         Indexed by the term's own bitmask, bit k standing for player
-        indices[k].  The linear form is `subset_sums` of beta: each payoff
-        is the sum `raw_values` forms, added in the same order.
+        indices[k]: 2^k payoffs for k players.  A linear form is
+        `subset_sums` of beta: each payoff is the sum `raw_values` forms,
+        added in the same order.  A bilinear term is `raw_values` of the 2^k
+        indicator rows of its own players, the columns it reads in wider rows.
         """
+        k = self.indices.size
+        if self.kind not in LINEAR_KINDS:
+            return _tabulate_rows(Term(self.kind, np.arange(k), self.coeffs, self.offset).raw_values, k)
         with np.errstate(over="ignore"):
             local = subset_sums(self.coeffs)
             if self.kind == "exp_linear":
@@ -123,36 +128,30 @@ class ValueFunctionSpec:
     def value_table(self) -> np.ndarray:
         """Payoff of every coalition, indexed by bitmask: `values` of all 2^q, to the bit.
 
-        The terms are added in order, as `values` adds them.  A linear-kind
-        term is tabulated over its own players by `Term.table` and spread
-        to the 2^q masks, in mask-order chunks unless it reads every player
-        in order; a bilinear term is evaluated on mask-order chunks of
-        indicator rows.  No 2^q index array is formed.  SizeGuard for
-        q > TABLE_LIMIT, before anything is allocated.
+        The terms are added in order, as `values` adds them.  Each term is
+        tabulated over its own players by `Term.table` and spread to the 2^q
+        masks, in mask-order chunks unless it reads every player in order.
+        No 2^q index array is formed.  SizeGuard for q > TABLE_LIMIT, before
+        anything is allocated.
         """
         q = self.q
         _guard_table(q)
         step, starts = _table_chunks(q)
         total = None
         for term in self.terms:
-            local = term.table() if term.kind in LINEAR_KINDS else None
-            if local is not None and np.array_equal(term.indices, np.arange(q)):
-                # `values` adds the first term to zeros; a linear-kind payoff
-                # is never -0.0, so that sum is the term's table as it stands
+            local = term.table()
+            # `values` adds the first term to zeros, which turns -0.0 into 0.0;
+            # only a bilinear form, summed by einsum, is not built from zero
+            if np.array_equal(term.indices, np.arange(q)) and (total is not None or term.kind != "bilinear"):
                 total = local if total is None else np.add(total, local, out=total)
                 continue
             if total is None:
                 total = np.zeros(1 << q)
-            if local is None:
-                for start in starts:
-                    masks = np.arange(start, start + step, dtype=np.int64)
-                    total[start : start + step] += term.raw_values(mask_rows(masks, q))
-            else:
-                # a chunk's masks are its start plus the masks below step,
-                # whose bits are disjoint, and so are their term bitmasks
-                lows = _term_masks(term.indices, np.arange(step, dtype=np.int64))
-                for start in starts:
-                    total[start : start + step] += local[lows + _term_masks(term.indices, np.int64(start))]
+            # a chunk's masks are its start plus the masks below step, whose
+            # bits are disjoint, and so are their term bitmasks
+            lows = _term_masks(term.indices, np.arange(step, dtype=np.int64))
+            for start in starts:
+                total[start : start + step] += local[lows + _term_masks(term.indices, np.int64(start))]
         return self._normalized(total)
 
     def _normalized(self, total: np.ndarray) -> np.ndarray:
@@ -203,6 +202,15 @@ def _table_chunks(q: int):
     """Rows per chunk, min(CHUNK_ROWS, 2^(q-1)), and the first mask of each chunk."""
     step = min(CHUNK_ROWS, 1 << (q - 1))
     return step, range(0, 1 << q, step)
+
+
+def _tabulate_rows(values, q: int) -> np.ndarray:
+    """values(rows) of all 2^q coalitions, on one `_table_chunks` chunk of rows at a time."""
+    step, starts = _table_chunks(q)
+    table = np.empty(1 << q)
+    for start in starts:
+        table[start : start + step] = values(mask_rows(np.arange(start, start + step, dtype=np.int64), q))
+    return table
 
 
 def _guard_table(q: int) -> None:
@@ -370,15 +378,15 @@ class GameEvaluator:
     ValueFunctionSpec is the standard one.  The grand-coalition value is
     cached after its first (counted) evaluation because several estimators
     reuse it on every draw.  The value table of all 2^q payoffs is built the
-    first time an exact route asks for it and kept: every later route and
-    every lookup reads it, and the game is not called again.
+    first time an exact route, or a lookup of at least 2^q masks, needs it,
+    and kept: every later route and every lookup reads it, and the game is
+    not called again.
 
     `eval_count` is the paper's logical cost: 1 per kernel draw, 2 per paired
     kernel draw, q per walked order, 2q per paired order and 2^q per value
-    table a route asks for.  The game may see far fewer rows: a lookup whose
-    masks outnumber the 2^q coalitions evaluates each distinct coalition
-    once, and a table is built once per evaluator, by a ValueFunctionSpec
-    with rows only for its bilinear terms.
+    table a route asks for.  The game may see far fewer rows: the table is
+    built once per evaluator, and a ValueFunctionSpec builds it from tables
+    over each term's own players.
     """
 
     def __init__(self, game):
@@ -398,34 +406,33 @@ class GameEvaluator:
         logical evaluations.  SizeGuard for q > TABLE_LIMIT, before anything
         is allocated.
         """
-        q = self.q
-        _guard_table(q)
+        table = self._built_table()
+        self.eval_count += 1 << self.q
+        return table
+
+    def _built_table(self) -> np.ndarray:
+        """`value_table` without its count; a build that raises keeps no table."""
+        _guard_table(self.q)
         if self._table is None:
             if isinstance(self.game, ValueFunctionSpec):
                 table = self.game.value_table()
             else:
-                step, starts = _table_chunks(q)
-                table = np.empty(1 << q)
-                for start in starts:
-                    masks = np.arange(start, start + step, dtype=np.int64)
-                    table[start : start + step] = self.game.values(mask_rows(masks, q))
+                table = _tabulate_rows(self.game.values, self.q)
             table.flags.writeable = False
             self._table = table
-        self.eval_count += 1 << q
         return self._table
 
     def values_at(self, masks, out=None) -> np.ndarray:
         """Payoffs of the coalitions encoded by an (n, k) int64 bitmask array.
 
-        Counts one logical evaluation per mask.  Once the value table is
-        built, the payoffs are gathered from it by one `take` and the game
-        is not called.  Otherwise, when the masks outnumber the 2^q
-        coalitions, the distinct ones are tabulated, n/2 at a time, and
-        gathered by one `take`; else each column is evaluated as n
-        indicator rows.  Either way the game sees at most n rows per call,
-        and only coalitions that appear in `masks` reach it.  `out`, a float
-        (n, k) array, may share memory with `masks`: each mask is read
-        before its payoff overwrites it.
+        Counts one logical evaluation per mask, whatever the game sees.  The
+        payoffs are gathered from the value table by one `take`.  A lookup
+        of at least 2^q masks builds the table if none is held yet; a
+        smaller one evaluates each column as n indicator rows.  So does a
+        lookup whose table build raises NonFiniteError, which keeps no
+        table: the lookup then raises only if one of its own coalitions has
+        a non-finite payoff.  `out`, a float (n, k) array, may share memory
+        with `masks`: each mask is read before its payoff overwrites it.
         """
         q = self.q
         _guard_masks(q)
@@ -436,21 +443,12 @@ class GameEvaluator:
             raise DomainError(f"coalition bitmasks must lie in [0, 2^{q})")
         if out is None:
             out = np.empty(masks.shape)
-        size = 1 << q
         table = self._table
-        if table is None and size <= masks.size:
-            seen = np.zeros(size, dtype=bool)
-            seen[masks] = True
-            table = np.zeros(size)
-            # the table is at most one n x k array, so half as many rows per
-            # call keeps the peak at that of the row path
-            step = max(masks.shape[0] // 2, 1)
-            for start in range(0, size, step):
-                distinct = np.flatnonzero(seen[start:start + step])
-                if distinct.size:
-                    distinct += start
-                    table[distinct] = self.game.values(mask_rows(distinct, q))
-            del seen
+        if table is None and 1 << q <= masks.size and q <= TABLE_LIMIT:
+            try:
+                table = self._built_table()
+            except NonFiniteError:
+                pass
         if table is None:
             for col in range(masks.shape[1]):
                 out[:, col] = self.game.values(mask_rows(masks[:, col], q))

@@ -233,7 +233,8 @@ def test_lookups_after_the_value_table_read_it(reference_spec):
     game = RowCounter(reference_spec)
     ev = GameEvaluator(game)
     table = ev.value_table()
-    # fewer masks than coalitions, then more: both of the lookups without a table
+    # fewer masks than coalitions, then more: neither reads rows or builds a
+    # table once one is held
     few = np.array([[3, 15], [0, 7], [15, 1]])
     many = np.random.default_rng(5).integers(0, 16, size=(40, 2))
     assert np.array_equal(ev.values_at(few), table[few])
@@ -243,6 +244,27 @@ def test_lookups_after_the_value_table_read_it(reference_spec):
     assert ev.grand_value() == table[-1]
     assert game.calls == [8, 8]
     assert ev.eval_count == 16 + few.size + many.size + 1
+    # a lookup of at least 2^q masks builds the table and counts only its
+    # masks; a later value_table() returns that table and counts 2^q
+    game = RowCounter(reference_spec)
+    ev = GameEvaluator(game)
+    assert np.array_equal(ev.values_at(many), table[many])
+    assert game.calls == [8, 8] and ev.eval_count == many.size
+    built = ev._table
+    assert ev.value_table() is built and ev.eval_count == many.size + 16
+    assert np.array_equal(built, table) and game.calls == [8, 8]
+    # exp(800) overflows on coalition {1, 3} alone: the build raises and keeps
+    # no table, and a lookup whose own masks miss {1, 3} reads indicator rows
+    doc = {"q": 3, "terms": [{"kind": "exp_bilinear", "indices": [1, 2, 3], "A": [[0, 0, 800], [0, -1000, 0], [0, 0, 0]]}]}
+    spec = parse_spec(doc)
+    ev = GameEvaluator(spec)
+    masks = np.array([[0, 1, 2, 3, 4, 6, 7, 7, 6, 3]]).T
+    got = ev.values_at(masks)
+    assert ev._table is None and ev.eval_count == masks.size
+    assert np.array_equal(got[:, 0], spec.values(mask_rows(masks[:, 0], 3)))
+    with pytest.raises(NonFiniteError):
+        ev.values_at(np.full((8, 1), 5))
+    assert ev._table is None and ev.eval_count == masks.size
 
 
 def test_value_table_refuses_more_than_25_players_before_allocating():
@@ -293,9 +315,13 @@ def test_value_table_is_the_rows_to_the_bit(kind):
     # the spec's table, its rows in any batches and order, and every path
     # of values_at give one payoff per coalition
     rng = np.random.default_rng(TERM_KINDS.index(kind) + 50)
-    for _ in range(40):
+    for trial in range(40):
         q = int(rng.integers(2, 11))
-        spec = parse_spec(one_kind_doc(rng, kind, q))
+        doc = one_kind_doc(rng, kind, q)
+        if kind not in games.LINEAR_KINDS and trial % 2:
+            # a -0.0 payoff read off a term's own table must still come out 0.0
+            doc["terms"] = [dict(term, offset=-0.0) for term in doc["terms"]]
+        spec = parse_spec(doc)
         table = spec.value_table()
         order = rng.permutation(2**q)
         cuts = np.sort(rng.choice(np.arange(1, 2**q), size=min(6, 2**q - 1), replace=False))
@@ -305,11 +331,35 @@ def test_value_table_is_the_rows_to_the_bit(kind):
         few = rng.integers(0, 2**q, size=(int(rng.integers(1, 2**q)), 1))
         many = rng.integers(0, 2**q, size=(2**q + 3, 2))
         ev = GameEvaluator(spec)
-        rows, distinct = ev.values_at(few), ev.values_at(many)
+        rows, tabled = ev.values_at(few), ev.values_at(many)
         ev.value_table()
         assert same_bits(rows, table[few]) and same_bits(ev.values_at(few), rows)
-        assert same_bits(distinct, table[many]) and same_bits(ev.values_at(many), distinct)
+        assert same_bits(tabled, table[many]) and same_bits(ev.values_at(many), tabled)
         assert same_bits(ev.value_table(), table)
+
+
+def test_bilinear_term_tables_evaluate_their_own_players(monkeypatch):
+    # a 3-player term of a 16-player game is evaluated on its 2^3 own
+    # coalitions, not on 2^16 indicator rows, and spread to the table
+    shapes = []
+    form = games._quadratic_form
+
+    def recorded(zsub, A):
+        shapes.append(zsub.shape)
+        return form(zsub, A)
+
+    monkeypatch.setattr(games, "_quadratic_form", recorded)
+    rng = np.random.default_rng(71)
+    q = 16
+    for kind in ("bilinear", "exp_bilinear"):
+        A = rng.uniform(-0.5, 0.5, size=(3, 3)).tolist()
+        spec = parse_spec({"q": q, "terms": [{"kind": kind, "indices": [9, 2, 14], "A": A, "offset": 0.25}]})
+        shapes.clear()
+        table = spec.value_table()
+        # 8 rows, in two mask-order chunks of 2^(k-1)
+        assert shapes == [(4, 3), (4, 3)]
+        masks = np.arange(0, 2**q, 37)
+        assert same_bits(table[masks], spec.values(mask_rows(masks, q)))
 
 
 @pytest.mark.parametrize("width", range(1, 9))

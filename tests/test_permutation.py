@@ -44,7 +44,11 @@ def walk_by_rows(ev, perms) -> np.ndarray:
 
 
 def walk_sizes(q: int) -> tuple[int, int]:
-    """Order counts just below and at the switch to deduplicated lookups."""
+    """Order counts just below and at the switch from indicator rows to the value table.
+
+    Below it the walk's n * q prefixes are fewer than the 2^q coalitions;
+    at it they are at least as many, and the walk builds the table.
+    """
     below = (2**q - 1) // q
     return below, below + 1
 
@@ -66,21 +70,26 @@ def test_marginal_vectors_match_row_walk():
 
 
 def test_marginal_vectors_physical_rows_and_logical_count():
+    # below the switch each prefix column is n indicator rows; at it the game
+    # sees the value table's two mask-order chunks of 2^(q-1) rows once, and
+    # a second walk on the same evaluator reads the table and sends no rows
     rng = np.random.default_rng(91)
     for q in range(2, 13):
         spec = parse_spec(random_game_doc(rng, q))
-        row_n, dedup_n = walk_sizes(q)
-        for n, deduplicated in ((row_n, False), (dedup_n, True)):
+        row_n, table_n = walk_sizes(q)
+        for n, tabulated in ((row_n, False), (table_n, True)):
             game = RowCounter(spec)
             ev = GameEvaluator(game)
             perms = permutation.sample_permutations(q, n, rng)
             permutation.marginal_vectors(ev, perms)
             assert ev.eval_count == n * q
-            assert max(game.calls) <= n
-            if deduplicated:
-                distinct = np.unique(np.cumsum(np.int64(1) << perms, axis=1)).size
-                assert sum(game.calls) == distinct <= 2**q - 1
+            if tabulated:
+                assert game.calls == [2 ** (q - 1)] * 2
+                assert np.array_equal(np.concatenate(game.masks), np.arange(2**q))
+                permutation.marginal_vectors(ev, perms)
+                assert game.calls == [2 ** (q - 1)] * 2 and ev.eval_count == 2 * n * q
             else:
+                assert max(game.calls) <= n
                 assert game.calls == [n] * q
 
 
@@ -105,25 +114,26 @@ def test_paired_marginal_vectors_match_two_one_way_walks():
 
 
 def test_paired_walk_physical_rows():
+    # at the switch the forward prefixes build the value table, and the
+    # reverse order's prefixes read it: the game sees the 2^q coalitions once,
+    # in mask order, and a second paired walk sends no rows
     rng = np.random.default_rng(95)
     for q in range(2, 13):
         spec = parse_spec(random_game_doc(rng, q))
-        row_n, dedup_n = walk_sizes(q)
-        for n, deduplicated in ((row_n, False), (dedup_n, True)):
+        row_n, table_n = walk_sizes(q)
+        for n, tabulated in ((row_n, False), (table_n, True)):
             game = RowCounter(spec)
             ev = GameEvaluator(game)
             perms = permutation.sample_permutations(q, n, rng)
             permutation.marginal_vectors(ev, perms, paired=True)
             assert ev.eval_count == 2 * q * n
-            assert max(game.calls) <= n
-            if deduplicated:
-                # the forward prefixes are tabulated first, then the reverse
-                # order's prefixes, each in ascending mask order
-                forward = np.unique(np.cumsum(np.int64(1) << perms, axis=1))
-                reverse = np.unique(np.cumsum(np.int64(1) << perms[:, ::-1], axis=1))
-                seen = np.concatenate(game.masks)
-                assert np.array_equal(seen, np.concatenate([forward, reverse])), q
+            if tabulated:
+                assert game.calls == [2 ** (q - 1)] * 2
+                assert np.array_equal(np.concatenate(game.masks), np.arange(2**q)), q
+                permutation.marginal_vectors(ev, perms, paired=True)
+                assert game.calls == [2 ** (q - 1)] * 2 and ev.eval_count == 4 * q * n
             else:
+                assert max(game.calls) <= n
                 assert game.calls == [n] * (2 * q)
 
 
@@ -145,11 +155,13 @@ def test_permutation_plugin_reuses_the_estimate_walk(reference_spec):
 
 @pytest.mark.parametrize("n", [14_000, 15_000])
 def test_walk_memory_stays_within_three_order_arrays(n):
-    # q = 18 switches to deduplicated lookups at n = ceil(2^18 / 18) = 14564:
-    # n = 14 000 walks the row path and n = 15 000 tabulates about 2^17 distinct
-    # coalitions.  Either way the walk's traced peak, temporaries included,
-    # stays below three n x q float arrays, and the paired walk's peak stays
-    # below that of the two one-way walks it replaces.
+    # q = 18 switches from indicator rows to the value table at
+    # n = ceil(2^18 / 18) = 14564: n = 14 000 walks the row path and n = 15 000
+    # builds the evaluator's table, which outlives the walk.  Either way the
+    # walk's traced peak, temporaries included, stays below three n x q float
+    # arrays, plus 9 bytes per coalition when it builds the table (the table
+    # and the boolean array of its finiteness check), and the paired walk's
+    # peak stays below that of the two one-way walks it replaces.
     import tracemalloc
 
     q = 18
@@ -172,7 +184,7 @@ def test_walk_memory_stays_within_three_order_arrays(n):
 
     B, peak = traced(lambda: permutation.marginal_vectors(ev, perms))
     np.testing.assert_allclose(B, 1.0, atol=1e-12)
-    assert peak <= 3 * 8 * n * q
+    assert peak <= 3 * 8 * n * q + (9 * 2**q if n * q >= 2**q else 0)
     _, two_peak = traced(two_walks)
     B, paired_peak = traced(lambda: permutation.marginal_vectors(ev, perms, paired=True))
     np.testing.assert_allclose(B, 2.0, atol=1e-12)
