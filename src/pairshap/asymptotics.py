@@ -16,10 +16,9 @@ from functools import partial
 import numpy as np
 
 from . import exact, linalg, permutation
-from .errors import DimensionError, DomainError, NumericError, SizeGuard
+from .errors import DimensionError, DomainError, NumericError
 from .streams import derive_rng
 
-KERNEL_ENUM_LIMIT = 25
 DEGENERATE_ATOL = 1e-13
 NULLSPACE_RTOL = 1e-12
 
@@ -89,7 +88,8 @@ def _subtract_fitted(residual: np.ndarray, coefs: np.ndarray) -> None:
 def kernel_matrices_exact(ev, paired: bool = False):
     """Population design moment, residual moment, and sandwich covariance.
 
-    Enumerates the full kernel sampling distribution (q <= 25) as vectors
+    Enumerates the full kernel sampling distribution (q <= TABLE_LIMIT; the
+    value table raises SizeGuard beyond, before allocating) as vectors
     indexed by coalition bitmask.  Unpaired, the meat weights squared
     residuals of the exact least-squares fit; paired, it weights the squared
     even parts of those residuals and the design moment doubles because each
@@ -103,8 +103,6 @@ def kernel_matrices_exact(ev, paired: bool = False):
     squares overwrite the response in turn.
     """
     q = ev.q
-    if q > KERNEL_ENUM_LIMIT:
-        raise SizeGuard(f"kernel moment enumeration supports q <= {KERNEL_ENUM_LIMIT}, got q = {q}")
     if paired:
         # Each draw S brings its complement N - S (mask 2^q - 1 - S), so the
         # complement rows carry the weights p[::-1].  The row of N - S is minus

@@ -200,9 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("asymptotics", help="asymptotic covariance report")
     p.add_argument("--vf", required=True)
     p.add_argument("--method", choices=list(ESTIMATORS), required=True)
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--exact", action="store_true", help="enumerate exactly (default)")
-    grp.add_argument("--plugin", type=int, metavar="N", help="plug-in estimate from N draws")
+    p.add_argument("--plugin", type=int, metavar="N", help="plug-in estimate from N draws (default: exact)")
     p.add_argument("--seed", type=_seed, help="required with --plugin")
     p.add_argument("--adjusted", action="store_true", help="also report cost-adjusted eigenvalues")
     p.set_defaults(handler=_cmd_asymptotics)
@@ -214,9 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("blocks", help="player groups from the paired-walk covariance")
     p.add_argument("--vf", required=True)
     p.add_argument("--threshold", type=float, required=True)
-    grp = p.add_mutually_exclusive_group()
-    grp.add_argument("--exact", action="store_true", help="enumerate exactly (default)")
-    grp.add_argument("--plugin", type=int, metavar="N", help="plug-in estimate from N draws")
+    p.add_argument("--plugin", type=int, metavar="N", help="plug-in estimate from N draws (default: exact)")
     p.add_argument("--seed", type=_seed, help="required with --plugin")
     p.set_defaults(handler=_cmd_blocks)
 

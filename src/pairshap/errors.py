@@ -47,7 +47,15 @@ class NonFiniteError(NumericError):
 
 
 class SingularMatrix(NumericError):
-    """A linear solve met a pivot too small to trust."""
+    """A linear solve met a pivot too small to trust.
+
+    `slices` holds the indices of the singular slices of a stacked solve;
+    a single matrix is slice 0.
+    """
+
+    def __init__(self, message: str, slices):
+        super().__init__(message)
+        self.slices = slices
 
 
 class NoConvergence(NumericError):

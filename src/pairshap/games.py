@@ -121,8 +121,10 @@ class ValueFunctionSpec:
     def values(self, Z: np.ndarray) -> np.ndarray:
         Z = as_coalitions(Z, self.q)
         total = np.zeros(Z.shape[0])
-        for term in self.terms:
-            total += term.raw_values(Z)
+        # terms of opposite infinite sign add to NaN; `_normalized` refuses it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for term in self.terms:
+                total += term.raw_values(Z)
         return self._normalized(total)
 
     def value_table(self) -> np.ndarray:
@@ -138,24 +140,27 @@ class ValueFunctionSpec:
         _guard_table(q)
         step, starts = _table_chunks(q)
         total = None
-        for term in self.terms:
-            local = term.table()
-            # `values` adds the first term to zeros, which turns -0.0 into 0.0;
-            # only a bilinear form, summed by einsum, is not built from zero
-            if np.array_equal(term.indices, np.arange(q)) and (total is not None or term.kind != "bilinear"):
-                total = local if total is None else np.add(total, local, out=total)
-                continue
-            if total is None:
-                total = np.zeros(1 << q)
-            # a chunk's masks are its start plus the masks below step, whose
-            # bits are disjoint, and so are their term bitmasks
-            lows = _term_masks(term.indices, np.arange(step, dtype=np.int64))
-            for start in starts:
-                total[start : start + step] += local[lows + _term_masks(term.indices, np.int64(start))]
+        # terms of opposite infinite sign add to NaN; `_normalized` refuses it
+        with np.errstate(over="ignore", invalid="ignore"):
+            for term in self.terms:
+                local = term.table()
+                # `values` adds the first term to zeros, which turns -0.0 into
+                # 0.0; only a bilinear form, summed by einsum, is not built from zero
+                if np.array_equal(term.indices, np.arange(q)) and (total is not None or term.kind != "bilinear"):
+                    total = local if total is None else np.add(total, local, out=total)
+                    continue
+                if total is None:
+                    total = np.zeros(1 << q)
+                # a chunk's masks are its start plus the masks below step, whose
+                # bits are disjoint, and so are their term bitmasks
+                lows = _term_masks(term.indices, np.arange(step, dtype=np.int64))
+                for start in starts:
+                    total[start : start + step] += local[lows + _term_masks(term.indices, np.int64(start))]
         return self._normalized(total)
 
     def _normalized(self, total: np.ndarray) -> np.ndarray:
-        total -= self._raw_empty
+        with np.errstate(over="ignore", invalid="ignore"):
+            total -= self._raw_empty
         if not np.all(np.isfinite(total)):
             raise NonFiniteError("value function produced a non-finite payoff")
         return total

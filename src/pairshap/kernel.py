@@ -14,12 +14,11 @@ from itertools import combinations
 import numpy as np
 
 from . import exact, linalg
-from .errors import DimensionError, DomainError, RankDeficient
+from .errors import DimensionError, DomainError, RankDeficient, SingularMatrix
 from .games import full_mask, guard_draws, mask_rows, member_masks
 from .streams import derive_rng
 
 RANK_RETRY_LIMIT = 100
-RANK_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -100,7 +99,11 @@ def _gram(x: np.ndarray) -> np.ndarray:
 
 
 def _solve_normal(gram: np.ndarray, x: np.ndarray, y: np.ndarray, grand: np.ndarray) -> np.ndarray:
-    """Least-squares solutions of a stack of full-rank fits, completed by efficiency, as an (r, q) array."""
+    """Least-squares solutions of a stack of fits, completed by efficiency, as an (r, q) array.
+
+    SingularMatrix, listing every rank-deficient fit, if any fit's normal
+    equations are singular.
+    """
     partial = linalg.solve_spd(gram, np.matmul(x.transpose(0, 2, 1), y[..., None])[..., 0])
     return np.concatenate([partial, (grand - partial.sum(axis=1))[:, None]], axis=1)
 
@@ -117,10 +120,12 @@ def estimate_kernel_stack(ev, n: int, seeds, paired: bool = False) -> list:
     lookup evaluates them, and one elimination solves their normal
     equations.  Replicate i still draws from derive_rng(seeds[i], attempt),
     and reads the grand value once, as a lone estimate does, so its result
-    is bit for bit that of `estimate_kernel` with seeds[i].  A replicate
-    whose design is rank deficient alone redraws, from its next attempt's
-    substream, up to RANK_RETRY_LIMIT attempts; RankDeficient is raised
-    after that.  Returns one (ShapleyVector, KernelSampleBatch) per seed.
+    is bit for bit that of `estimate_kernel` with seeds[i].  The solve's
+    pivot floor is the rank test: the replicates whose normal equations it
+    finds singular alone redraw, from their next attempt's substream, and
+    the stack is solved again, up to RANK_RETRY_LIMIT batches in all;
+    RankDeficient is raised after that.  Returns one (ShapleyVector,
+    KernelSampleBatch) per seed.
     """
     if n < 1:
         raise DomainError(f"sample size must be positive, got {n}")
@@ -131,21 +136,20 @@ def estimate_kernel_stack(ev, n: int, seeds, paired: bool = False) -> list:
     x, y = design_response(ev, _with_complements(draws, paired, q), grand)
     gram = _gram(x)
     retries = np.zeros(len(seeds), dtype=np.int64)
-    pending = np.flatnonzero(linalg.rank(gram, RANK_TOL) < q - 1)
-    for attempt in range(1, RANK_RETRY_LIMIT):
-        if not pending.size:
+    for attempt in range(1, RANK_RETRY_LIMIT + 1):
+        try:
+            phi = _solve_normal(gram, x, y, grand)
             break
-        redrawn = sample_coalitions(weights, n, [derive_rng(seeds[i], attempt) for i in pending])
-        x_new, y_new = design_response(ev, _with_complements(redrawn, paired, q), grand[pending])
-        gram_new = _gram(x_new)
-        draws[pending], x[pending], y[pending], gram[pending] = redrawn, x_new, y_new, gram_new
-        retries[pending] = attempt
-        pending = pending[linalg.rank(gram_new, RANK_TOL) < q - 1]
-    if pending.size:
-        raise RankDeficient(
-            f"design never reached rank {q - 1} in {RANK_RETRY_LIMIT} batches; increase n"
-        )
-    phi = _solve_normal(gram, x, y, grand)
+        except SingularMatrix as exc:
+            if attempt == RANK_RETRY_LIMIT:
+                raise RankDeficient(
+                    f"design never reached rank {q - 1} in {RANK_RETRY_LIMIT} batches; increase n"
+                ) from exc
+            pending = exc.slices
+            redrawn = sample_coalitions(weights, n, [derive_rng(seeds[i], attempt) for i in pending])
+            x_new, y_new = design_response(ev, _with_complements(redrawn, paired, q), grand[pending])
+            draws[pending], x[pending], y[pending], gram[pending] = redrawn, x_new, y_new, _gram(x_new)
+            retries[pending] = attempt
     tag = "kernel-paired" if paired else "kernel"
     return [
         (
@@ -161,9 +165,10 @@ def estimate_kernel_stack(ev, n: int, seeds, paired: bool = False) -> list:
 def estimate_kernel(ev, n: int, paired: bool = False, seed=None):
     """Least-squares Shapley estimate from n kernel draws (n pairs if paired).
 
-    The one-seed case of `estimate_kernel_stack`: rank-deficient batches are
-    redrawn from fresh substreams, up to RANK_RETRY_LIMIT times.  Returns the
-    estimate together with the accepted KernelSampleBatch.
+    The one-seed case of `estimate_kernel_stack`: batches whose normal
+    equations are singular are redrawn from fresh substreams, up to
+    RANK_RETRY_LIMIT times.  Returns the estimate together with the accepted
+    KernelSampleBatch.
     """
     return estimate_kernel_stack(ev, n, [seed], paired)[0]
 
@@ -180,10 +185,11 @@ def solve_bilinear_basis(ev, basis) -> exact.ShapleyVector:
         raise DimensionError(f"basis must hold {ev.q - 1} coalition bitmasks, got shape {basis.shape}")
     grand = np.array([ev.grand_value()])
     x, y = design_response(ev, _with_complements(basis[None], True, ev.q), grand)
-    gram = _gram(x)
-    if linalg.rank(gram, RANK_TOL)[0] < ev.q - 1:
-        raise RankDeficient("basis coalitions are linearly dependent")
-    return exact.ShapleyVector(phi=_solve_normal(gram, x, y, grand)[0], method_tag="kernel-paired-basis")
+    try:
+        phi = _solve_normal(_gram(x), x, y, grand)[0]
+    except SingularMatrix as exc:
+        raise RankDeficient("basis coalitions are linearly dependent") from exc
+    return exact.ShapleyVector(phi=phi, method_tag="kernel-paired-basis")
 
 
 def random_independent_basis(q: int, rng: np.random.Generator) -> np.ndarray:
@@ -192,8 +198,11 @@ def random_independent_basis(q: int, rng: np.random.Generator) -> np.ndarray:
     for _ in range(RANK_RETRY_LIMIT):
         masks = rng.integers(1, full, size=q - 1, dtype=np.int64)
         x, _ = _design(masks, q)
-        if linalg.rank(x.T @ x, RANK_TOL) == q - 1:
-            return masks
+        try:
+            linalg.solve_spd(x.T @ x, np.zeros(q - 1))
+        except SingularMatrix:
+            continue
+        return masks
     raise RankDeficient(f"no independent basis found in {RANK_RETRY_LIMIT} draws")
 
 

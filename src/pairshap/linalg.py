@@ -1,9 +1,9 @@
 """Dense symmetric linear algebra with fixed, test-visible tolerances.
 
 The matrices in this package are small (at most a few dozen rows).  Solves
-and ranks eliminate one pivot at a time, over a whole (r, k, k) stack of
-matrices at once where many small systems share a shape; each slice is
-pivoted on its own and gives bit for bit what its own 2-D call gives.  The
+eliminate one pivot at a time, over a whole (r, k, k) stack of matrices at
+once where many small systems share a shape; each slice is pivoted on its
+own and gives bit for bit what its own 2-D call gives.  The
 eigensolver is a parallel-order Jacobi that applies all the disjoint
 rotations of a round in one matrix product.  `solve_spd` and `eig_sym` raise
 NonFiniteError for NaN or infinite input entries rather than returning NaN.
@@ -14,7 +14,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NoConvergence, NonFiniteError, SingularMatrix
+from .errors import DimensionError, NoConvergence, NonFiniteError, SingularMatrix
 
 SOLVE_SYMMETRY_RTOL = 1e-12
 SINGULAR_PIVOT_RTOL = 1e-12
@@ -49,9 +49,12 @@ def solve_spd(A, b):
     Gaussian elimination with partial pivoting.  `A` is k x k with `b` a
     vector or a matrix of right-hand-side columns, or `A` is an (r, k, k)
     stack with `b` an (r, k) or (r, k, c) stack; slice i solves A[i] x = b[i].
-    Raises SingularMatrix, naming the slice of a stack, when a pivot falls to
-    SINGULAR_PIVOT_RTOL times the largest initial diagonal entry of its
-    matrix.
+    A slice is singular when a pivot falls to SINGULAR_PIVOT_RTOL times the
+    largest initial diagonal entry of its matrix; that pivot floor is the
+    package's only rank test.  The other slices are still eliminated, and
+    then SingularMatrix is raised: its message names the lowest singular
+    slice of a stack, with its first failing step and pivot, and its
+    `slices` holds the index of every singular slice.
     """
     A = _square_symmetric(A, SOLVE_SYMMETRY_RTOL, stacks=True)
     stacked = A.ndim == 3
@@ -68,22 +71,34 @@ def solve_spd(A, b):
     aug = np.concatenate([A, B], axis=2)
     slices = np.arange(aug.shape[0])
     pivot_floor = SINGULAR_PIVOT_RTOL * np.max(np.abs(np.diagonal(A, axis1=1, axis2=2)), axis=1, initial=0.0)
+    singular = np.zeros(aug.shape[0], dtype=bool)
+    first = None
     for k in range(n):
         p = k + np.argmax(np.abs(aug[:, k:, k]), axis=1)
         pivot = aug[slices, p, k]
         low = np.abs(pivot) <= pivot_floor
         if low.any():
-            i = int(np.argmax(low))
-            where = f"slice {i}: " if stacked else ""
-            raise SingularMatrix(f"{where}pivot {pivot[i]:.3e} at step {k} below floor {pivot_floor[i]:.3e}")
+            fresh = low & ~singular
+            i = int(np.argmax(fresh))
+            if fresh[i] and (first is None or i < first[0]):
+                first = i, k, pivot[i]
+            singular |= low
         if k + 1 == n:
             break
         if np.any(p != k):
             top = aug[:, k].copy()
             aug[:, k] = aug[slices, p]
             aug[slices, p] = top
-        factors = aug[:, k + 1 :, k] / aug[:, k, k, None]
+        # a singular slice is divided by infinity, which zeroes its factors
+        # and leaves its entries as they stand, finite, while the rest go on
+        factors = aug[:, k + 1 :, k] / np.where(singular, np.inf, aug[:, k, k])[:, None]
         aug[:, k + 1 :, k:] -= factors[:, :, None] * aug[:, k, None, k:]
+    if first is not None:
+        i, k, pivot = first
+        where = f"slice {i}: " if stacked else ""
+        raise SingularMatrix(
+            f"{where}pivot {pivot:.3e} at step {k} below floor {pivot_floor[i]:.3e}", np.flatnonzero(singular)
+        )
 
     # a stacked matmul runs each slice's product through the routine of the
     # 2-D product, so every slice rounds exactly as its own call would
@@ -185,52 +200,3 @@ def eig_sym(A):
     w = np.ldexp(np.diag(a), exponent)
     order = np.argsort(-w, kind="stable")
     return w[order], V[:, order]
-
-
-def rank(A, tol: float):
-    """Numerical rank by Gaussian elimination with complete pivoting.
-
-    Pivots smaller than `tol` times the largest initial pivot count as zero.
-    `A` is a matrix, giving an int, or an (r, m, n) stack, giving the rank of
-    each slice as an int array; each slice is pivoted on its own.
-    """
-    if not tol > 0:
-        raise DomainError(f"rank tolerance must be positive, got {tol}")
-    M = np.array(A, dtype=float)
-    if M.ndim not in (2, 3):
-        raise DimensionError(f"expected a matrix or a stack of them, got shape {M.shape}")
-    stacked = M.ndim == 3
-    M = M.reshape(-1, *M.shape[-2:])
-    count, m, n = M.shape
-    slices = np.arange(count)
-    ranks = np.zeros(count, dtype=np.intp)
-    # a slice stops counting at its first pivot below the floor
-    live = np.ones(count, dtype=bool)
-    for step in range(min(m, n)):
-        sub = np.abs(M[:, step:, step:])
-        pr, pc = np.divmod(np.argmax(sub.reshape(count, sub[0].size), axis=1), n - step)
-        pivot = sub[slices, pr, pc]
-        if step == 0:
-            floor = tol * pivot
-            live &= pivot != 0.0
-        live &= ~(pivot < floor)
-        if not live.any():
-            break
-        ranks += live
-        if step + 1 == min(m, n):
-            break
-        if pr.any():
-            rows = step + pr
-            top = M[:, step].copy()
-            M[:, step] = M[slices, rows]
-            M[slices, rows] = top
-        if pc.any():
-            cols = step + pc
-            left = M[:, :, step].copy()
-            M[:, :, step] = M[slices, :, cols]
-            M[slices, :, cols] = left
-        # a stopped slice no longer counts; dividing it by one keeps its
-        # entries, all below its floor, small and finite
-        factors = M[:, step + 1 :, step] / np.where(live, M[:, step, step], 1.0)[:, None]
-        M[:, step + 1 :, step:] -= factors[:, :, None] * M[:, step, None, step:]
-    return ranks if stacked else int(ranks[0])

@@ -45,6 +45,16 @@ REFERENCE_SIGMA_TRACE = 0.0016519351251335973
 # masks: {1}=1, {2}=5, {3}=7, {1,2}=3, {1,3}=11, {2,3}=13, {1,2,3}=17
 HAND_TABLE_Q3 = np.array([0.0, 1.0, 5.0, 3.0, 7.0, 11.0, 13.0, 17.0])
 
+# a q=3 game whose payoff on players {1, 2} is +inf from its exponential
+# term plus -inf from its linear term
+OPPOSITE_INFINITIES_DOC = {
+    "q": 3,
+    "terms": [
+        {"kind": "exp_linear", "indices": [1, 2], "beta": [400.0, 400.0]},
+        {"kind": "linear", "indices": [1, 2], "beta": [-1e308, -1e308]},
+    ],
+}
+
 
 @pytest.fixture
 def reference_spec() -> ValueFunctionSpec:

@@ -17,7 +17,7 @@ import pairshap
 from pairshap.cli import main
 from pairshap.estimators import ESTIMATORS
 
-from conftest import REFERENCE_DOC, REFERENCE_PHI, three_block_doc
+from conftest import OPPOSITE_INFINITIES_DOC, REFERENCE_DOC, REFERENCE_PHI, three_block_doc
 
 
 @pytest.fixture
@@ -395,8 +395,13 @@ OVERFLOWING_PAYOFF_DOC = {"q": 4, "terms": [{"kind": "exp_linear", "indices": [1
         (OVERFLOWING_DOC,
          ["sample", "--method", "kernel", "--paired", "--n", "100", "--seed", "1", "--stderr-from", "plugin"]),
         (OVERFLOWING_PAYOFF_DOC, ["exact"]),
+        (OPPOSITE_INFINITIES_DOC, ["exact"]),
+        (OPPOSITE_INFINITIES_DOC, ["sample", "--method", "permutation", "--n", "4", "--seed", "1"]),
     ],
-    ids=[*(f"asymptotics-{method}" for method in ESTIMATORS), "sample-kernel-plugin", "exact-payoffs"],
+    ids=[
+        *(f"asymptotics-{method}" for method in ESTIMATORS), "sample-kernel-plugin", "exact-payoffs",
+        "exact-opposite-infinities", "sample-opposite-infinities",
+    ],
 )
 def test_overflowing_covariance_prints_one_error_line(tmp_path, doc, argv):
     # a separate interpreter with Python's default warning filters, which

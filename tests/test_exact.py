@@ -143,7 +143,7 @@ def test_readme_size_limits_are_the_code_limits():
     )
     assert found, "README has no 'Size limits:' sentence in the expected form"
     documented = [int(limit) for limit in found.groups()]
-    assert documented == [games.TABLE_LIMIT, exact.PERMUTATION_LIMIT, asymptotics.KERNEL_ENUM_LIMIT]
+    assert documented == [games.TABLE_LIMIT, exact.PERMUTATION_LIMIT, games.TABLE_LIMIT]
 
 
 def test_float_binomial():

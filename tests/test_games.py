@@ -1,5 +1,6 @@
 """Value-function parsing, normalization, and coalition/permutation helpers."""
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,10 +12,10 @@ from pairshap.errors import (
     SchemaError,
     SizeGuard,
 )
-from pairshap import games, kernel
+from pairshap import games, kernel, permutation
 from pairshap.games import TERM_KINDS, GameEvaluator, mask_rows, parse_spec
 
-from conftest import REFERENCE_DOC, RowCounter, UnplayableGame, random_game_doc
+from conftest import OPPOSITE_INFINITIES_DOC, REFERENCE_DOC, RowCounter, UnplayableGame, random_game_doc
 from oracles import (
     complement,
     evaluate,
@@ -125,6 +126,21 @@ def test_overflowing_exponential_raises_non_finite():
     )
     with pytest.raises(NonFiniteError):
         evaluate(spec, np.ones(2, dtype=np.uint8))
+
+
+def test_terms_of_opposite_infinite_sign_raise_without_a_warning():
+    spec = parse_spec(OPPOSITE_INFINITIES_DOC)
+    orders = np.array([[0, 1, 2], [2, 1, 0]] * 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteError):
+            spec.values(np.array([[1, 1, 0]], dtype=np.uint8))
+        with pytest.raises(NonFiniteError):
+            spec.value_table()
+        # 4 orders of 3 players reach the 8 coalitions: the walk tries the
+        # table first, then the rows
+        with pytest.raises(NonFiniteError):
+            permutation.marginal_vectors(GameEvaluator(spec), orders)
 
 
 def test_evaluate_rejects_wrong_length_and_non_binary():

@@ -4,7 +4,7 @@ import pytest
 from scipy.stats import chi2
 
 from pairshap import exact, games, kernel, linalg
-from pairshap.errors import DimensionError, DomainError, RankDeficient, SizeGuard
+from pairshap.errors import DimensionError, DomainError, RankDeficient, SingularMatrix, SizeGuard
 from pairshap.estimators import ESTIMATORS
 from pairshap.games import GameEvaluator, mask_rows, parse_spec
 from pairshap.streams import derive_rng
@@ -268,30 +268,30 @@ def test_batch_layout(reference_spec):
     assert unpaired.design.shape == (n, 3)
 
 
-def fail_first_rank_check(monkeypatch, replicate):
-    """Make the first rank check report `replicate` of its stack rank deficient."""
-    rank = linalg.rank
+def fail_first_solve(monkeypatch, replicate):
+    """Zero the Gram matrix of `replicate` in the first solve, so that the solve finds it singular."""
+    solve = linalg.solve_spd
     stacks = []
 
-    def failing(gram, tol):
-        ranks = rank(gram, tol)
+    def failing(gram, rhs):
         if not stacks:
-            ranks[replicate] = 0
+            gram = gram.copy()
+            gram[replicate] = 0.0
         stacks.append(len(gram))
-        return ranks
+        return solve(gram, rhs)
 
-    monkeypatch.setattr(linalg, "rank", failing)
+    monkeypatch.setattr(linalg, "solve_spd", failing)
     return stacks
 
 
 def test_rank_deficient_replicate_alone_redraws(monkeypatch, reference_spec):
     n, seeds = 12, [31, 32, 33]
     lone = [kernel.estimate_kernel(GameEvaluator(reference_spec), n, seed=seed) for seed in seeds]
-    stacks = fail_first_rank_check(monkeypatch, 1)
+    stacks = fail_first_solve(monkeypatch, 1)
     ev = GameEvaluator(reference_spec)
     stacked = kernel.estimate_kernel_stack(ev, n, seeds)
-    # the stack, then replicate 1 alone
-    assert stacks == [3, 1]
+    # the stack, then the stack again with replicate 1 redrawn
+    assert stacks == [3, 3]
     assert [batch.retries for _, batch in stacked] == [0, 1, 0]
     for i in (0, 2):
         assert np.array_equal(stacked[i][0].phi, lone[i][0].phi)
@@ -299,13 +299,37 @@ def test_rank_deficient_replicate_alone_redraws(monkeypatch, reference_spec):
     redrawn = kernel.sample_coalitions(exact.kernel_weights(4), n, [derive_rng(32, 1)])[0]
     assert np.array_equal(stacked[1][1].draws, redrawn)
     # replicate 1 gets what a lone estimate whose first batch failed gets
-    fail_first_rank_check(monkeypatch, 0)
+    fail_first_solve(monkeypatch, 0)
     vector, batch = kernel.estimate_kernel(GameEvaluator(reference_spec), n, seed=32)
     assert batch.retries == 1
     assert np.array_equal(stacked[1][0].phi, vector.phi)
     assert np.array_equal(stacked[1][1].design, batch.design)
     # the redraw looks up its n draws again, but not the grand value
     assert ev.eval_count == 3 * (n + 1) + n
+
+
+def test_solve_verdict_is_the_numpy_rank_of_sampled_kernel_grams():
+    # the normal equations of sampled designs, paired and unpaired, many of
+    # them rank deficient at small n: the solve refuses exactly those
+    checked = deficient = 0
+    for q in range(3, 11):
+        weights = exact.kernel_weights(q)
+        for n in sorted({2, q // 2, q - 1, q + 1, 2 * q}):
+            for paired in (False, True):
+                rngs = [derive_rng(18, q, n, int(paired), i) for i in range(100)]
+                masks = kernel._with_complements(kernel.sample_coalitions(weights, n, rngs), paired, q)
+                x, _ = kernel._design(masks.reshape(-1), q)
+                gram = kernel._gram(x.reshape(len(rngs), -1, q - 1))
+                singular = np.flatnonzero(np.linalg.matrix_rank(gram) < q - 1)
+                try:
+                    linalg.solve_spd(gram, np.ones((len(rngs), q - 1)))
+                    refused = []
+                except SingularMatrix as exc:
+                    refused = exc.slices.tolist()
+                assert refused == singular.tolist(), (q, n, paired)
+                checked += len(rngs)
+                deficient += singular.size
+    assert checked >= 5000 and 0.2 < deficient / checked < 0.8
 
 
 def test_rank_deficient_raises_after_redraw_budget(reference_spec):

@@ -1,11 +1,11 @@
-"""Solve, eigendecomposition, and rank detection; numpy.linalg is the oracle."""
+"""Solve, eigendecomposition, and the solve's singularity verdict; numpy.linalg is the oracle."""
 import itertools
 
 import numpy as np
 import pytest
 
 from pairshap import asymptotics, linalg
-from pairshap.errors import DimensionError, DomainError, NoConvergence, NonFiniteError, SingularMatrix
+from pairshap.errors import DimensionError, NoConvergence, NonFiniteError, SingularMatrix
 from pairshap.games import GameEvaluator, parse_spec
 
 from oracles import cyclic_jacobi
@@ -218,37 +218,14 @@ def test_non_finite_inputs_raise(bad):
         linalg.solve_spd(np.eye(2), np.array([1.0, bad]))
 
 
-def test_rank_equal_columns():
-    A = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
-    assert linalg.rank(A, 1e-10) == 1
-
-
-def test_rank_identity():
-    assert linalg.rank(np.eye(7), 1e-10) == 7
-
-
-def test_rank_zero_matrix_and_requires_positive_tol():
-    assert linalg.rank(np.zeros((3, 4)), 1e-10) == 0
-    with pytest.raises(DomainError):
-        linalg.rank(np.eye(2), 0.0)
-
-
 def test_rank_of_unit_coalition_paired_design():
     # coalitions e_1..e_{q-1} plus complements give a full-rank paired design
     for q in range(2, 8):
         basis = np.eye(q, dtype=np.uint8)[: q - 1]
         rows = np.vstack([basis, 1 - basis]).astype(float)
         x = rows[:, :-1] - rows[:, -1:]
-        assert linalg.rank(x, 1e-10) == q - 1
-
-
-def test_rank_matches_numpy_on_fuzz():
-    rng = np.random.default_rng(15)
-    for _ in range(30):
-        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        r = int(rng.integers(0, min(m, n) + 1))
-        A = rng.normal(size=(m, r)) @ rng.normal(size=(r, n)) if r else np.zeros((m, n))
-        assert linalg.rank(A, 1e-10) == np.linalg.matrix_rank(A, tol=1e-8)
+        b = np.arange(1.0, q)
+        np.testing.assert_allclose(linalg.solve_spd(x.T @ x, b), np.linalg.solve(x.T @ x, b), rtol=1e-12)
 
 
 def test_stacked_solve_matches_each_slice_bit_for_bit():
@@ -265,21 +242,34 @@ def test_stacked_solve_matches_each_slice_bit_for_bit():
             assert np.array_equal(Y[i], linalg.solve_spd(A[i], B[i]))
 
 
-def test_stacked_rank_matches_each_slice():
-    rng = np.random.default_rng(31)
-    for _ in range(30):
-        m, n = int(rng.integers(1, 9)), int(rng.integers(1, 9))
-        slices = []
-        for _ in range(6):
-            r = int(rng.integers(0, min(m, n) + 1))
-            slices.append(rng.normal(size=(m, r)) @ rng.normal(size=(r, n)) if r else np.zeros((m, n)))
-        stack = np.stack(slices)
-        ranks = linalg.rank(stack, 1e-10)
-        assert ranks.tolist() == [linalg.rank(S, 1e-10) for S in slices]
-    # slices that stop at different steps: zero, rank one, full rank
-    stack = np.stack([np.zeros((3, 3)), np.ones((3, 3)), np.eye(3)])
-    assert linalg.rank(stack, 1e-10).tolist() == [0, 1, 3]
-    assert isinstance(linalg.rank(np.eye(3), 1e-10), int)
+def test_stacked_solve_lists_slices_singular_at_different_steps():
+    rng = np.random.default_rng(32)
+    huge = np.zeros((3, 3))
+    huge[1:, 1:] = 1e200
+    # slice: (matrix, the step at which it is found singular)
+    singular = {
+        1: (np.ones((3, 3)), 1),
+        2: (np.zeros((3, 3)), 0),
+        4: (np.diag([1.0, 1.0, 0.0]), 2),
+        # eliminating it on would overflow 1e200 * 1e200
+        5: (huge, 0),
+    }
+    A = np.stack([singular[i][0] if i in singular else random_spd(rng, 3) for i in range(7)])
+    b = rng.normal(size=(7, 3))
+    # the lowest singular slice is named, though a later one failed earlier
+    with pytest.raises(SingularMatrix, match=r"^slice 1: pivot 0\.000e\+00 at step 1 ") as info:
+        linalg.solve_spd(A, b)
+    assert info.value.slices.tolist() == [1, 2, 4, 5]
+    for i, (_, step) in singular.items():
+        with pytest.raises(SingularMatrix, match=rf"^pivot .* at step {step} ") as alone:
+            linalg.solve_spd(A[i], b[i])
+        assert alone.value.slices.tolist() == [0]
+    # the singular slices replaced, as a kernel fit redraws them, the others
+    # solve as their own calls do
+    A[list(singular)] = [random_spd(rng, 3) for _ in singular]
+    X = linalg.solve_spd(A, b)
+    for i in range(7):
+        assert np.array_equal(X[i], linalg.solve_spd(A[i], b[i]))
 
 
 def test_stacked_solve_names_the_singular_slice():
@@ -311,5 +301,3 @@ def test_stacked_solve_rejects_bad_shapes():
         linalg.solve_spd(np.ones((2, 2, 2, 2)), np.ones((2, 2, 2)))
     with pytest.raises(DimensionError):
         linalg.eig_sym(np.stack([np.eye(2)] * 2))
-    with pytest.raises(DimensionError):
-        linalg.rank(np.ones((2, 2, 2, 2)), 1e-10)
