@@ -11,7 +11,6 @@ cost-adjusted spectrum comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -194,9 +193,7 @@ def permutation_covariance_exact(ev, paired: bool = True) -> CovarianceReport:
     diagonal, and for bilinear games it vanishes entirely.
     """
     perms = exact.all_permutations(ev.q)
-    table = ev.value_table()
-    # prefixes of whole orders are always in range; clipping gathers unbuffered
-    W = exact.marginal_matrix(partial(np.take, table, mode="clip"), perms, paired)
+    W = exact.walk_gains(exact.gain_table(ev.value_table(), paired), perms)
     return _walk_covariance(W, paired, "exact-enumeration")
 
 

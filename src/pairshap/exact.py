@@ -14,13 +14,15 @@ sizes and fitted values; pair and one-player sums run the superset-sum
 (zeta) transform only as far as those sums need it.  Both take O(q 2^q)
 time and form no 2^q x q matrix.  The kernel design moment runs no pass
 over 2^q entries: its weights depend on coalition size alone, so its pair
-sums follow from the q + 1 size weights.
+sums follow from the q + 1 size weights, and every vector indexed by
+coalition size is copied out of those q + 1 values.  The permutation walk
+reads every order's gains from one table of the q 2^q gains
+v(T) - v(T - j), with one gather per order.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -169,6 +171,19 @@ def pivot_moments(w: np.ndarray, q: int):
         return _pivoted(pair_sums(w, q))
 
 
+def by_size(per_size: np.ndarray, q: int) -> np.ndarray:
+    """v[mask] = per_size[|mask|] for all 2^q masks, by block copies of the q + 1 values.
+
+    A mask's size is the size of its low b = q // 2 bits plus that of its
+    high ones.  So each block of 2^b masks that share their high bits is a
+    copy of one of q - b + 1 rows, row s holding per_size at the low masks'
+    sizes plus s, and no 2^q index array is formed.
+    """
+    low = q // 2
+    rows = per_size[np.arange(q - low + 1)[:, None] + subset_sums(np.ones(low, dtype=np.intp))]
+    return rows.take(subset_sums(np.ones(q - low, dtype=np.intp)), axis=0).reshape(-1)
+
+
 def size_weights(q: int) -> np.ndarray:
     """Kernel probability of one coalition of each size 0..q; zero for sizes 0 and q."""
     kw = kernel_weights(q)
@@ -212,7 +227,7 @@ def kernel_moments(table: np.ndarray, q: int):
     side reads only one-player sums of p y, formed in y's buffer, which is
     then rebuilt.
     """
-    p = size_weights(q)[subset_sums(np.ones(q, dtype=np.uint8))]
+    p = by_size(size_weights(q), q)
     y = _response(table, np.empty_like(table))
     y *= p
     # as in pivot_moments, overflowing sums reach the solve as non-finite
@@ -232,23 +247,45 @@ def shapley_subset(ev) -> ShapleyVector:
     """
     q = ev.q
     table = ev.value_table()
-    sizes = subset_sums(np.ones(q, dtype=np.uint8))
     weights = np.array([1.0 / (q * float_binomial(q - 1, s)) for s in range(q)] + [0.0])
     joined = np.append(0.0, weights[:-1] + weights[1:])
-    base = float(weights[sizes] @ table)
+    base = float(by_size(weights, q) @ table)
     # the table is the evaluator's, so the weights are scaled by it, not it by them
-    weighted = joined[sizes]
-    del sizes
+    weighted = by_size(joined, q)
     weighted *= table
     phi = np.array([weighted.reshape(-1, 2, 1 << j)[:, 1, :].sum() for j in range(q)]) - base
     return ShapleyVector(phi=phi, method_tag="subset")
 
 
 def all_permutations(q: int) -> np.ndarray:
-    """Every player order as an array of shape (q!, q)."""
+    """Every player order as an array of shape (q!, q), in the order of itertools.permutations.
+
+    That order is lexicographic: the orders starting with player a come in
+    block a, and their tails are the orders of q - 1 players, lexicographic
+    too, with each player from a on moved up by one.  So the orders of k
+    players are built from those of k - 1, one block copy per first player.
+    """
     if q > PERMUTATION_LIMIT:
         raise SizeGuard(f"permutation enumeration supports q <= {PERMUTATION_LIMIT}, got q = {q}")
-    return np.array(list(itertools.permutations(range(q))), dtype=np.int64)
+    perms = np.zeros((1, 0), dtype=np.int64)
+    for k in range(1, q + 1):
+        tails = perms
+        perms = np.empty((k * tails.shape[0], k), dtype=np.int64)
+        for a, block in enumerate(perms.reshape(k, -1, k)):
+            block[:, 0] = a
+            np.add(tails, tails >= a, out=block[:, 1:])
+    return perms
+
+
+def _check_orders(last: np.ndarray, grand) -> None:
+    """DomainError unless every walked order's last prefix, `last`, is the grand coalition's code `grand`.
+
+    The orders' entries lie in [0, q), and q powers of two sum to 2^q - 1
+    only if they are distinct, so this holds exactly when every order holds
+    each player once.
+    """
+    if not np.all(last == grand):
+        raise DomainError("every player order must hold each player exactly once")
 
 
 def marginal_matrix(values_at, perms: np.ndarray, paired: bool = False) -> np.ndarray:
@@ -259,7 +296,8 @@ def marginal_matrix(values_at, perms: np.ndarray, paired: bool = False) -> np.nd
     payoffs of an (n, q) int64 array of coalition bitmasks into a float
     array that shares the masks' memory; it is called once, on the q
     nonempty prefixes of every order (the empty prefix is worth zero by
-    normalization).  Each row sums to the grand value.
+    normalization).  Each row sums to the grand value.  The orders' entries
+    must lie in [0, q); DomainError unless each holds every player once.
 
     Paired, row i is the sum of the vectors of order i and of its reverse,
     and `values_at` is called a second time, on the reverse order's q
@@ -270,8 +308,9 @@ def marginal_matrix(values_at, perms: np.ndarray, paired: bool = False) -> np.nd
     by column, are added, and are scattered once.
     """
     masks = prefix_masks(perms)
+    full = full_mask(perms.shape[1])
+    _check_orders(masks[:, -1], full)
     if paired:
-        full = full_mask(perms.shape[1])
         rev = np.empty_like(masks)
         rev[:, 0] = full
         np.bitwise_xor(masks[:, :-1], full, out=rev[:, 1:])
@@ -292,12 +331,77 @@ def marginal_matrix(values_at, perms: np.ndarray, paired: bool = False) -> np.nd
     return B
 
 
+def gain_table(table: np.ndarray, paired: bool = False) -> np.ndarray:
+    """Every gain a walk over the value table can read, as a (2^q, q) array.
+
+    Entry (T, j), for a coalition T holding player j, is the gain of j
+    completing the prefix T, v(T) - v(T - j); paired, the gain the reverse
+    order gives j there, v(N - T + j) - v(N - T), is added to it.  These are
+    `marginal_matrix`'s operands, combined in its order, so a walk reading
+    them gets its bits.  As there, a gain onto the empty coalition
+    subtracts nothing: its payoff is zero by normalization.  Entries with j
+    outside T are zero.
+
+    Pass j takes the halves of reshape(-1, 2, 2^j) views of the table and of
+    table[::-1], whose entry at T is v(N - T), so no index array is formed.
+    Differences of finite payoffs can overflow; they are left non-finite
+    without a warning, for the caller to check.
+    """
+    q = table.size.bit_length() - 1
+    gains = np.zeros((table.size, q))
+    rev = np.empty(table.size // 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in range(q):
+            lower, upper = table.reshape(-1, 2, 1 << j).transpose(1, 0, 2)
+            column = gains.reshape(-1, 2, 1 << j, q)[:, 1, :, j]
+            np.subtract(upper, lower, out=column)
+            column[0, 0] = upper[0, 0]
+            if paired:
+                joined, left = table[::-1].reshape(-1, 2, 1 << j).transpose(1, 0, 2)
+                back = np.subtract(joined, left, out=rev.reshape(-1, 1 << j))
+                back[-1, -1] = joined[-1, -1]
+                column += back
+    return gains
+
+
+def walk_gains(gains: np.ndarray, perms: np.ndarray) -> np.ndarray:
+    """`marginal_matrix` read off a `gain_table`, to the bit: one gather per walked order.
+
+    Player j at a position whose inclusive prefix is T reads entry T q + j.
+    That index is q 2^perms, prefix-summed by column adds (exact, in
+    integers), plus perms.  The gathered gains overwrite it and are
+    scattered to row i q + perms of B's flat view.  The orders are walked
+    in blocks of np.getbufsize() rows, numpy's ufunc buffer size, so each
+    block's index and targets stay in cache and the walk holds only B and
+    two blocks beside the orders.  The orders' entries must lie in [0, q);
+    DomainError unless each holds every player once.
+    """
+    n, q = perms.shape
+    B = np.empty((n, q))
+    step = max(1, min(n, np.getbufsize()))
+    index = np.empty((step, q), dtype=np.int64)
+    targets = np.empty_like(index)
+    rows = q * np.arange(step, dtype=np.int64)[:, None]
+    grand = q * full_mask(q)
+    for start in range(0, n, step):
+        block = perms[start : start + step]
+        m = block.shape[0]
+        walked = np.left_shift(np.int64(q), block, out=index[:m])
+        for t in range(1, q):
+            walked[:, t] += walked[:, t - 1]
+        _check_orders(walked[:, -1], grand)
+        walked += block
+        # the index is in range, so clipping never bites; it gathers unbuffered
+        gained = np.take(gains.reshape(-1), walked, out=walked.view(np.float64), mode="clip")
+        np.add(block, rows[:m], out=targets[:m])
+        B.reshape(-1)[start * q : (start + m) * q][targets[:m]] = gained
+    return B
+
+
 def shapley_all_permutations(ev) -> ShapleyVector:
     """Shapley values as the average marginal contribution over all q! orders."""
     perms = all_permutations(ev.q)
-    table = ev.value_table()
-    # prefixes of whole orders are always in range; clipping gathers unbuffered
-    B = marginal_matrix(partial(np.take, table, mode="clip"), perms)
+    B = walk_gains(gain_table(ev.value_table()), perms)
     return ShapleyVector(phi=B.mean(axis=0), method_tag="permutation")
 
 

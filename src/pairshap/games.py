@@ -427,6 +427,20 @@ class GameEvaluator:
             self._table = table
         return self._table
 
+    def lookup_table(self, lookups: int) -> np.ndarray | None:
+        """The value table a lookup of `lookups` masks reads, or None if it evaluates rows.
+
+        That is the table held; with none held, a lookup of at least 2^q
+        masks (q <= TABLE_LIMIT) builds it, unless the build raises
+        NonFiniteError, which keeps no table.  Counts nothing.
+        """
+        if self._table is None and 1 << self.q <= lookups and self.q <= TABLE_LIMIT:
+            try:
+                self._built_table()
+            except NonFiniteError:
+                pass
+        return self._table
+
     def values_at(self, masks, out=None) -> np.ndarray:
         """Payoffs of the coalitions encoded by an (n, k) int64 bitmask array.
 
@@ -448,12 +462,7 @@ class GameEvaluator:
             raise DomainError(f"coalition bitmasks must lie in [0, 2^{q})")
         if out is None:
             out = np.empty(masks.shape)
-        table = self._table
-        if table is None and 1 << q <= masks.size and q <= TABLE_LIMIT:
-            try:
-                table = self._built_table()
-            except NonFiniteError:
-                pass
+        table = self.lookup_table(masks.size)
         if table is None:
             for col in range(masks.shape[1]):
                 out[:, col] = self.game.values(mask_rows(masks[:, col], q))

@@ -33,10 +33,29 @@ def marginal_vectors(ev, perms, paired: bool = False) -> np.ndarray:
     row.  Paired, row i is the sum of the vectors of order i and of its
     reverse, whose prefixes are looked up as the complements of the forward
     ones: 2q evaluations per row, and no second walk.
+
+    From n = 2^q orders on, every gain the walk would form is one of the
+    q 2^q entries of `exact.gain_table`, which then holds no more floats
+    than one n x q array: the walk gathers them from it, one index per
+    player and order, to the same bits and for the same count.  A gain table
+    with a non-finite entry, or an evaluator with no table, leaves the walk
+    to the lookups.  DomainError unless every row orders the q players.
     """
+    q = ev.q
     perms = np.asarray(perms)
-    if perms.ndim != 2 or perms.shape[1] != ev.q:
-        raise DimensionError(f"expected an (n, {ev.q}) array of player orders, got shape {perms.shape}")
+    if perms.ndim != 2 or perms.shape[1] != q:
+        raise DimensionError(f"expected an (n, {q}) array of player orders, got shape {perms.shape}")
+    if perms.size and (perms.min() < 0 or perms.max() >= q):
+        raise DomainError(f"player orders must hold players 0..{q - 1}")
+    if perms.shape[0] >= 1 << q:
+        table = ev.lookup_table(perms.size)
+        if table is not None:
+            # finite gains need every payoff the walk reads to be finite
+            gains = exact.gain_table(table, paired)
+            if np.all(np.isfinite(gains)):
+                B = exact.walk_gains(gains, perms)
+                ev.eval_count += 2 * perms.size if paired else perms.size
+                return B
     return exact.marginal_matrix(ev.values_at, perms, paired)
 
 

@@ -1,4 +1,5 @@
 """Exact Shapley routes: golden values, axioms, and route agreement."""
+import itertools
 import re
 from functools import partial
 from pathlib import Path
@@ -203,6 +204,31 @@ def test_coalition_matrix_layout():
     np.testing.assert_array_equal(M[0], [0, 0, 0])
     np.testing.assert_array_equal(M[5], [1, 0, 1])  # mask 5 = players 0 and 2
     np.testing.assert_array_equal(M[7], [1, 1, 1])
+
+
+@pytest.mark.parametrize("q", range(1, 9))
+def test_all_permutations_keep_the_itertools_order(q):
+    # the exact walk covariance sums its rows in this order
+    expected = np.array(list(itertools.permutations(range(q))), dtype=np.int64)
+    got = exact.all_permutations(q)
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+
+
+def test_all_permutations_refuse_ten_players():
+    assert exact.all_permutations(exact.PERMUTATION_LIMIT).shape == (362_880, 9)
+    with pytest.raises(SizeGuard):
+        exact.all_permutations(exact.PERMUTATION_LIMIT + 1)
+
+
+@pytest.mark.parametrize("q", range(2, 21))
+def test_by_size_is_the_size_gather_bit_for_bit(q):
+    per_size = np.random.default_rng(600 + q).normal(size=q + 1)
+    per_size[q // 2] = -0.0
+    sizes = exact.subset_sums(np.ones(q, dtype=np.uint8))
+    for values in (per_size, exact.size_weights(q)):
+        expected = values[sizes]
+        got = exact.by_size(values, q)
+        assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
 def test_marginal_matrix_rows_telescope(hand_game_q3):

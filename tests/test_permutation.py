@@ -1,11 +1,13 @@
 """Permutation estimators: walks, pairing, group sums, separated games."""
+import itertools
+import warnings
 from functools import partial
 
 import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from pairshap import exact, games, kernel, permutation
+from pairshap import asymptotics, exact, games, kernel, permutation
 from pairshap.estimators import ESTIMATORS
 from pairshap.errors import DimensionError, DomainError, NonFiniteError, PartitionError, SizeGuard, SpecError
 from pairshap.games import GameEvaluator, mask_rows, member_masks, parse_spec
@@ -135,6 +137,158 @@ def test_paired_walk_physical_rows():
             else:
                 assert max(game.calls) <= n
                 assert game.calls == [n] * (2 * q)
+
+
+def lookup_walk(table, perms, paired=False) -> np.ndarray:
+    """Reference walk: two prefix lookups per order in the value table, as walks of fewer than 2^q orders run."""
+    return exact.marginal_matrix(partial(np.take, table, mode="clip"), perms, paired)
+
+
+@pytest.fixture
+def gain_walks(monkeypatch) -> list[int]:
+    """Row counts of every `exact.walk_gains` call made during the test."""
+    calls: list[int] = []
+    walk = exact.walk_gains
+
+    def counted(gains, perms):
+        calls.append(len(perms))
+        return walk(gains, perms)
+
+    monkeypatch.setattr(exact, "walk_gains", counted)
+    return calls
+
+
+def test_gain_walk_is_the_lookup_walk_bit_for_bit(gain_walks):
+    # from n = 2^q orders the walk gathers from the gain table; it must give
+    # the prefix lookups' bits, on every term kind, with -0.0 offsets too
+    rng = np.random.default_rng(96)
+    kinds = set()
+    for q in range(2, 11):
+        for rep in range(4):
+            doc = random_game_doc(rng, q)
+            if rep % 2:
+                for term in doc["terms"]:
+                    term["offset"] = -0.0
+            kinds.update(term["kind"] for term in doc["terms"])
+            spec = parse_spec(doc)
+            table = GameEvaluator(spec).value_table()
+            for n in (2**q - 1, 2**q):
+                perms = permutation.sample_permutations(q, n, rng)
+                for paired in (False, True):
+                    expected = lookup_walk(table, perms, paired)
+                    direct = exact.walk_gains(exact.gain_table(table, paired), perms)
+                    assert direct.tobytes() == expected.tobytes(), (q, n, paired)
+                    gain_walks.clear()
+                    ev = GameEvaluator(spec)
+                    got = permutation.marginal_vectors(ev, perms, paired)
+                    assert got.tobytes() == expected.tobytes(), (q, n, paired)
+                    assert gain_walks == ([n] if n == 2**q else [])
+                    assert ev.eval_count == (2 if paired else 1) * n * q
+    assert kinds == {"linear", "bilinear", "exp_linear", "exp_bilinear"}
+
+
+def test_gain_table_entries_are_the_walk_gains():
+    # entry (T, j) is v(T) - v(T - j), plus v(N - T + j) - v(N - T) paired,
+    # for T holding j, and zero elsewhere
+    q = 4
+    table = np.random.default_rng(97).normal(size=2**q)
+    table[0] = 0.0
+    full = 2**q - 1
+    for paired in (False, True):
+        gains = exact.gain_table(table, paired)
+        assert gains.shape == (2**q, q)
+        for T in range(2**q):
+            for j in range(q):
+                bit = 1 << j
+                if not T & bit:
+                    assert gains[T, j] == 0.0
+                    continue
+                expected = table[T] - table[T ^ bit]
+                if paired:
+                    expected += table[full ^ T ^ bit] - table[full ^ T]
+                assert gains[T, j] == expected
+
+
+@pytest.mark.parametrize("q", range(2, 10))
+def test_exact_walk_routes_are_the_lookup_walk_bit_for_bit(q):
+    rng = np.random.default_rng(500 + q)
+    spec = parse_spec(random_game_doc(rng, q))
+    table = GameEvaluator(spec).value_table()
+    perms = np.array(list(itertools.permutations(range(q))), dtype=np.int64)
+    phi = exact.shapley_all_permutations(GameEvaluator(spec)).phi
+    assert phi.tobytes() == lookup_walk(table, perms).mean(axis=0).tobytes()
+    for paired in (False, True):
+        report = asymptotics.permutation_covariance_exact(GameEvaluator(spec), paired)
+        expected = asymptotics._walk_covariance(lookup_walk(table, perms, paired), paired, "exact-enumeration")
+        assert report.matrix.tobytes() == expected.matrix.tobytes(), paired
+        assert report.eigenvalues.tobytes() == expected.eigenvalues.tobytes(), paired
+
+
+def overflowing_gain_spec():
+    """q = 2 game with finite payoffs v({1}) = -1.5e308, v({1,2}) = 1.5e308: player 2's gain onto {1} overflows."""
+    A = [[-1.5e308, 1e308], [1e308, 1e308]]
+    return parse_spec({"q": 2, "terms": [{"kind": "bilinear", "indices": [1, 2], "A": A}]})
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_overflowing_gain_table_falls_back_to_the_lookup_walk(gain_walks, paired):
+    spec = overflowing_gain_spec()
+    table = GameEvaluator(spec).value_table()
+    assert np.all(np.isfinite(table))
+    perms = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
+
+    def recorded(walk):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            B = walk()
+        return B, [(w.category, str(w.message)) for w in caught]
+
+    expected, expected_warnings = recorded(lambda: lookup_walk(table, perms, paired))
+    assert expected_warnings and not np.all(np.isfinite(expected))
+    ev = GameEvaluator(spec)
+    got, got_warnings = recorded(lambda: permutation.marginal_vectors(ev, perms, paired))
+    assert got.tobytes() == expected.tobytes()
+    assert got_warnings == expected_warnings
+    assert gain_walks == []
+    assert ev.eval_count == (2 if paired else 1) * perms.size
+
+
+@pytest.mark.parametrize("bad", [[0, 0, 1], [-1, 0, 1], [0, 1, 3], [2, 2, 2]])
+@pytest.mark.parametrize("paired", [False, True])
+def test_walks_refuse_rows_that_are_not_orders(hand_game_q3, bad, paired):
+    # one order walks by lookups, eight gather from the gain table
+    for perms in (np.array([bad]), np.array([[2, 0, 1]] * 7 + [bad])):
+        with pytest.raises(DomainError):
+            permutation.marginal_vectors(hand_game_q3, perms, paired)
+        assert hand_game_q3.eval_count == 0
+    table = hand_game_q3.value_table()
+    if min(bad) >= 0 and max(bad) < 3:
+        with pytest.raises(DomainError):
+            lookup_walk(table, np.array([bad]), paired)
+        with pytest.raises(DomainError):
+            exact.walk_gains(exact.gain_table(table, paired), np.array([bad]))
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_gain_walk_memory_stays_within_three_order_arrays(paired):
+    # q = 12 walks from the gain table from n = 2^12 = 4096 orders.  With the
+    # value table built in the trace, the walk's traced peak stays below
+    # three n x q float arrays, the gain table's q 2^q floats and 9 bytes per
+    # coalition (the value table and its finiteness check).  n spans
+    # several of the walk's blocks of np.getbufsize() rows.
+    import tracemalloc
+
+    q, n = 12, 20_000
+    ev = GameEvaluator(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}))
+    perms = permutation.sample_permutations(q, n, np.random.default_rng(98))
+    tracemalloc.start()
+    try:
+        B = permutation.marginal_vectors(ev, perms, paired)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(B, 2.0 if paired else 1.0, atol=1e-12)
+    assert peak <= 3 * 8 * n * q + 8 * q * 2**q + 9 * 2**q
 
 
 def test_permutation_plugin_reuses_the_estimate_walk(reference_spec):
