@@ -192,9 +192,7 @@ def permutation_covariance_exact(ev, paired: bool = True) -> CovarianceReport:
     in the null space; for additively separated games the matrix is block
     diagonal, and for bilinear games it vanishes entirely.
     """
-    perms = exact.all_permutations(ev.q)
-    W = exact.walk_gains(exact.gain_table(ev.value_table(), paired), perms)
-    return _walk_covariance(W, paired, "exact-enumeration")
+    return _walk_covariance(exact.walk_all_orders(ev, paired), paired, "exact-enumeration")
 
 
 def permutation_covariance_plugin(ev, n: int, seed=None, paired: bool = True, walked=None) -> CovarianceReport:
@@ -223,14 +221,12 @@ def _walk_covariance(W: np.ndarray, paired: bool, provenance: str) -> Covariance
     """
     if paired:
         W *= 0.5
-        method = "permutation-paired"
-    else:
-        method = "permutation"
-    scale = max(float(W.max()), -float(W.min())) if W.size else 0.0
-    W -= W.mean(axis=0)
-    # products of finite contributions can overflow; eig_sym in
+    method = "permutation-paired" if paired else "permutation"
+    # sums and products of finite contributions can overflow; eig_sym in
     # `_make_report` refuses the non-finite matrix with NonFiniteError
     with np.errstate(over="ignore", invalid="ignore"):
+        scale = max(float(W.max()), -float(W.min())) if W.size else 0.0
+        W -= W.mean(axis=0)
         covariance = W.T @ W / (W.shape[0] - 1)
     return _make_report(covariance, method, provenance, W.shape[1], scale)
 

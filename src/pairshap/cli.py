@@ -10,6 +10,7 @@ explicit --seed.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -73,12 +74,8 @@ def _cmd_exact(args) -> int:
         return 0
     payload = {"q": spec.q, "phi": {name: [float(v) for v in results[name]] for name in chosen}}
     if len(chosen) > 1:
-        worst = 0.0
-        vectors = list(results.values())
-        for a in range(len(vectors)):
-            for b in range(a + 1, len(vectors)):
-                worst = max(worst, float(abs(vectors[a] - vectors[b]).max()))
-        payload["max_pairwise_discrepancy"] = worst
+        pairs = itertools.combinations(results.values(), 2)
+        payload["max_pairwise_discrepancy"] = max(float(abs(a - b).max()) for a, b in pairs)
     _emit(payload)
     return 0
 

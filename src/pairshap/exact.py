@@ -15,20 +15,25 @@ sizes and fitted values; pair and one-player sums run the superset-sum
 time and form no 2^q x q matrix.  The kernel design moment runs no pass
 over 2^q entries: its weights depend on coalition size alone, so its pair
 sums follow from the q + 1 size weights, and every vector indexed by
-coalition size is copied out of those q + 1 values.  The permutation walk
-reads every order's gains from one table of the q 2^q gains
-v(T) - v(T - j), with one gather per order.
+coalition size is copied out of those q + 1 values.
+
+Every walk of player orders, sampled or all q! of them, is `prefix_walk`:
+it forms each block of orders' prefix bitmasks, checks the orders, takes
+the block's gains from a source and scatters them.  A source either looks
+the prefixes up and differences their payoffs (`lookup_gains`) or gathers
+the gains from one table of the q 2^q gains v(T) - v(T - j)
+(`table_gains` over `gain_table`), to the same bits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from . import linalg
-from .errors import DomainError, SizeGuard
-from .games import full_mask, prefix_masks, subset_sums
+from .errors import DomainError, NonFiniteError, SizeGuard
+from .games import full_mask, subset_sums
 
 PERMUTATION_LIMIT = 9
 # Passes of `_superset_passes` with more low masks than this, over vectors
@@ -42,10 +47,18 @@ COLUMN_ROWS = 128
 
 @dataclass(frozen=True)
 class ShapleyVector:
-    """A length-q attribution vector tagged with the method that produced it."""
+    """A length-q attribution vector tagged with the method that produced it.
+
+    Every exact route and estimator returns one, so this is where a
+    non-finite phi is refused, with NonFiniteError.
+    """
 
     phi: np.ndarray
     method_tag: str
+
+    def __post_init__(self):
+        if not np.all(np.isfinite(self.phi)):
+            raise NonFiniteError(f"{self.method_tag} Shapley values are not finite")
 
 
 @dataclass(frozen=True)
@@ -249,11 +262,14 @@ def shapley_subset(ev) -> ShapleyVector:
     table = ev.value_table()
     weights = np.array([1.0 / (q * float_binomial(q - 1, s)) for s in range(q)] + [0.0])
     joined = np.append(0.0, weights[:-1] + weights[1:])
-    base = float(by_size(weights, q) @ table)
-    # the table is the evaluator's, so the weights are scaled by it, not it by them
-    weighted = by_size(joined, q)
-    weighted *= table
-    phi = np.array([weighted.reshape(-1, 2, 1 << j)[:, 1, :].sum() for j in range(q)]) - base
+    # the table is the evaluator's, so the weights are scaled by it, not it
+    # by them; sums of finite payoffs can overflow, to a phi that
+    # ShapleyVector refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        base = float(by_size(weights, q) @ table)
+        weighted = by_size(joined, q)
+        weighted *= table
+        phi = np.array([weighted.reshape(-1, 2, 1 << j)[:, 1, :].sum() for j in range(q)]) - base
     return ShapleyVector(phi=phi, method_tag="subset")
 
 
@@ -288,47 +304,69 @@ def _check_orders(last: np.ndarray, grand) -> None:
         raise DomainError("every player order must hold each player exactly once")
 
 
-def marginal_matrix(values_at, perms: np.ndarray, paired: bool = False) -> np.ndarray:
-    """Marginal-contribution vectors for each permutation, walked by prefixes.
+def prefix_walk(perms: np.ndarray, source) -> np.ndarray:
+    """Marginal-contribution vectors of player orders, walked by prefixes: the package's one walk.
 
     Row i, column j holds the payoff gain of player j joining the players
-    that precede it in permutation i.  `values_at(masks, out=...)` writes the
-    payoffs of an (n, q) int64 array of coalition bitmasks into a float
-    array that shares the masks' memory; it is called once, on the q
-    nonempty prefixes of every order (the empty prefix is worth zero by
-    normalization).  Each row sums to the grand value.  The orders' entries
-    must lie in [0, q); DomainError unless each holds every player once.
-
-    Paired, row i is the sum of the vectors of order i and of its reverse,
-    and `values_at` is called a second time, on the reverse order's q
-    prefixes.  Its prefix of length k is the complement of the forward
-    prefix of length q - k, so those masks are read off the forward ones,
-    longest first: column t holds the coalition that player perms[i, t]
-    completes in the reverse walk.  The two gain arrays then line up column
-    by column, are added, and are scattered once.
+    that precede it in order i (paired, plus its gain in the reverse order).
+    The orders are walked in blocks of np.getbufsize() rows, numpy's ufunc
+    buffer size.  For each block the walk forms the (m, q) int64 bitmasks of
+    the q nonempty prefixes, by column adds of 2^perms, checks the orders,
+    and calls `source(masks, block)`, which returns the block's gains,
+    column t that of the player at position t, in an (m, q) float array
+    that may reuse the masks' memory: `table_gains` or `lookup_gains`.  The
+    gains are scattered to row i q + perms of the result's flat view.  So
+    the walk holds the result and a few blocks beside the orders, whichever
+    source it has.  The orders' entries must lie in [0, q); DomainError
+    unless each holds every player once.
     """
-    masks = prefix_masks(perms)
-    full = full_mask(perms.shape[1])
-    _check_orders(masks[:, -1], full)
+    n, q = perms.shape
+    B = np.empty((n, q))
+    step = max(1, min(n, np.getbufsize()))
+    prefixes = np.empty((step, q), dtype=np.int64)
+    targets = np.empty_like(prefixes)
+    rows = q * np.arange(step, dtype=np.int64)[:, None]
+    for start in range(0, n, step):
+        block = perms[start : start + step]
+        m = block.shape[0]
+        masks = np.left_shift(np.int64(1), block, out=prefixes[:m])
+        for t in range(1, q):
+            masks[:, t] += masks[:, t - 1]
+        _check_orders(masks[:, -1], full_mask(q))
+        np.add(block, rows[:m], out=targets[:m])
+        B.reshape(-1)[start * q : (start + m) * q][targets[:m]] = source(masks, block)
+    return B
+
+
+def lookup_gains(values_at, paired: bool, masks: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """A `prefix_walk` source: the gains as differences of prefix payoffs.
+
+    `values_at(masks, out=...)` writes the payoffs of an (m, q) int64 array
+    of coalition bitmasks into a float array that shares the masks' memory.
+    It is called on the q nonempty prefixes of every order of the block (the
+    empty prefix is worth zero by normalization), and paired, a second time,
+    on the reverse order's q prefixes.  Its prefix of length k is the
+    complement of the forward prefix of length q - k, so those masks are
+    read off the forward ones, longest first: column t holds the coalition
+    that player block[i, t] completes in the reverse walk.  The two gain
+    arrays then line up column by column and are added.  As in `gain_table`,
+    differences of finite payoffs can overflow; they are left non-finite
+    without a warning.
+    """
     if paired:
-        rev = np.empty_like(masks)
-        rev[:, 0] = full
-        np.bitwise_xor(masks[:, :-1], full, out=rev[:, 1:])
-    # payoffs overwrite their masks, and B reuses the reverse masks' memory,
-    # so the walk holds one n x q array until B, two when paired
+        rev = np.concatenate([np.zeros_like(masks[:, :1]), masks[:, :-1]], axis=1)
+        rev ^= full_mask(masks.shape[1])
     gains = values_at(masks, out=masks.view(np.float64))
-    for t in range(gains.shape[1] - 1, 0, -1):
-        gains[:, t] -= gains[:, t - 1]
     if paired:
         rev = values_at(rev, out=rev.view(np.float64))
-        for t in range(rev.shape[1] - 1):
-            rev[:, t] -= rev[:, t + 1]
-        gains += rev
-        B = rev
-    else:
-        B = np.empty_like(gains)
-    np.put_along_axis(B, perms, gains, axis=1)
-    return B
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(gains.shape[1] - 1, 0, -1):
+            gains[:, t] -= gains[:, t - 1]
+        if paired:
+            for t in range(rev.shape[1] - 1):
+                rev[:, t] -= rev[:, t + 1]
+            gains += rev
+    return gains
 
 
 def gain_table(table: np.ndarray, paired: bool = False) -> np.ndarray:
@@ -337,15 +375,15 @@ def gain_table(table: np.ndarray, paired: bool = False) -> np.ndarray:
     Entry (T, j), for a coalition T holding player j, is the gain of j
     completing the prefix T, v(T) - v(T - j); paired, the gain the reverse
     order gives j there, v(N - T + j) - v(N - T), is added to it.  These are
-    `marginal_matrix`'s operands, combined in its order, so a walk reading
-    them gets its bits.  As there, a gain onto the empty coalition
-    subtracts nothing: its payoff is zero by normalization.  Entries with j
-    outside T are zero.
+    `lookup_gains`'s operands, combined in its order, so a walk reading
+    them gets its bits, non-finite ones too.  As there, a gain onto the
+    empty coalition subtracts nothing: its payoff is zero by normalization.
+    Entries with j outside T are zero.
 
     Pass j takes the halves of reshape(-1, 2, 2^j) views of the table and of
     table[::-1], whose entry at T is v(N - T), so no index array is formed.
     Differences of finite payoffs can overflow; they are left non-finite
-    without a warning, for the caller to check.
+    without a warning.
     """
     q = table.size.bit_length() - 1
     gains = np.zeros((table.size, q))
@@ -364,45 +402,29 @@ def gain_table(table: np.ndarray, paired: bool = False) -> np.ndarray:
     return gains
 
 
-def walk_gains(gains: np.ndarray, perms: np.ndarray) -> np.ndarray:
-    """`marginal_matrix` read off a `gain_table`, to the bit: one gather per walked order.
+def table_gains(gains: np.ndarray, masks: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """A `prefix_walk` source: one gather from a `gain_table`, `lookup_gains`'s bits to the bit.
 
-    Player j at a position whose inclusive prefix is T reads entry T q + j.
-    That index is q 2^perms, prefix-summed by column adds (exact, in
-    integers), plus perms.  The gathered gains overwrite it and are
-    scattered to row i q + perms of B's flat view.  The orders are walked
-    in blocks of np.getbufsize() rows, numpy's ufunc buffer size, so each
-    block's index and targets stay in cache and the walk holds only B and
-    two blocks beside the orders.  The orders' entries must lie in [0, q);
-    DomainError unless each holds every player once.
+    Player j completing the prefix T reads entry T q + j.  That index
+    overwrites the masks, exactly in integers, and the gathered gains
+    overwrite the index.
     """
-    n, q = perms.shape
-    B = np.empty((n, q))
-    step = max(1, min(n, np.getbufsize()))
-    index = np.empty((step, q), dtype=np.int64)
-    targets = np.empty_like(index)
-    rows = q * np.arange(step, dtype=np.int64)[:, None]
-    grand = q * full_mask(q)
-    for start in range(0, n, step):
-        block = perms[start : start + step]
-        m = block.shape[0]
-        walked = np.left_shift(np.int64(q), block, out=index[:m])
-        for t in range(1, q):
-            walked[:, t] += walked[:, t - 1]
-        _check_orders(walked[:, -1], grand)
-        walked += block
-        # the index is in range, so clipping never bites; it gathers unbuffered
-        gained = np.take(gains.reshape(-1), walked, out=walked.view(np.float64), mode="clip")
-        np.add(block, rows[:m], out=targets[:m])
-        B.reshape(-1)[start * q : (start + m) * q][targets[:m]] = gained
-    return B
+    index = np.multiply(masks, gains.shape[1], out=masks)
+    index += block
+    # the index is in range, so clipping never bites; it gathers unbuffered
+    return np.take(gains.reshape(-1), index, out=index.view(np.float64), mode="clip")
+
+
+def walk_all_orders(ev, paired: bool = False) -> np.ndarray:
+    """`prefix_walk` of all q! orders, in `all_permutations` order, gathering from the evaluator's gain table."""
+    return prefix_walk(all_permutations(ev.q), partial(table_gains, gain_table(ev.value_table(), paired)))
 
 
 def shapley_all_permutations(ev) -> ShapleyVector:
     """Shapley values as the average marginal contribution over all q! orders."""
-    perms = all_permutations(ev.q)
-    B = walk_gains(gain_table(ev.value_table()), perms)
-    return ShapleyVector(phi=B.mean(axis=0), method_tag="permutation")
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = walk_all_orders(ev).mean(axis=0)
+    return ShapleyVector(phi=phi, method_tag="permutation")
 
 
 def shapley_kernel_exact(ev) -> ShapleyVector:
@@ -413,6 +435,7 @@ def shapley_kernel_exact(ev) -> ShapleyVector:
     """
     table = ev.value_table()
     _, _, hessian, rhs = kernel_moments(table, ev.q)
-    partial = linalg.solve_spd(hessian, rhs)
-    phi = np.append(partial, table[-1] - partial.sum())
+    solved = linalg.solve_spd(hessian, rhs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = np.append(solved, table[-1] - solved.sum())
     return ShapleyVector(phi=phi, method_tag="kernel")

@@ -12,6 +12,7 @@ through `GameEvaluator`: `value_table` tabulates every coalition, and
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -238,15 +239,6 @@ def as_coalitions(Z, q: int) -> np.ndarray:
     return Z
 
 
-def prefix_masks(perms) -> np.ndarray:
-    """Bitmasks of the q nonempty prefixes of each order, as an (n, q) int64 array."""
-    perms = np.asarray(perms)
-    _guard_masks(perms.shape[1])
-    masks = np.int64(1) << perms
-    np.cumsum(masks, axis=1, out=masks)
-    return masks
-
-
 def mask_rows(masks, q: int) -> np.ndarray:
     """Indicator rows of a 1-D array of coalition bitmasks, as an (m, q) uint8 matrix.
 
@@ -400,6 +392,8 @@ class GameEvaluator:
         self.eval_count = 0
         self._grand: float | None = None
         self._table: np.ndarray | None = None
+        # a table build that raised NonFiniteError, which is not tried again
+        self._refused = False
 
     def value_table(self) -> np.ndarray:
         """Payoff of every coalition, indexed by bitmask, as a read-only array.
@@ -416,13 +410,27 @@ class GameEvaluator:
         return table
 
     def _built_table(self) -> np.ndarray:
-        """`value_table` without its count; a build that raises keeps no table."""
+        """`value_table` without its count.
+
+        A table holding a non-finite payoff, of any game, raises
+        NonFiniteError and is not kept; every later call raises at once,
+        without building it again.
+        """
         _guard_table(self.q)
         if self._table is None:
-            if isinstance(self.game, ValueFunctionSpec):
-                table = self.game.value_table()
-            else:
-                table = _tabulate_rows(self.game.values, self.q)
+            if self._refused:
+                raise NonFiniteError("value function produced a non-finite payoff")
+            try:
+                if isinstance(self.game, ValueFunctionSpec):
+                    # a declared game refuses its own non-finite payoffs
+                    table = self.game.value_table()
+                else:
+                    table = _tabulate_rows(self.game.values, self.q)
+                    if not np.all(np.isfinite(table)):
+                        raise NonFiniteError("value function produced a non-finite payoff")
+            except NonFiniteError:
+                self._refused = True
+                raise
             table.flags.writeable = False
             self._table = table
         return self._table
@@ -431,14 +439,13 @@ class GameEvaluator:
         """The value table a lookup of `lookups` masks reads, or None if it evaluates rows.
 
         That is the table held; with none held, a lookup of at least 2^q
-        masks (q <= TABLE_LIMIT) builds it, unless the build raises
-        NonFiniteError, which keeps no table.  Counts nothing.
+        masks (q <= TABLE_LIMIT) builds it, unless a build has raised
+        NonFiniteError, now or before: then no table is kept, and the
+        lookup evaluates rows.  Counts nothing.
         """
         if self._table is None and 1 << self.q <= lookups and self.q <= TABLE_LIMIT:
-            try:
+            with suppress(NonFiniteError):
                 self._built_table()
-            except NonFiniteError:
-                pass
         return self._table
 
     def values_at(self, masks, out=None) -> np.ndarray:
@@ -447,11 +454,12 @@ class GameEvaluator:
         Counts one logical evaluation per mask, whatever the game sees.  The
         payoffs are gathered from the value table by one `take`.  A lookup
         of at least 2^q masks builds the table if none is held yet; a
-        smaller one evaluates each column as n indicator rows.  So does a
-        lookup whose table build raises NonFiniteError, which keeps no
-        table: the lookup then raises only if one of its own coalitions has
-        a non-finite payoff.  `out`, a float (n, k) array, may share memory
-        with `masks`: each mask is read before its payoff overwrites it.
+        smaller one evaluates each column as n indicator rows.  So does
+        every lookup once a table build has raised NonFiniteError, which
+        keeps no table and is not tried again: the lookup then raises only
+        if one of its own coalitions has a non-finite payoff.  `out`, a
+        float (n, k) array, may share memory with `masks`: each mask is
+        read before its payoff overwrites it.
         """
         q = self.q
         _guard_masks(q)

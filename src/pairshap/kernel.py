@@ -90,7 +90,9 @@ def design_response(ev, masks: np.ndarray, grand: np.ndarray):
     r, m = masks.shape
     x, last = _design(masks, ev.q)
     values = ev.values_at(masks.reshape(-1, 1)).reshape(r, m)
-    return x.reshape(r, m, -1), values - last.reshape(r, m) * grand[:, None]
+    # differences of finite payoffs can overflow; the solve refuses them
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x.reshape(r, m, -1), values - last.reshape(r, m) * grand[:, None]
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
@@ -104,8 +106,11 @@ def _solve_normal(gram: np.ndarray, x: np.ndarray, y: np.ndarray, grand: np.ndar
     SingularMatrix, listing every rank-deficient fit, if any fit's normal
     equations are singular.
     """
-    partial = linalg.solve_spd(gram, np.matmul(x.transpose(0, 2, 1), y[..., None])[..., 0])
-    return np.concatenate([partial, (grand - partial.sum(axis=1))[:, None]], axis=1)
+    # sums of finite payoffs can overflow: the solve refuses a non-finite
+    # right side, and ShapleyVector a non-finite phi, with NonFiniteError
+    with np.errstate(over="ignore", invalid="ignore"):
+        partial = linalg.solve_spd(gram, np.matmul(x.transpose(0, 2, 1), y[..., None])[..., 0])
+        return np.concatenate([partial, (grand - partial.sum(axis=1))[:, None]], axis=1)
 
 
 def _with_complements(draws: np.ndarray, paired: bool, q: int) -> np.ndarray:

@@ -8,6 +8,8 @@ odd part of the game.
 """
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from . import exact
@@ -27,19 +29,22 @@ def marginal_vectors(ev, perms, paired: bool = False) -> np.ndarray:
     """Marginal-contribution vector of each permutation, walked by prefixes.
 
     Row i, column j holds the payoff gain when player j joins the players
-    preceding it in permutation i.  The walk looks up the q nonempty
-    prefixes of each order through `ev.values_at` (the empty prefix is worth
-    zero by normalization), so the logical cost is exactly q evaluations per
-    row.  Paired, row i is the sum of the vectors of order i and of its
-    reverse, whose prefixes are looked up as the complements of the forward
-    ones: 2q evaluations per row, and no second walk.
+    preceding it in permutation i; paired, row i is the sum of the vectors
+    of order i and of its reverse, whose prefixes are the complements of
+    the forward ones, so no second walk is made.  The logical cost is q
+    evaluations per row, 2q paired: the walk counts them once it has walked
+    every order, and a walk that raises counts nothing.
 
-    From n = 2^q orders on, every gain the walk would form is one of the
-    q 2^q entries of `exact.gain_table`, which then holds no more floats
-    than one n x q array: the walk gathers them from it, one index per
-    player and order, to the same bits and for the same count.  A gain table
-    with a non-finite entry, or an evaluator with no table, leaves the walk
-    to the lookups.  DomainError unless every row orders the q players.
+    The walk is `exact.prefix_walk`.  Its gains come from one of two
+    sources, to the same bits, non-finite ones too.  Whether the evaluator
+    reads its value table is decided once, from all n q lookups, as one
+    `ev.values_at` call of them would decide it.  From n = 2^q orders on,
+    with the table read, every gain is one of the q 2^q entries of
+    `exact.gain_table`, which then holds no more floats than one n x q
+    array, and the walk gathers them from it (`exact.table_gains`).
+    Otherwise it looks up each block's q nonempty prefixes, and paired the
+    reverse ones, through `ev.values_at` (`exact.lookup_gains`).
+    DomainError unless every row orders the q players.
     """
     q = ev.q
     perms = np.asarray(perms)
@@ -47,16 +52,19 @@ def marginal_vectors(ev, perms, paired: bool = False) -> np.ndarray:
         raise DimensionError(f"expected an (n, {q}) array of player orders, got shape {perms.shape}")
     if perms.size and (perms.min() < 0 or perms.max() >= q):
         raise DomainError(f"player orders must hold players 0..{q - 1}")
-    if perms.shape[0] >= 1 << q:
-        table = ev.lookup_table(perms.size)
-        if table is not None:
-            # finite gains need every payoff the walk reads to be finite
-            gains = exact.gain_table(table, paired)
-            if np.all(np.isfinite(gains)):
-                B = exact.walk_gains(gains, perms)
-                ev.eval_count += 2 * perms.size if paired else perms.size
-                return B
-    return exact.marginal_matrix(ev.values_at, perms, paired)
+    table = ev.lookup_table(perms.size)
+    if table is not None and perms.shape[0] >= 1 << q:
+        source = partial(exact.table_gains, exact.gain_table(table, paired))
+    else:
+        source = partial(exact.lookup_gains, ev.values_at, paired)
+    count = ev.eval_count
+    try:
+        B = exact.prefix_walk(perms, source)
+    finally:
+        # lookups count block by block; the walk counts once, when it is whole
+        ev.eval_count = count
+    ev.eval_count += 2 * perms.size if paired else perms.size
+    return B
 
 
 def estimate_permutation_stack(ev, n: int, seeds, paired: bool = False) -> list:
@@ -72,12 +80,10 @@ def estimate_permutation_stack(ev, n: int, seeds, paired: bool = False) -> list:
         raise DomainError(f"sample size must be positive, got {n}")
     perms = np.concatenate([sample_permutations(ev.q, n, derive_rng(seed, 0)) for seed in seeds])
     B = marginal_vectors(ev, perms, paired).reshape(len(seeds), n, ev.q)
-    if paired:
-        phi = 0.5 * B.mean(axis=1)
-        tag = "permutation-paired"
-    else:
-        phi = B.mean(axis=1)
-        tag = "permutation"
+    # sums of finite gains can overflow, to a phi that ShapleyVector refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = B.mean(axis=1) * (0.5 if paired else 1.0)
+    tag = "permutation-paired" if paired else "permutation"
     return [(exact.ShapleyVector(phi=phi[i], method_tag=tag), B[i]) for i in range(len(seeds))]
 
 

@@ -56,6 +56,14 @@ OPPOSITE_INFINITIES_DOC = {
 }
 
 
+# a q=2 game with finite payoffs v({1}) = -1.5e308 and v({1,2}) = 1.5e308:
+# player 2's gain onto {1} overflows
+OVERFLOWING_GAIN_DOC = {
+    "q": 2,
+    "terms": [{"kind": "bilinear", "indices": [1, 2], "A": [[-1.5e308, 1e308], [1e308, 1e308]]}],
+}
+
+
 @pytest.fixture
 def reference_spec() -> ValueFunctionSpec:
     return parse_spec(json.dumps(REFERENCE_DOC))

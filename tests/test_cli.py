@@ -17,7 +17,7 @@ import pairshap
 from pairshap.cli import main
 from pairshap.estimators import ESTIMATORS
 
-from conftest import OPPOSITE_INFINITIES_DOC, REFERENCE_DOC, REFERENCE_PHI, three_block_doc
+from conftest import OPPOSITE_INFINITIES_DOC, OVERFLOWING_GAIN_DOC, REFERENCE_DOC, REFERENCE_PHI, three_block_doc
 
 
 @pytest.fixture
@@ -386,6 +386,15 @@ def test_closed_stdout_exits_141_quietly(unbuffered):
 
 # exponentials that overflow in the value table itself
 OVERFLOWING_PAYOFF_DOC = {"q": 4, "terms": [{"kind": "exp_linear", "indices": [1, 2, 3, 4], "beta": [800] * 4}]}
+# finite payoffs v({2}) = -1.5e308 and v({1,2}) = 1.7e308, whose difference,
+# the kernel response of {2}, overflows
+OVERFLOWING_RESPONSE_DOC = {
+    "q": 2,
+    "terms": [
+        {"kind": "linear", "indices": [2], "beta": [-1.5e308]},
+        *({"kind": "bilinear", "indices": [1, 2], "A": [[0.0, 8e307], [8e307, 0.0]]} for _ in range(2)),
+    ],
+}
 
 
 @pytest.mark.parametrize(
@@ -397,10 +406,20 @@ OVERFLOWING_PAYOFF_DOC = {"q": 4, "terms": [{"kind": "exp_linear", "indices": [1
         (OVERFLOWING_PAYOFF_DOC, ["exact"]),
         (OPPOSITE_INFINITIES_DOC, ["exact"]),
         (OPPOSITE_INFINITIES_DOC, ["sample", "--method", "permutation", "--n", "4", "--seed", "1"]),
+        (OVERFLOWING_GAIN_DOC, ["exact"]),
+        (OVERFLOWING_GAIN_DOC, ["asymptotics", "--method", "permutation"]),
+        (OVERFLOWING_GAIN_DOC, ["asymptotics", "--method", "permutation-paired", "--plugin", "3", "--seed", "1"]),
+        (OVERFLOWING_GAIN_DOC, ["sample", "--method", "permutation", "--n", "2", "--seed", "1"]),
+        (OVERFLOWING_GAIN_DOC, ["sample", "--method", "permutation", "--n", "5", "--seed", "1"]),
+        (OVERFLOWING_GAIN_DOC, ["sample", "--method", "kernel", "--n", "50", "--seed", "1"]),
+        (OVERFLOWING_RESPONSE_DOC, ["sample", "--method", "kernel", "--n", "50", "--seed", "1"]),
     ],
     ids=[
         *(f"asymptotics-{method}" for method in ESTIMATORS), "sample-kernel-plugin", "exact-payoffs",
-        "exact-opposite-infinities", "sample-opposite-infinities",
+        "exact-opposite-infinities", "sample-opposite-infinities", "exact-overflowing-gain",
+        "asymptotics-permutation-overflowing-gain", "plugin-permutation-paired-overflowing-gain",
+        "sample-permutation-lookups-overflowing-gain", "sample-permutation-gains-overflowing-gain",
+        "sample-kernel-overflowing-gain", "sample-kernel-overflowing-response",
     ],
 )
 def test_overflowing_covariance_prints_one_error_line(tmp_path, doc, argv):

@@ -231,10 +231,10 @@ def test_by_size_is_the_size_gather_bit_for_bit(q):
         assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
 
 
-def test_marginal_matrix_rows_telescope(hand_game_q3):
+def test_prefix_walk_rows_telescope(hand_game_q3):
     table = hand_game_q3.value_table()
     perms = exact.all_permutations(3)
-    B = exact.marginal_matrix(partial(np.take, table), perms)
+    B = exact.prefix_walk(perms, partial(exact.lookup_gains, partial(np.take, table), False))
     np.testing.assert_allclose(B.sum(axis=1), np.full(6, 17.0), atol=1e-12)
     # identity order: gains 1, 3-1, 17-3
     identity_row = B[np.lexsort(perms.T[::-1])[0]]

@@ -12,10 +12,10 @@ from pairshap.errors import (
     SchemaError,
     SizeGuard,
 )
-from pairshap import games, kernel, permutation
+from pairshap import exact, games, kernel, permutation
 from pairshap.games import TERM_KINDS, GameEvaluator, mask_rows, parse_spec
 
-from conftest import OPPOSITE_INFINITIES_DOC, REFERENCE_DOC, RowCounter, UnplayableGame, random_game_doc
+from conftest import OPPOSITE_INFINITIES_DOC, REFERENCE_DOC, RowCounter, TableGame, UnplayableGame, random_game_doc
 from oracles import (
     complement,
     evaluate,
@@ -281,6 +281,32 @@ def test_lookups_after_the_value_table_read_it(reference_spec):
     with pytest.raises(NonFiniteError):
         ev.values_at(np.full((8, 1), 5))
     assert ev._table is None and ev.eval_count == masks.size
+
+
+def test_value_only_game_with_a_non_finite_payoff_builds_no_table():
+    # a game known only by its `values` is checked like a declared one: its
+    # table holds +inf on {2, 3}, so the exact routes raise, the build is not
+    # tried again, and a walk that never completes {2, 3} gets finite rows
+    payoffs = np.arange(8.0)
+    payoffs[6] = np.inf
+    game = RowCounter(TableGame(3, payoffs))
+    ev = GameEvaluator(game)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in (exact.shapley_subset, exact.shapley_all_permutations, exact.shapley_kernel_exact):
+            with pytest.raises(NonFiniteError):
+                route(ev)
+        assert game.calls == [4, 4] and ev._table is None and ev.eval_count == 0
+        # no order starts with players 2 and 3, nor, paired, ends with them;
+        # 8 orders make at least 2^3 lookups
+        orders = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1], [0, 2, 1]] * 2)
+        for walked, paired in ((orders, False), (orders[1:3].repeat(4, axis=0), True)):
+            B = permutation.marginal_vectors(ev, walked, paired)
+            assert np.all(np.isfinite(B))
+        assert game.calls == [4, 4] + [8] * 9
+        # a lookup of 2^3 masks sends its rows, and builds no table again
+        assert np.array_equal(ev.values_at(np.array([[5]] * 8)), np.full((8, 1), 5.0))
+        assert game.calls == [4, 4] + [8] * 10 and ev._table is None
 
 
 def test_value_table_refuses_more_than_25_players_before_allocating():

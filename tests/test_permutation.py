@@ -14,6 +14,7 @@ from pairshap.games import GameEvaluator, mask_rows, member_masks, parse_spec
 from pairshap.streams import derive_rng
 
 from conftest import (
+    OVERFLOWING_GAIN_DOC,
     REFERENCE_PHI,
     RowCounter,
     TableGame,
@@ -43,6 +44,16 @@ def walk_by_rows(ev, perms) -> np.ndarray:
     B = np.empty_like(gains)
     np.put_along_axis(B, perms, gains, axis=1)
     return B
+
+
+def lookup_walk(table, perms, paired=False) -> np.ndarray:
+    """Reference walk: the prefixes of every order looked up in the value table, as walks of fewer than 2^q orders run."""
+    return exact.prefix_walk(perms, partial(exact.lookup_gains, partial(np.take, table, mode="clip"), paired))
+
+
+def table_walk(table, perms, paired=False) -> np.ndarray:
+    """The walk of 2^q orders or more: every gain gathered from the gain table of the value table."""
+    return exact.prefix_walk(perms, partial(exact.table_gains, exact.gain_table(table, paired)))
 
 
 def walk_sizes(q: int) -> tuple[int, int]:
@@ -109,9 +120,9 @@ def test_paired_marginal_vectors_match_two_one_way_walks():
             got = permutation.marginal_vectors(ev, perms, paired=True)
             assert np.array_equal(got, expected), (q, n)
             assert ev.eval_count == 2 * q * n
-            take = partial(np.take, GameEvaluator(spec).value_table(), mode="clip")
-            both = exact.marginal_matrix(take, perms) + exact.marginal_matrix(take, perms[:, ::-1])
-            assert np.array_equal(exact.marginal_matrix(take, perms, paired=True), both), (q, n)
+            table = GameEvaluator(spec).value_table()
+            both = lookup_walk(table, perms) + lookup_walk(table, perms[:, ::-1])
+            assert np.array_equal(lookup_walk(table, perms, paired=True), both), (q, n)
     assert kinds == {"linear", "bilinear", "exp_linear", "exp_bilinear"}
 
 
@@ -139,22 +150,17 @@ def test_paired_walk_physical_rows():
                 assert game.calls == [n] * (2 * q)
 
 
-def lookup_walk(table, perms, paired=False) -> np.ndarray:
-    """Reference walk: two prefix lookups per order in the value table, as walks of fewer than 2^q orders run."""
-    return exact.marginal_matrix(partial(np.take, table, mode="clip"), perms, paired)
-
-
 @pytest.fixture
 def gain_walks(monkeypatch) -> list[int]:
-    """Row counts of every `exact.walk_gains` call made during the test."""
+    """Row counts of the blocks of every walk that gathers from a gain table (`exact.table_gains`) during the test."""
     calls: list[int] = []
-    walk = exact.walk_gains
+    gather = exact.table_gains
 
-    def counted(gains, perms):
-        calls.append(len(perms))
-        return walk(gains, perms)
+    def counted(gains, masks, block):
+        calls.append(len(block))
+        return gather(gains, masks, block)
 
-    monkeypatch.setattr(exact, "walk_gains", counted)
+    monkeypatch.setattr(exact, "table_gains", counted)
     return calls
 
 
@@ -176,7 +182,7 @@ def test_gain_walk_is_the_lookup_walk_bit_for_bit(gain_walks):
                 perms = permutation.sample_permutations(q, n, rng)
                 for paired in (False, True):
                     expected = lookup_walk(table, perms, paired)
-                    direct = exact.walk_gains(exact.gain_table(table, paired), perms)
+                    direct = table_walk(table, perms, paired)
                     assert direct.tobytes() == expected.tobytes(), (q, n, paired)
                     gain_walks.clear()
                     ev = GameEvaluator(spec)
@@ -224,33 +230,30 @@ def test_exact_walk_routes_are_the_lookup_walk_bit_for_bit(q):
         assert report.eigenvalues.tobytes() == expected.eigenvalues.tobytes(), paired
 
 
-def overflowing_gain_spec():
-    """q = 2 game with finite payoffs v({1}) = -1.5e308, v({1,2}) = 1.5e308: player 2's gain onto {1} overflows."""
-    A = [[-1.5e308, 1e308], [1e308, 1e308]]
-    return parse_spec({"q": 2, "terms": [{"kind": "bilinear", "indices": [1, 2], "A": A}]})
-
-
 @pytest.mark.parametrize("paired", [False, True])
-def test_overflowing_gain_table_falls_back_to_the_lookup_walk(gain_walks, paired):
-    spec = overflowing_gain_spec()
+def test_overflowing_gains_are_the_same_bits_from_both_sources(gain_walks, paired):
+    # an overflowing gain is left non-finite, without a warning, by the
+    # lookups and by the gain table alike, to the same bits; the estimators
+    # and covariances that read it refuse it with NonFiniteError
+    spec = parse_spec(OVERFLOWING_GAIN_DOC)
     table = GameEvaluator(spec).value_table()
     assert np.all(np.isfinite(table))
     perms = np.array([[0, 1], [1, 0], [1, 0], [0, 1]])
-
-    def recorded(walk):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            B = walk()
-        return B, [(w.category, str(w.message)) for w in caught]
-
-    expected, expected_warnings = recorded(lambda: lookup_walk(table, perms, paired))
-    assert expected_warnings and not np.all(np.isfinite(expected))
-    ev = GameEvaluator(spec)
-    got, got_warnings = recorded(lambda: permutation.marginal_vectors(ev, perms, paired))
-    assert got.tobytes() == expected.tobytes()
-    assert got_warnings == expected_warnings
-    assert gain_walks == []
-    assert ev.eval_count == (2 if paired else 1) * perms.size
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        expected = lookup_walk(table, perms, paired)
+        assert not np.all(np.isfinite(expected))
+        assert table_walk(table, perms, paired).tobytes() == expected.tobytes()
+        # 3 orders look their prefixes up in the table the walk builds, 4 gather
+        for n in (3, 4):
+            gain_walks.clear()
+            ev = GameEvaluator(spec)
+            got = permutation.marginal_vectors(ev, perms[:n], paired)
+            assert got.tobytes() == expected[:n].tobytes()
+            assert gain_walks == ([n] if n == 4 else [])
+            assert ev.eval_count == (2 if paired else 1) * n * 2
+        with pytest.raises(NonFiniteError):
+            permutation.estimate_permutation(GameEvaluator(spec), 4, paired, seed=1)
 
 
 @pytest.mark.parametrize("bad", [[0, 0, 1], [-1, 0, 1], [0, 1, 3], [2, 2, 2]])
@@ -266,7 +269,25 @@ def test_walks_refuse_rows_that_are_not_orders(hand_game_q3, bad, paired):
         with pytest.raises(DomainError):
             lookup_walk(table, np.array([bad]), paired)
         with pytest.raises(DomainError):
-            exact.walk_gains(exact.gain_table(table, paired), np.array([bad]))
+            table_walk(table, np.array([bad]), paired)
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_bad_order_in_a_later_block_counts_nothing(gain_walks, paired):
+    # n spans two of the walk's blocks; the last order repeats a player.
+    # q = 18 sends rows, q = 14 looks prefixes up in the table, q = 3 gathers
+    # from the gain table; each walks its first block before it raises
+    n = np.getbufsize() + 10
+    for q in (18, 14, 3):
+        gain_walks.clear()
+        ev = GameEvaluator(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}))
+        perms = permutation.sample_permutations(q, n, np.random.default_rng(99))
+        perms[-1, 0] = perms[-1, 1]
+        with pytest.raises(DomainError):
+            permutation.marginal_vectors(ev, perms, paired)
+        assert ev.eval_count == 0, q
+        assert (ev._table is None) == (q == 18), q
+        assert gain_walks == ([np.getbufsize()] if q == 3 else []), q
 
 
 @pytest.mark.parametrize("paired", [False, True])
@@ -343,6 +364,58 @@ def test_walk_memory_stays_within_three_order_arrays(n):
     B, paired_peak = traced(lambda: permutation.marginal_vectors(ev, perms, paired=True))
     np.testing.assert_allclose(B, 2.0, atol=1e-12)
     assert paired_peak <= two_peak
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_table_switch_is_decided_once_per_walk(paired):
+    # q = 18 switches to the value table at n = ceil(2^18 / 18) = 14564 orders,
+    # decided from all n q lookups, though each block of the walk holds fewer
+    # than 2^18 of them: n = 15 000 shows the game the table's 2^18 rows once,
+    # and n = 14 000 its n q prefixes as rows (2 n q paired), block by block
+    q = 18
+    assert 14_000 * q < 2**q <= 15_000 * q and np.getbufsize() * q < 2**q
+    spec = parse_spec(random_game_doc(np.random.default_rng(101), q))
+    for n, tabulated in ((15_000, True), (14_000, False)):
+        game = RowCounter(spec)
+        ev = GameEvaluator(game)
+        perms = permutation.sample_permutations(q, n, np.random.default_rng(102))
+        B = permutation.marginal_vectors(ev, perms, paired)
+        assert ev.eval_count == (2 if paired else 1) * n * q
+        if tabulated:
+            assert np.array_equal(np.concatenate(game.masks), np.arange(2**q))
+        else:
+            assert sum(game.calls) == (2 if paired else 1) * n * q
+            assert max(game.calls) <= np.getbufsize()
+            assert ev._table is None
+        expected = walk_by_rows(GameEvaluator(spec), perms)
+        if paired:
+            expected += walk_by_rows(GameEvaluator(spec), perms[:, ::-1])
+        assert np.array_equal(B, expected)
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_row_walk_memory_is_one_order_array_and_four_blocks(paired):
+    # q = 26 is beyond the value table, so every block's prefixes are sent as
+    # rows.  Over several blocks the walk's traced peak stays below its
+    # result, one n x q float array, plus four blocks of np.getbufsize() x q
+    # int64 entries: the prefixes, the scatter targets, the reverse prefixes
+    # when paired, and the rows of one prefix column with the game's own
+    # temporaries.  A walk that holds the prefixes of every order at once
+    # needs two n x q arrays and exceeds it.
+    import tracemalloc
+
+    q, n = 26, 50_000
+    ev = GameEvaluator(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}))
+    perms = permutation.sample_permutations(q, n, np.random.default_rng(103))
+    tracemalloc.start()
+    try:
+        B = permutation.marginal_vectors(ev, perms, paired)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_allclose(B, 2.0 if paired else 1.0, atol=1e-12)
+    assert ev._table is None and n > 3 * np.getbufsize()
+    assert peak <= 8 * n * q + 4 * 8 * np.getbufsize() * q
 
 
 def test_sampler_refuses_orders_over_the_limit(monkeypatch):
