@@ -4,9 +4,11 @@ The least-squares estimators disperse like a sandwich covariance built from
 the design second moment and the residual-weighted second moment; the
 permutation estimators disperse like the covariance of (paired) marginal-
 contribution vectors.  Both are available exactly, by enumeration, and as
-plug-in estimates from a sampled batch.  Reports carry the matrix, its
-spectrum, and provenance, and feed the block detector and the
-cost-adjusted spectrum comparison.
+plug-in estimates from a sampled batch.  A permutation covariance, exact or
+plug-in, is folded block by block as its walk streams
+(`exact.WalkMoments`), so no q! x q or n x q matrix of marginal vectors is
+held.  Reports carry the matrix, its spectrum, and provenance, and feed the
+block detector and the cost-adjusted spectrum comparison.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ import numpy as np
 
 from . import exact, linalg, permutation
 from .errors import DimensionError, DomainError, NumericError
-from .streams import derive_rng
 
 DEGENERATE_ATOL = 1e-13
 NULLSPACE_RTOL = 1e-12
@@ -28,9 +29,12 @@ class CovarianceReport:
 
     `method` names the estimator the matrix describes; `provenance` records
     whether it came from exact enumeration or a plug-in batch.  `degenerate`
-    flags a numerically zero matrix, which for paired methods certifies that
-    the game is exactly bilinear (the paired estimators are then exact and
-    the matrix carries no information).
+    flags a numerically zero matrix: the estimator is then exact, and the
+    matrix carries no information.  A game whose interactions have order at
+    most two has degenerate paired matrices, but the converse fails: the
+    paired estimators are exact whenever the game's complement-odd part,
+    v(S) - v(N - S), is affine, as for exp(b^T z) + exp(-b^T z) with
+    sum(b) = 0, whose dividends of order three and more are not zero.
     """
 
     method: str
@@ -186,49 +190,35 @@ def kernel_matrices_plugin(batch, phi):
 def permutation_covariance_exact(ev, paired: bool = True) -> CovarianceReport:
     """Covariance of the (paired) marginal-contribution vector over all orders.
 
-    Enumerates all q! permutations (q <= 9) from a value table and forms the
-    covariance with the unbiased 1/(q! - 1) normalization.  Every row of the
-    averaged matrix sums to the grand value, so the all-ones vector is always
-    in the null space; for additively separated games the matrix is block
-    diagonal, and for bilinear games it vanishes entirely.
+    Walks all q! permutations (q <= 9) through the evaluator's gain table
+    and folds the rows block by block (`exact.walk_all_orders`), with the
+    unbiased 1/(q! - 1) normalization.  Every row of the averaged matrix
+    sums to the grand value, so the all-ones vector is always in the null
+    space; for additively separated games the matrix is block diagonal, and
+    for bilinear games it vanishes entirely.
     """
-    return _walk_covariance(exact.walk_all_orders(ev, paired), paired, "exact-enumeration")
+    return _walk_covariance(exact.walk_all_orders(ev, paired), "exact-enumeration")
 
 
-def permutation_covariance_plugin(ev, n: int, seed=None, paired: bool = True, walked=None) -> CovarianceReport:
+def permutation_covariance_plugin(ev, n: int, seed=None, paired: bool = True, drawn=None) -> CovarianceReport:
     """Sample covariance of (paired) marginal vectors from n fresh orders.
 
-    Draws with the same substream layout as `estimate_permutation`, so the
-    same seed reproduces the estimator's own draws.  `walked`, the matrix
-    `estimate_permutation` returned for the same n, seed and pairing, is
-    used instead of drawing and walking those orders again; it is
-    overwritten.  Uses the 1/(n - 1) normalization.
+    The orders are drawn, walked and folded by `estimate_permutation` with
+    the same seed, so they are the estimator's own draws.  `drawn`, what it
+    returned for the same n, seed and pairing, gives its fold instead of
+    walking those orders again.  Uses the 1/(n - 1) normalization.
     """
     if n < 2:
         raise DomainError(f"need at least 2 sampled orders, got {n}")
-    if walked is None:
-        perms = permutation.sample_permutations(ev.q, n, derive_rng(seed, 0))
-        walked = permutation.marginal_vectors(ev, perms, paired)
-    return _walk_covariance(walked, paired, f"plug-in(n={n}, seed={seed})")
+    moments = (drawn or permutation.estimate_permutation(ev, n, paired, seed))[1]
+    return _walk_covariance(moments, f"plug-in(n={n}, seed={seed})")
 
 
-def _walk_covariance(W: np.ndarray, paired: bool, provenance: str) -> CovarianceReport:
-    """Covariance of the rows of a marginal-contribution matrix, 1/(m - 1) normalized.
-
-    `W` comes from one walk, paired-summed when paired.  The pairing
-    average and the centering overwrite it, so no further m x q array is
-    made.
-    """
-    if paired:
-        W *= 0.5
-    method = "permutation-paired" if paired else "permutation"
-    # sums and products of finite contributions can overflow; eig_sym in
-    # `_make_report` refuses the non-finite matrix with NonFiniteError
-    with np.errstate(over="ignore", invalid="ignore"):
-        scale = max(float(W.max()), -float(W.min())) if W.size else 0.0
-        W -= W.mean(axis=0)
-        covariance = W.T @ W / (W.shape[0] - 1)
-    return _make_report(covariance, method, provenance, W.shape[1], scale)
+def _walk_covariance(moments: exact.WalkMoments, provenance: str) -> CovarianceReport:
+    """The report of a walk's folded covariance; `eig_sym` in `_make_report` refuses a non-finite one with NonFiniteError."""
+    method = "permutation-paired" if moments.paired else "permutation"
+    covariance = moments.covariance()
+    return _make_report(covariance, method, provenance, covariance.shape[0], max(moments.high, -moments.low))
 
 
 def predicted_stderr(report: CovarianceReport, n: int) -> np.ndarray:

@@ -59,7 +59,7 @@ class PermutationEstimator:
     paired: bool
 
     def estimate(self, ev, n: int, seed):
-        """(ShapleyVector, marginal matrix of the drawn orders) from n orders, n pairs if paired."""
+        """(ShapleyVector, `exact.WalkMoments` of the drawn orders' marginal vectors) from n orders, n pairs if paired."""
         return permutation.estimate_permutation(ev, n, paired=self.paired, seed=seed)
 
     def estimate_stack(self, ev, n: int, seeds) -> list:
@@ -72,12 +72,10 @@ class PermutationEstimator:
     def plugin_covariance(self, ev, n: int, seed, drawn=None) -> asymptotics.CovarianceReport:
         """Sample covariance of the marginal vectors of the orders `estimate` draws.
 
-        `drawn`, what `estimate` already returned for the same arguments, is
-        reused instead of walking the orders again; its matrix is
-        overwritten.
+        `drawn`, what `estimate` already returned for the same arguments,
+        gives the fold of its walk instead of walking the orders again.
         """
-        walked = drawn[1] if drawn else None
-        return asymptotics.permutation_covariance_plugin(ev, n, seed=seed, paired=self.paired, walked=walked)
+        return asymptotics.permutation_covariance_plugin(ev, n, seed=seed, paired=self.paired, drawn=drawn)
 
     def cost(self, q: int) -> int:
         return 2 * q if self.paired else q

@@ -17,15 +17,20 @@ over 2^q entries: its weights depend on coalition size alone, so its pair
 sums follow from the q + 1 size weights, and every vector indexed by
 coalition size is copied out of those q + 1 values.
 
-Every walk of player orders, sampled or all q! of them, is `prefix_walk`:
-it forms each block of orders' prefix bitmasks, checks the orders, takes
-the block's gains from a source and scatters them.  A source either looks
-the prefixes up and differences their payoffs (`lookup_gains`) or gathers
-the gains from one table of the q 2^q gains v(T) - v(T - j)
-(`table_gains` over `gain_table`), to the same bits.
+Every walk of player orders, sampled or all q! of them, is `prefix_walk`.
+It streams: a supply gives the orders one block at a time, and for each
+block the walk forms the prefix bitmasks, checks the orders, takes the
+block's gains from a source, scatters them into player order and hands
+them to a sink.  A source either looks the prefixes up and differences
+their payoffs (`lookup_gains`) or gathers the gains from one table of the
+q 2^q gains v(T) - v(T - j) (`table_gains` over `gain_table`), to the same
+bits.  A sink either keeps the rows or folds them into `WalkMoments`, their
+sum and covariance, so a walk of all q! orders holds the orders and a few
+blocks, and no q! x q gain matrix.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -304,38 +309,124 @@ def _check_orders(last: np.ndarray, grand) -> None:
         raise DomainError("every player order must hold each player exactly once")
 
 
-def prefix_walk(perms: np.ndarray, source) -> np.ndarray:
+def prefix_walk(supply, source, sink=None) -> None:
     """Marginal-contribution vectors of player orders, walked by prefixes: the package's one walk.
 
-    Row i, column j holds the payoff gain of player j joining the players
-    that precede it in order i (paired, plus its gain in the reverse order).
-    The orders are walked in blocks of np.getbufsize() rows, numpy's ufunc
-    buffer size.  For each block the walk forms the (m, q) int64 bitmasks of
-    the q nonempty prefixes, by column adds of 2^perms, checks the orders,
-    and calls `source(masks, block)`, which returns the block's gains,
-    column t that of the player at position t, in an (m, q) float array
-    that may reuse the masks' memory: `table_gains` or `lookup_gains`.  The
-    gains are scattered to row i q + perms of the result's flat view.  So
-    the walk holds the result and a few blocks beside the orders, whichever
-    source it has.  The orders' entries must lie in [0, q); DomainError
-    unless each holds every player once.
+    `supply` yields pairs (orders, out): an (m, q) block of at most
+    np.getbufsize() orders, numpy's ufunc buffer size, and the (m, q) float
+    rows its gains go to.  Row i, column j of out gets the payoff gain of
+    player j joining the players that precede it in order i (paired, plus
+    its gain in the reverse order).  For each block the walk forms the
+    (m, q) int64 bitmasks of the q nonempty prefixes, by column adds of
+    2^orders, checks the orders, and calls `source(masks, block)`, which
+    returns the block's gains, column t that of the player at position t,
+    in an (m, q) float array that may reuse the masks' memory:
+    `table_gains` or `lookup_gains`.  The gains are scattered to entry
+    i q + orders of out's flat view, and `sink(out)`, if given, takes them
+    before the next block is drawn.  So the walk holds a few blocks beside
+    what the supply and the sink hold, whichever source it has.  The
+    orders' entries must lie in [0, q); DomainError unless each holds every
+    player once, raised at the first block that holds such a row.
     """
-    n, q = perms.shape
-    B = np.empty((n, q))
-    step = max(1, min(n, np.getbufsize()))
-    prefixes = np.empty((step, q), dtype=np.int64)
-    targets = np.empty_like(prefixes)
-    rows = q * np.arange(step, dtype=np.int64)[:, None]
-    for start in range(0, n, step):
-        block = perms[start : start + step]
-        m = block.shape[0]
+    prefixes = np.empty((0, 0), dtype=np.int64)
+    for block, out in supply:
+        m, q = block.shape
+        if prefixes.shape[0] < m:
+            prefixes = np.empty((m, q), dtype=np.int64)
+            targets = np.empty_like(prefixes)
+            rows = q * np.arange(m, dtype=np.int64)[:, None]
         masks = np.left_shift(np.int64(1), block, out=prefixes[:m])
         for t in range(1, q):
             masks[:, t] += masks[:, t - 1]
         _check_orders(masks[:, -1], full_mask(q))
         np.add(block, rows[:m], out=targets[:m])
-        B.reshape(-1)[start * q : (start + m) * q][targets[:m]] = source(masks, block)
-    return B
+        out.reshape(-1)[targets[:m]] = source(masks, block)
+        if sink is not None:
+            sink(out)
+
+
+def order_blocks(perms: np.ndarray, out: np.ndarray):
+    """A `prefix_walk` supply: the rows of perms in blocks of np.getbufsize(), each with the rows of out its gains go to.
+
+    out has perms' shape, and keeps every gain; or it has one block's rows,
+    and every block's gains overwrite it, for a sink to fold.
+    """
+    step = np.getbufsize()
+    for start in range(0, perms.shape[0], step):
+        block = perms[start : start + step]
+        yield block, (out[start : start + step] if out.shape[0] == perms.shape[0] else out[: block.shape[0]])
+
+
+class WalkMoments:
+    """The sum, extremes and covariance of one walk's marginal-contribution rows, folded chunk by chunk.
+
+    `add` takes the rows in order, in chunks of at most np.getbufsize()
+    rows counted from the walk's first row, so a walk folds to the same
+    bits however its chunks come in blocks.  Chunks are overwritten.
+    `row_sum` adds the rows in order to zero, as numpy's sum over rows
+    does: each chunk's first row has the sum so far added to it while the
+    chunk is summed, and is then restored.  Paired, each row is then
+    halved, the average of an order's and its reverse's vectors; `high`
+    and `low` are the extremes of those rows.
+
+    The covariance is folded by the pairwise update of Chan, Golub and
+    LeVeque, "Algorithms for computing the sample variance" (The American
+    Statistician, 1983): m2 takes each chunk's scatter about its own mean
+    plus d d^T n_a n_b / (n_a + n_b), d the distance from the mean of the
+    n_a rows before it.  A chunk is centered on its numpy mean, and one
+    BLAS product adds up what rounding left of its mean, `rest`: its
+    scatter is w^T w - m rest rest^T.  Means are kept about the first
+    chunk's center, `shift`, so d is as exact as rest, even when the gains'
+    mean is large against their spread.  The first chunk's m2 is its w^T w,
+    centered as a two-pass covariance centers it, so a walk of one chunk
+    has the two-pass bits; its `excess` m rest rest^T is taken out when a
+    second chunk comes.
+    """
+
+    def __init__(self, paired: bool):
+        self.paired = paired
+        self.count, self.row_sum, self.excess = 0, 0.0, 0.0
+        self.high, self.low = -np.inf, np.inf
+
+    def add(self, chunk: np.ndarray) -> None:
+        m = chunk.shape[0]
+        # sums and products of finite gains can overflow; what reads the
+        # fold refuses a non-finite phi or covariance with NonFiniteError
+        with np.errstate(over="ignore", invalid="ignore"):
+            # einsum adds the rows in order to zero, as numpy's sum over rows
+            # does, to the bit, in a quarter of its time
+            own = np.einsum("ij->j", chunk)
+            if self.count:
+                first = chunk[0].copy()
+                chunk[0] += self.row_sum
+                self.row_sum = np.einsum("ij->j", chunk)
+                chunk[0] = first
+            else:
+                self.row_sum = own
+            if self.paired:
+                chunk *= 0.5
+            self.high = max(self.high, float(chunk.max()))
+            self.low = min(self.low, float(chunk.min()))
+            # numpy's mean of the (halved) rows: halving scales their sum exactly
+            center = (0.5 * own if self.paired else own) / m
+            chunk -= center
+            rest = np.ones(m) @ chunk / m
+            scatter = chunk.T @ chunk
+            if not self.count:
+                self.shift, self.mean, self.m2 = center, rest, scatter
+                self.excess = m * rest[:, None] * rest
+            else:
+                scatter -= m * rest[:, None] * rest
+                delta = (center - self.shift) + rest - self.mean
+                total = self.count + m
+                self.m2 = self.m2 - self.excess + scatter + delta[:, None] * delta * (self.count * m / total)
+                self.excess = 0.0
+                self.mean = self.mean + delta * (m / total)
+        self.count += m
+
+    def covariance(self) -> np.ndarray:
+        """The rows' covariance, 1/(count - 1) normalized, for a fold of at least two rows."""
+        return self.m2 / (self.count - 1)
 
 
 def lookup_gains(values_at, paired: bool, masks: np.ndarray, block: np.ndarray) -> np.ndarray:
@@ -415,16 +506,21 @@ def table_gains(gains: np.ndarray, masks: np.ndarray, block: np.ndarray) -> np.n
     return np.take(gains.reshape(-1), index, out=index.view(np.float64), mode="clip")
 
 
-def walk_all_orders(ev, paired: bool = False) -> np.ndarray:
-    """`prefix_walk` of all q! orders, in `all_permutations` order, gathering from the evaluator's gain table."""
-    return prefix_walk(all_permutations(ev.q), partial(table_gains, gain_table(ev.value_table(), paired)))
+def walk_all_orders(ev, paired: bool = False) -> WalkMoments:
+    """`prefix_walk` of all q! orders, in `all_permutations` order, gathering from the evaluator's gain table.
+
+    Each block of orders is one chunk of the returned fold.
+    """
+    perms = all_permutations(ev.q)
+    moments = WalkMoments(paired)
+    out = np.empty((min(perms.shape[0], np.getbufsize()), ev.q))
+    prefix_walk(order_blocks(perms, out), partial(table_gains, gain_table(ev.value_table(), paired)), moments.add)
+    return moments
 
 
 def shapley_all_permutations(ev) -> ShapleyVector:
     """Shapley values as the average marginal contribution over all q! orders."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = walk_all_orders(ev).mean(axis=0)
-    return ShapleyVector(phi=phi, method_tag="permutation")
+    return ShapleyVector(phi=walk_all_orders(ev).row_sum / math.factorial(ev.q), method_tag="permutation")
 
 
 def shapley_kernel_exact(ev) -> ShapleyVector:

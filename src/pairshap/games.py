@@ -456,8 +456,9 @@ class GameEvaluator:
         of at least 2^q masks builds the table if none is held yet; a
         smaller one evaluates each column as n indicator rows.  So does
         every lookup once a table build has raised NonFiniteError, which
-        keeps no table and is not tried again: the lookup then raises only
-        if one of its own coalitions has a non-finite payoff.  `out`, a
+        keeps no table and is not tried again.  A lookup that evaluates
+        rows raises NonFiniteError, counting nothing, if one of its own
+        coalitions has a non-finite payoff, from any game.  `out`, a
         float (n, k) array, may share memory with `masks`: each mask is
         read before its payoff overwrites it.
         """
@@ -474,6 +475,8 @@ class GameEvaluator:
         if table is None:
             for col in range(masks.shape[1]):
                 out[:, col] = self.game.values(mask_rows(masks[:, col], q))
+                if not np.all(np.isfinite(out[:, col])):
+                    raise NonFiniteError("value function produced a non-finite payoff")
         else:
             # the masks were range-checked above, so clipping never bites;
             # unlike the default mode it writes into `out` without a buffer

@@ -5,6 +5,11 @@ function on every prefix, so one order costs q evaluations.  Pairing also
 looks up the reversed order's prefixes, the complements of the forward
 ones, and averages the two marginal-contribution vectors, which cancels the
 odd part of the game.
+
+An estimate streams its orders: each block is drawn into one reused
+buffer, walked, and folded into the replicate's `exact.WalkMoments`, its
+sum and covariance, so a sampled walk holds a few blocks of orders and
+gains, and no n x q array, beyond the tables it reads.
 """
 from __future__ import annotations
 
@@ -18,11 +23,46 @@ from .games import guard_draws
 from .streams import derive_rng
 
 
-def sample_permutations(q: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n independent uniform player orders, one per row."""
+def sample_permutations(q: int, n: int, rng: np.random.Generator, out=None) -> np.ndarray:
+    """n independent uniform player orders, one per row, written into `out`, an (n, q) int64 array, if given.
+
+    Each row is set to 0..q-1 and shuffled by rng in turn, so n orders
+    drawn as consecutive blocks of rows are these n orders, and leave rng
+    in the same state.
+    """
     guard_draws(n, q)
-    base = np.tile(np.arange(q), (n, 1))
-    return rng.permuted(base, axis=1, out=base)
+    out = np.empty((n, q), dtype=np.int64) if out is None else out
+    out[...] = np.arange(q)
+    return rng.permuted(out, axis=1, out=out)
+
+
+def _walk(ev, supply, n: int, paired: bool, sink=None) -> None:
+    """`exact.prefix_walk` of the n orders `supply` gives, counted once it has walked them all.
+
+    The logical cost is q evaluations per order, 2q paired; a walk that
+    raises counts nothing.  Whether the evaluator reads its value table is
+    decided once, from all n q lookups, as one `ev.values_at` call of them
+    would decide it.  From n = 2^q orders on, with the table read, every
+    gain is one of the q 2^q entries of `exact.gain_table`, which then holds
+    no more floats than one n x q array, and the walk gathers them from it
+    (`exact.table_gains`).  Otherwise it looks up each block's q nonempty
+    prefixes, and paired the reverse ones, through `ev.values_at`
+    (`exact.lookup_gains`).  Both sources give the same bits, non-finite
+    ones too.
+    """
+    q = ev.q
+    table = ev.lookup_table(n * q)
+    if table is not None and n >= 1 << q:
+        source = partial(exact.table_gains, exact.gain_table(table, paired))
+    else:
+        source = partial(exact.lookup_gains, ev.values_at, paired)
+    count = ev.eval_count
+    try:
+        exact.prefix_walk(supply, source, sink)
+    finally:
+        # lookups count block by block; the walk counts once, when it is whole
+        ev.eval_count = count
+    ev.eval_count += (2 if paired else 1) * n * q
 
 
 def marginal_vectors(ev, perms, paired: bool = False) -> np.ndarray:
@@ -31,20 +71,9 @@ def marginal_vectors(ev, perms, paired: bool = False) -> np.ndarray:
     Row i, column j holds the payoff gain when player j joins the players
     preceding it in permutation i; paired, row i is the sum of the vectors
     of order i and of its reverse, whose prefixes are the complements of
-    the forward ones, so no second walk is made.  The logical cost is q
-    evaluations per row, 2q paired: the walk counts them once it has walked
-    every order, and a walk that raises counts nothing.
-
-    The walk is `exact.prefix_walk`.  Its gains come from one of two
-    sources, to the same bits, non-finite ones too.  Whether the evaluator
-    reads its value table is decided once, from all n q lookups, as one
-    `ev.values_at` call of them would decide it.  From n = 2^q orders on,
-    with the table read, every gain is one of the q 2^q entries of
-    `exact.gain_table`, which then holds no more floats than one n x q
-    array, and the walk gathers them from it (`exact.table_gains`).
-    Otherwise it looks up each block's q nonempty prefixes, and paired the
-    reverse ones, through `ev.values_at` (`exact.lookup_gains`).
-    DomainError unless every row orders the q players.
+    the forward ones, so no second walk is made.  The walk (`_walk`) writes
+    each block's gains into the rows of the result.  DomainError unless
+    every row orders the q players.
     """
     q = ev.q
     perms = np.asarray(perms)
@@ -52,46 +81,62 @@ def marginal_vectors(ev, perms, paired: bool = False) -> np.ndarray:
         raise DimensionError(f"expected an (n, {q}) array of player orders, got shape {perms.shape}")
     if perms.size and (perms.min() < 0 or perms.max() >= q):
         raise DomainError(f"player orders must hold players 0..{q - 1}")
-    table = ev.lookup_table(perms.size)
-    if table is not None and perms.shape[0] >= 1 << q:
-        source = partial(exact.table_gains, exact.gain_table(table, paired))
-    else:
-        source = partial(exact.lookup_gains, ev.values_at, paired)
-    count = ev.eval_count
-    try:
-        B = exact.prefix_walk(perms, source)
-    finally:
-        # lookups count block by block; the walk counts once, when it is whole
-        ev.eval_count = count
-    ev.eval_count += 2 * perms.size if paired else perms.size
+    B = np.empty(perms.shape)
+    _walk(ev, exact.order_blocks(perms, B), perms.shape[0], paired)
     return B
 
 
 def estimate_permutation_stack(ev, n: int, seeds, paired: bool = False) -> list:
     """Average marginal contributions over n sampled orders (n pairs if paired), one estimate per seed.
 
-    The replicates' orders are walked as one stack.  Replicate i still
-    draws from derive_rng(seeds[i], 0), so its result is bit for bit that of
-    `estimate_permutation` with seeds[i].  Returns one (ShapleyVector, B)
-    per seed, B that replicate's (n, q) block of the stack's
-    `marginal_vectors`.
+    The replicates' orders are walked as one stack and streamed: each
+    replicate's rows come in chunks of at most np.getbufsize(), counted
+    from its first row, and replicates of one chunk each share a block of
+    the walk.  A chunk is drawn from derive_rng(seeds[i], 0), replicate
+    i's generator, into one reused buffer, walked, and folded into
+    replicate i's own `exact.WalkMoments`.  So its result is bit for bit that of
+    `estimate_permutation` with seeds[i], and phi, the fold's row sum over
+    n, has the bits of the mean of the n marginal vectors.  Returns one
+    (ShapleyVector, WalkMoments) per seed.
     """
     if n < 1:
         raise DomainError(f"sample size must be positive, got {n}")
-    perms = np.concatenate([sample_permutations(ev.q, n, derive_rng(seed, 0)) for seed in seeds])
-    B = marginal_vectors(ev, perms, paired).reshape(len(seeds), n, ev.q)
-    # sums of finite gains can overflow, to a phi that ShapleyVector refuses
-    with np.errstate(over="ignore", invalid="ignore"):
-        phi = B.mean(axis=1) * (0.5 if paired else 1.0)
+    q = ev.q
+    guard_draws(n, q)
+    rngs = [derive_rng(seed, 0) for seed in seeds]
+    folds = [exact.WalkMoments(paired) for _ in seeds]
+    step = np.getbufsize()
+    chunks = [(i, min(step, n - start)) for i in range(len(seeds)) for start in range(0, n, step)]
+    per = max(1, min(len(seeds), step // n))
+    blocks = [chunks[k : k + per] for k in range(0, len(chunks), per)]
+    orders = np.empty((per * min(step, n), q), dtype=np.int64)
+    gains = np.empty(orders.shape)
+
+    def draws():
+        for block in blocks:
+            rows = len(block) * block[0][1]
+            for (i, m), out in zip(block, orders[:rows].reshape(len(block), -1, q)):
+                sample_permutations(q, m, rngs[i], out=out)
+            yield orders[:rows], gains[:rows]
+
+    owners = iter(blocks)
+
+    def fold(out):
+        block = next(owners)
+        for (i, _), rows in zip(block, out.reshape(len(block), -1, q)):
+            folds[i].add(rows)
+
+    _walk(ev, draws(), n * len(seeds), paired, fold)
     tag = "permutation-paired" if paired else "permutation"
-    return [(exact.ShapleyVector(phi=phi[i], method_tag=tag), B[i]) for i in range(len(seeds))]
+    return [(exact.ShapleyVector(phi=f.row_sum / n * (0.5 if paired else 1.0), method_tag=tag), f) for f in folds]
 
 
 def estimate_permutation(ev, n: int, paired: bool = False, seed=None):
     """Average marginal contributions over n sampled orders (n pairs if paired).
 
     The one-seed case of `estimate_permutation_stack`.  Returns
-    (ShapleyVector, B), B the drawn orders' `marginal_vectors`.
+    (ShapleyVector, WalkMoments), the fold of the drawn orders' marginal
+    vectors.
     """
     return estimate_permutation_stack(ev, n, [seed], paired)[0]
 

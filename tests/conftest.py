@@ -5,6 +5,7 @@ import json
 import math
 import shutil
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -62,6 +63,17 @@ OVERFLOWING_GAIN_DOC = {
     "q": 2,
     "terms": [{"kind": "bilinear", "indices": [1, 2], "A": [[-1.5e308, 1e308], [1e308, 1e308]]}],
 }
+
+
+def traced_peak(fn):
+    """fn()'s result, and the peak in bytes of the memory tracemalloc traced while fn ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture

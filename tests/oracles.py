@@ -32,6 +32,26 @@ def marginal_vector(ev, perm) -> np.ndarray:
     return permutation.marginal_vectors(ev, np.asarray(perm)[None, :])[0]
 
 
+def walk_rows(perms, source) -> np.ndarray:
+    """`exact.prefix_walk` of an (n, q) array of orders from a gain source, every block's gains kept as rows of one matrix."""
+    perms = np.asarray(perms)
+    B = np.empty(perms.shape)
+    exact.prefix_walk(exact.order_blocks(perms, B), source)
+    return B
+
+
+def two_pass_covariance(W: np.ndarray, paired: bool) -> np.ndarray:
+    """Covariance of the rows of a marginal-contribution matrix, 1/(n - 1) normalized, by two passes.
+
+    The rows are halved when paired, centered on their numpy mean and
+    multiplied out, all in one matrix.  `exact.WalkMoments` folds a walk of
+    at most np.getbufsize() rows to these bits.
+    """
+    W = 0.5 * W if paired else W.copy()
+    W -= W.mean(axis=0)
+    return W.T @ W / (W.shape[0] - 1)
+
+
 def complement(z) -> np.ndarray:
     """Indicator of the complementary coalition."""
     z = np.asarray(z)

@@ -22,6 +22,7 @@ from conftest import (
     random_bilinear_doc,
     random_game_doc,
     three_block_doc,
+    traced_peak,
 )
 from oracles import psd_gap
 
@@ -413,20 +414,46 @@ def test_unpaired_walk_covariance_scales_estimator_variance(reference_spec):
 
 
 def test_exact_walk_covariance_memory_stays_within_three_and_a_half_order_arrays():
-    # At q = 8 the paired walk over all q! orders holds the orders, the
-    # forward and the complement masks (payoffs written over both), and no
-    # buffered copy of either: the traced peak stays below 3.5 q! x q float
-    # arrays.
-    import tracemalloc
-
+    # At q = 8 the paired walk over all q! orders holds the orders and a few
+    # blocks of np.getbufsize() x q entries: the prefixes, the scatter
+    # targets, the gains and the fold's temporaries.  No q! x q gain matrix
+    # is formed, so the traced peak stays below one q! x q order array and
+    # four blocks, well inside 3.5 q! x q float arrays.
     q = 8
     rng = np.random.default_rng(97)
     spec = parse_spec(random_game_doc(rng, q))
-    tracemalloc.start()
-    try:
-        report = asymptotics.permutation_covariance_exact(GameEvaluator(spec), paired=True)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    report, peak = traced_peak(lambda: asymptotics.permutation_covariance_exact(GameEvaluator(spec), paired=True))
     assert report.matrix.shape == (q, q)
-    assert peak <= 3.5 * 8 * 40320 * q
+    assert peak <= 8 * 40320 * q + 4 * 8 * np.getbufsize() * q <= 3.5 * 8 * 40320 * q
+
+
+def test_paired_covariances_vanish_on_a_game_beyond_order_two():
+    # v = exp(b^T z) + exp(-b^T z) - 2 plus a linear term, with sum(b) = 0:
+    # b^T z of a coalition's complement is -b^T z, so the exponentials are
+    # even under complement, the odd part of v is affine and both paired
+    # estimators are exact.  Yet v has Moebius dividends of order three and
+    # more.  So a degenerate paired covariance, or a consistent bilinear
+    # test, does not certify that a game has order two.
+    q = 8
+    beta = np.random.default_rng(62).normal(0.0, 0.6, size=q)
+    beta -= beta.mean()
+    spec = parse_spec({
+        "q": q,
+        "terms": [
+            {"kind": "exp_linear", "indices": list(range(1, q + 1)), "beta": beta.tolist()},
+            {"kind": "exp_linear", "indices": list(range(1, q + 1)), "beta": (-beta).tolist()},
+            {"kind": "linear", "indices": list(range(1, q + 1)), "beta": np.linspace(-1.0, 1.0, q).tolist()},
+        ],
+    })
+    ev = GameEvaluator(spec)
+    dividends = ev.value_table().copy()
+    for i in range(q):
+        halves = dividends.reshape(-1, 2, 1 << i)
+        halves[:, 1, :] -= halves[:, 0, :]
+    sizes = exact.subset_sums(np.ones(q, dtype=np.int64))
+    assert np.abs(dividends[sizes >= 3]).max() > 0.01
+    for paired in (True, False):
+        kernel_report = asymptotics.kernel_matrices_exact(ev, paired=paired)[2]
+        walk_report = asymptotics.permutation_covariance_exact(ev, paired=paired)
+        assert kernel_report.degenerate == walk_report.degenerate == paired
+    assert kernel.bilinearity_test(ev, 8, 1e-9, seed=63).consistent

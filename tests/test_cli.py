@@ -117,6 +117,30 @@ def test_sample_permutation_plugin_stderr(vf_path, capsys):
     assert payload["stderr_source"].startswith("plug-in")
 
 
+@pytest.mark.parametrize("paired", [False, True])
+def test_sample_plugin_stderr_is_the_asymptotics_plugin_beyond_one_block(tmp_path, capsys, paired):
+    # at n = 20 000 the walk folds three chunks; the estimate's own fold and
+    # a fresh walk of the same seed give the same bits
+    vf = tmp_path / "vf.json"
+    vf.write_text(json.dumps(three_block_doc(np.random.default_rng(60))))
+    n, seed = 20_000, 61
+    method = "permutation-paired" if paired else "permutation"
+    code, out, _ = run(
+        capsys,
+        ["sample", "--vf", str(vf), "--method", "permutation", *(["--paired"] if paired else []),
+         "--n", str(n), "--seed", str(seed), "--stderr-from", "plugin"],
+    )
+    assert code == 0
+    sampled = json.loads(out)
+    code, out, _ = run(
+        capsys, ["asymptotics", "--vf", str(vf), "--method", method, "--plugin", str(n), "--seed", str(seed)]
+    )
+    assert code == 0
+    report = json.loads(out)
+    assert sampled["stderr_source"] == report["provenance"] == f"plug-in(n={n}, seed={seed})"
+    assert sampled["stderr"] == [float(v) for v in np.sqrt(np.maximum(np.diag(report["matrix"]), 0.0) / n)]
+
+
 @pytest.mark.parametrize(
     "method, paired, evaluations",
     [

@@ -18,8 +18,9 @@ from conftest import (
     random_bilinear_doc,
     random_game_doc,
     subset_shapley_by_players,
+    traced_peak,
 )
-from oracles import coalition_matrix, coalition_probability, superset_sums
+from oracles import coalition_matrix, coalition_probability, superset_sums, walk_rows
 
 ROUTES = (exact.shapley_subset, exact.shapley_all_permutations, exact.shapley_kernel_exact)
 
@@ -234,7 +235,7 @@ def test_by_size_is_the_size_gather_bit_for_bit(q):
 def test_prefix_walk_rows_telescope(hand_game_q3):
     table = hand_game_q3.value_table()
     perms = exact.all_permutations(3)
-    B = exact.prefix_walk(perms, partial(exact.lookup_gains, partial(np.take, table), False))
+    B = walk_rows(perms, partial(exact.lookup_gains, partial(np.take, table), False))
     np.testing.assert_allclose(B.sum(axis=1), np.full(6, 17.0), atol=1e-12)
     # identity order: gains 1, 3-1, 17-3
     identity_row = B[np.lexsort(perms.T[::-1])[0]]
@@ -319,16 +320,9 @@ def test_pivot_moments_scratch_is_a_quarter_vector(q):
     # Beyond w, which it overwrites, pivot_moments holds the masked passes'
     # gathers and the buffers of numpy's strided loops: three of getbufsize()
     # elements, whatever q is.
-    import tracemalloc
-
     exact.pivot_moments(np.ones(1 << 9), 9)  # one-time imports are not scratch
     w = np.random.default_rng(39).normal(size=1 << q)
-    tracemalloc.start()
-    try:
-        exact.pivot_moments(w, q)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: exact.pivot_moments(w, q))
     assert peak <= 8 * (2**q // 4 + 3 * np.getbufsize())
 
 
@@ -359,8 +353,6 @@ def test_exact_kernel_scratch_beyond_the_table(q, route, vectors):
     # probabilities, the response (overwritten by the residuals) and a
     # quarter of a vector for the fitted values; the kernel Shapley values
     # hold the probabilities and the response.
-    import tracemalloc
-
     rng = np.random.default_rng(41)
     beta = rng.uniform(-0.3, 0.3, size=q).tolist()
     spec = parse_spec({"q": q, "terms": [{"kind": "exp_linear", "indices": list(range(1, q + 1)), "beta": beta}]})
@@ -372,12 +364,7 @@ def test_exact_kernel_scratch_beyond_the_table(q, route, vectors):
     run(GameEvaluator(spec))  # one-time imports and per-q index lists are not scratch
     ev = GameEvaluator(spec)
     ev.value_table()
-    tracemalloc.start()
-    try:
-        run(ev)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: run(ev))
     assert peak <= 8 * vectors * 2**q
 
 
@@ -385,8 +372,6 @@ def test_exact_kernel_scratch_beyond_the_table(q, route, vectors):
 def test_enumeration_memory_stays_within_vectors(route):
     # No 2^q x q float matrix: the traced peak stays below 12 float vectors of
     # length 2^q plus one chunk of float rows for the game's own temporaries.
-    import tracemalloc
-
     q = 16
     rng = np.random.default_rng(37)
     beta = rng.uniform(-0.3, 0.3, size=q).tolist()
@@ -395,10 +380,5 @@ def test_enumeration_memory_stays_within_vectors(route):
         "subset": lambda: exact.shapley_subset(GameEvaluator(spec)),
         "kernel-paired": lambda: asymptotics.kernel_matrices_exact(GameEvaluator(spec), paired=True),
     }[route]
-    tracemalloc.start()
-    try:
-        run()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(run)
     assert peak <= 8 * (12 * 2**q + games.CHUNK_ROWS * q)

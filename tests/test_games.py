@@ -15,7 +15,15 @@ from pairshap.errors import (
 from pairshap import exact, games, kernel, permutation
 from pairshap.games import TERM_KINDS, GameEvaluator, mask_rows, parse_spec
 
-from conftest import OPPOSITE_INFINITIES_DOC, REFERENCE_DOC, RowCounter, TableGame, UnplayableGame, random_game_doc
+from conftest import (
+    OPPOSITE_INFINITIES_DOC,
+    REFERENCE_DOC,
+    RowCounter,
+    TableGame,
+    UnplayableGame,
+    random_game_doc,
+    traced_peak,
+)
 from oracles import (
     complement,
     evaluate,
@@ -309,17 +317,45 @@ def test_value_only_game_with_a_non_finite_payoff_builds_no_table():
         assert game.calls == [4, 4] + [8] * 10 and ev._table is None
 
 
-def test_value_table_refuses_more_than_25_players_before_allocating():
-    import tracemalloc
+@pytest.mark.parametrize("paired", [False, True])
+def test_row_lookups_refuse_a_non_finite_payoff_of_a_value_only_game(paired):
+    # a q = 3 game known only by its values, worth +inf on players {2, 3}
+    # (mask 6): fewer than 2^3 lookups evaluate rows, which refuse that
+    # payoff and count nothing
+    payoffs = np.arange(8.0)
+    payoffs[6] = np.inf
+    ev = GameEvaluator(TableGame(3, payoffs))
+    with pytest.raises(NonFiniteError):
+        ev.values_at([[6]])
+    assert np.array_equal(ev.values_at([[1, 3, 7]]), [[1.0, 3.0, 7.0]])
+    ev.eval_count = 0
+    # neither order, nor its reverse, has {2, 3} as a prefix
+    B = permutation.marginal_vectors(ev, np.array([[1, 0, 2], [2, 0, 1]]), paired)
+    assert np.all(np.isfinite(B)) and ev.eval_count == (2 if paired else 1) * 6
+    with pytest.raises(NonFiniteError):
+        permutation.marginal_vectors(ev, np.array([[1, 0, 2], [1, 2, 0]]), paired)
+    assert ev.eval_count == (2 if paired else 1) * 6
 
+
+def test_a_streamed_walk_raises_at_the_first_block_that_visits_a_non_finite_payoff():
+    # one block more than np.getbufsize() orders: the table build is refused,
+    # the first block's prefixes are evaluated as rows, column by column, and
+    # the second block's one order starts with players 2 and 3
+    payoffs = np.arange(8.0)
+    payoffs[6] = np.inf
+    game = RowCounter(TableGame(3, payoffs))
+    ev = GameEvaluator(game)
+    step = np.getbufsize()
+    perms = np.array([[0, 1, 2]] * step + [[2, 1, 0]])
+    with pytest.raises(NonFiniteError):
+        permutation.marginal_vectors(ev, perms)
+    assert game.calls == [4, 4] + [step] * 3 + [1, 1]
+    assert ev.eval_count == 0 and ev._table is None
+
+
+def test_value_table_refuses_more_than_25_players_before_allocating():
     ev = GameEvaluator(UnplayableGame(26))
-    tracemalloc.start()
-    try:
-        with pytest.raises(SizeGuard):
-            ev.value_table()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(lambda: pytest.raises(SizeGuard, ev.value_table))
     # a table of 2^26 floats would take 512 MB
     assert peak < 2**20
     assert ev.eval_count == 0
@@ -431,17 +467,10 @@ def test_bilinear_payoffs_do_not_depend_on_their_batch(width):
 def test_value_table_build_memory(indices):
     # the table, the term's own table and a few chunk-sized temporaries: a
     # 2^q index array, or a second 2^q float array, would go past the bound
-    import tracemalloc
-
     q, k = 20, len(indices)
     beta = np.random.default_rng(70).uniform(-0.3, 0.3, size=k).tolist()
     spec = parse_spec({"q": q, "terms": [{"kind": "exp_linear", "indices": indices, "beta": beta}]})
-    tracemalloc.start()
-    try:
-        table = spec.value_table()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    table, peak = traced_peak(spec.value_table)
     # the bytes of the finiteness check's boolean array are the 2^q beyond 8 * 2^q
     assert peak <= 9 * 2**q + 8 * (2**k + 4 * games.CHUNK_ROWS)
     assert same_bits(table[:: 2 ** (q // 2)], spec.values(mask_rows(np.arange(0, 2**q, 2 ** (q // 2)), q)))

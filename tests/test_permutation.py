@@ -24,8 +24,17 @@ from conftest import (
     random_game_doc,
     separated_doc,
     three_block_doc,
+    traced_peak,
 )
-from oracles import evaluate, evaluate_many, marginal_vector, prefix_coalition, separated_exact_check
+from oracles import (
+    evaluate,
+    evaluate_many,
+    marginal_vector,
+    prefix_coalition,
+    separated_exact_check,
+    two_pass_covariance,
+    walk_rows,
+)
 
 
 def walk_by_rows(ev, perms) -> np.ndarray:
@@ -48,12 +57,12 @@ def walk_by_rows(ev, perms) -> np.ndarray:
 
 def lookup_walk(table, perms, paired=False) -> np.ndarray:
     """Reference walk: the prefixes of every order looked up in the value table, as walks of fewer than 2^q orders run."""
-    return exact.prefix_walk(perms, partial(exact.lookup_gains, partial(np.take, table, mode="clip"), paired))
+    return walk_rows(perms, partial(exact.lookup_gains, partial(np.take, table, mode="clip"), paired))
 
 
 def table_walk(table, perms, paired=False) -> np.ndarray:
     """The walk of 2^q orders or more: every gain gathered from the gain table of the value table."""
-    return exact.prefix_walk(perms, partial(exact.table_gains, exact.gain_table(table, paired)))
+    return walk_rows(perms, partial(exact.table_gains, exact.gain_table(table, paired)))
 
 
 def walk_sizes(q: int) -> tuple[int, int]:
@@ -217,6 +226,11 @@ def test_gain_table_entries_are_the_walk_gains():
 
 @pytest.mark.parametrize("q", range(2, 10))
 def test_exact_walk_routes_are_the_lookup_walk_bit_for_bit(q):
+    # phi has the bits of the mean of the q! rows of the lookup walk.  The
+    # covariance of up to np.getbufsize() rows (q <= 7) is folded in one
+    # chunk, to the two-pass bits; q = 8 and 9 fold several chunks, within
+    # 1e-13 of max|cov| of the two passes, or of the squared largest gain
+    # where the covariance is roundoff
     rng = np.random.default_rng(500 + q)
     spec = parse_spec(random_game_doc(rng, q))
     table = GameEvaluator(spec).value_table()
@@ -225,9 +239,13 @@ def test_exact_walk_routes_are_the_lookup_walk_bit_for_bit(q):
     assert phi.tobytes() == lookup_walk(table, perms).mean(axis=0).tobytes()
     for paired in (False, True):
         report = asymptotics.permutation_covariance_exact(GameEvaluator(spec), paired)
-        expected = asymptotics._walk_covariance(lookup_walk(table, perms, paired), paired, "exact-enumeration")
-        assert report.matrix.tobytes() == expected.matrix.tobytes(), paired
-        assert report.eigenvalues.tobytes() == expected.eigenvalues.tobytes(), paired
+        walked = lookup_walk(table, perms, paired)
+        expected = two_pass_covariance(walked, paired)
+        if len(perms) <= np.getbufsize():
+            assert report.matrix.tobytes() == (0.5 * (expected + expected.T)).tobytes(), paired
+        else:
+            scale = max(np.abs(expected).max(), (np.abs(walked).max() * (0.5 if paired else 1.0)) ** 2)
+            np.testing.assert_allclose(report.matrix, expected, rtol=0, atol=1e-13 * scale)
 
 
 @pytest.mark.parametrize("paired", [False, True])
@@ -297,17 +315,10 @@ def test_gain_walk_memory_stays_within_three_order_arrays(paired):
     # three n x q float arrays, the gain table's q 2^q floats and 9 bytes per
     # coalition (the value table and its finiteness check).  n spans
     # several of the walk's blocks of np.getbufsize() rows.
-    import tracemalloc
-
     q, n = 12, 20_000
     ev = GameEvaluator(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}))
     perms = permutation.sample_permutations(q, n, np.random.default_rng(98))
-    tracemalloc.start()
-    try:
-        B = permutation.marginal_vectors(ev, perms, paired)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    B, peak = traced_peak(lambda: permutation.marginal_vectors(ev, perms, paired))
     np.testing.assert_allclose(B, 2.0 if paired else 1.0, atol=1e-12)
     assert peak <= 3 * 8 * n * q + 8 * q * 2**q + 9 * 2**q
 
@@ -328,6 +339,104 @@ def test_permutation_plugin_reuses_the_estimate_walk(reference_spec):
         assert report.method == fresh.method == name
 
 
+@pytest.mark.parametrize("q", [2, 4, 9, 63])
+def test_drawing_orders_block_by_block_is_one_draw(q):
+    # rows drawn as consecutive blocks of one reused buffer are the rows of
+    # one draw, and leave the generator in the same state
+    n = 20_000 if q < 63 else 300
+    whole = permutation.sample_permutations(q, n, derive_rng(51, q))
+    expected = derive_rng(51, q)
+    permutation.sample_permutations(q, n, expected)
+    for block in (3, 7, np.getbufsize()):
+        rng = derive_rng(51, q)
+        buffer = np.empty((block, q), dtype=np.int64)
+        parts = []
+        for start in range(0, n, block):
+            m = min(block, n - start)
+            parts.append(permutation.sample_permutations(q, m, rng, out=buffer[:m]).copy())
+        assert np.array_equal(np.concatenate(parts), whole), block
+        assert rng.bit_generator.state == expected.bit_generator.state, block
+
+
+@pytest.mark.parametrize("paired", [False, True])
+@pytest.mark.parametrize("n, reps", [(5, 7), (256, 3), (np.getbufsize(), 2), (np.getbufsize() + 5, 3), (20_000, 2)])
+def test_stacked_walks_are_lone_walks_and_the_mean_of_the_rows(n, reps, paired):
+    # a stack streams each replicate's orders in chunks counted from its own
+    # first row, so each replicate folds as it does alone; phi has the bits
+    # of the mean of the drawn orders' marginal vectors, and a fold of one
+    # chunk has the two-pass covariance's bits
+    spec = parse_spec(random_game_doc(np.random.default_rng(52), 5))
+    seeds = [np.random.SeedSequence([53, n, rep]) for rep in range(reps)]
+    stacked = permutation.estimate_permutation_stack(GameEvaluator(spec), n, seeds, paired)
+    for seed, (vector, moments) in zip(seeds, stacked):
+        lone, lone_moments = permutation.estimate_permutation(GameEvaluator(spec), n, paired, seed=seed)
+        assert vector.phi.tobytes() == lone.phi.tobytes()
+        assert moments.covariance().tobytes() == lone_moments.covariance().tobytes()
+        B = permutation.marginal_vectors(GameEvaluator(spec), permutation.sample_permutations(5, n, derive_rng(seed, 0)), paired)
+        assert vector.phi.tobytes() == (B.mean(axis=0) * (0.5 if paired else 1.0)).tobytes()
+        if n > 1 and n <= np.getbufsize():
+            assert moments.covariance().tobytes() == two_pass_covariance(B, paired).tobytes()
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_plugin_from_the_estimate_is_a_fresh_plugin_beyond_one_block(paired):
+    n, seed = 20_000, 54
+    spec = parse_spec(three_block_doc(np.random.default_rng(55)))
+    estimator = ESTIMATORS["permutation-paired" if paired else "permutation"]
+    ev = GameEvaluator(spec)
+    drawn = estimator.estimate(ev, n, seed)
+    evaluations = ev.eval_count
+    report = estimator.plugin_covariance(ev, n, seed, drawn)
+    assert ev.eval_count == evaluations
+    fresh = estimator.plugin_covariance(GameEvaluator(spec), n, seed)
+    assert report.matrix.tobytes() == fresh.matrix.tobytes()
+    assert report.eigenvalues.tobytes() == fresh.eigenvalues.tobytes()
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_folded_covariance_of_gains_with_a_large_mean(paired):
+    # gains near 1e8 from a linear term, spread about 1 by an exp_bilinear
+    # term: a fold of several chunks stays within 1e-13 of max|cov| of the
+    # two passes.  The two passes run on the rows less their first row, an
+    # exact shift, so that their own mean is accurate; on the raw rows the
+    # rounding of their mean alone moves them by more than that.
+    q, n, seed = 9, 30_000, 56
+    rng = np.random.default_rng(57)
+    doc = {
+        "q": q,
+        "terms": [
+            {"kind": "linear", "indices": list(range(1, q + 1)), "beta": (1e8 * rng.uniform(1.0, 1.1, size=q)).tolist()},
+            {"kind": "exp_bilinear", "indices": list(range(1, q + 1)), "A": rng.normal(0.0, 0.35, size=(q, q)).tolist()},
+        ],
+    }
+    spec = parse_spec(doc)
+    B = permutation.marginal_vectors(GameEvaluator(spec), permutation.sample_permutations(q, n, derive_rng(seed, 0)), paired)
+    assert np.abs(B.mean(axis=0)).min() > (1e8 if paired else 5e7) and B.std(axis=0).max() < 10
+    expected = two_pass_covariance(B - B[0], paired)
+    got = asymptotics.permutation_covariance_plugin(GameEvaluator(spec), n, seed=seed, paired=paired).matrix
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-13 * np.abs(expected).max())
+
+
+def test_plugin_memory_does_not_grow_with_the_orders():
+    # a paired q = 9 plug-in streams its orders: at n = 50 000 and at
+    # n = 400 000 its traced peak stays below the gain table, the value table
+    # with its finiteness check (9 bytes per coalition) and five blocks of
+    # np.getbufsize() x q entries (the drawn orders, their gains, the
+    # prefixes, the scatter targets and the fold's temporaries), and the two
+    # peaks differ by less than one block column.  A walk that holds its
+    # orders or its gains needs an n x q array, past the bound at either n.
+    q = 9
+    spec = parse_spec(three_block_doc(np.random.default_rng(58)))
+    asymptotics.permutation_covariance_plugin(GameEvaluator(spec), 100, seed=1)  # one-time imports
+    peaks = [
+        traced_peak(lambda: asymptotics.permutation_covariance_plugin(GameEvaluator(spec), n, seed=59))[1]
+        for n in (50_000, 400_000)
+    ]
+    bound = 8 * q * 2**q + 9 * 2**q + 5 * 8 * np.getbufsize() * q
+    assert max(peaks) <= bound < 8 * 50_000 * q
+    assert abs(peaks[1] - peaks[0]) <= 8 * np.getbufsize()
+
+
 @pytest.mark.parametrize("n", [14_000, 15_000])
 def test_walk_memory_stays_within_three_order_arrays(n):
     # q = 18 switches from indicator rows to the value table at
@@ -337,31 +446,20 @@ def test_walk_memory_stays_within_three_order_arrays(n):
     # arrays, plus 9 bytes per coalition when it builds the table (the table
     # and the boolean array of its finiteness check), and the paired walk's
     # peak stays below that of the two one-way walks it replaces.
-    import tracemalloc
-
     q = 18
     ev = GameEvaluator(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}))
     perms = permutation.sample_permutations(q, n, np.random.default_rng(93))
-
-    def traced(walk):
-        tracemalloc.start()
-        try:
-            B = walk()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        return B, peak
 
     def two_walks():
         B = permutation.marginal_vectors(ev, perms)
         B += permutation.marginal_vectors(ev, perms[:, ::-1])
         return B
 
-    B, peak = traced(lambda: permutation.marginal_vectors(ev, perms))
+    B, peak = traced_peak(lambda: permutation.marginal_vectors(ev, perms))
     np.testing.assert_allclose(B, 1.0, atol=1e-12)
     assert peak <= 3 * 8 * n * q + (9 * 2**q if n * q >= 2**q else 0)
-    _, two_peak = traced(two_walks)
-    B, paired_peak = traced(lambda: permutation.marginal_vectors(ev, perms, paired=True))
+    _, two_peak = traced_peak(two_walks)
+    B, paired_peak = traced_peak(lambda: permutation.marginal_vectors(ev, perms, paired=True))
     np.testing.assert_allclose(B, 2.0, atol=1e-12)
     assert paired_peak <= two_peak
 
@@ -402,17 +500,10 @@ def test_row_walk_memory_is_one_order_array_and_four_blocks(paired):
     # when paired, and the rows of one prefix column with the game's own
     # temporaries.  A walk that holds the prefixes of every order at once
     # needs two n x q arrays and exceeds it.
-    import tracemalloc
-
     q, n = 26, 50_000
     ev = GameEvaluator(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}))
     perms = permutation.sample_permutations(q, n, np.random.default_rng(103))
-    tracemalloc.start()
-    try:
-        B = permutation.marginal_vectors(ev, perms, paired)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    B, peak = traced_peak(lambda: permutation.marginal_vectors(ev, perms, paired))
     np.testing.assert_allclose(B, 2.0 if paired else 1.0, atol=1e-12)
     assert ev._table is None and n > 3 * np.getbufsize()
     assert peak <= 8 * n * q + 4 * 8 * np.getbufsize() * q
