@@ -18,7 +18,6 @@ from .errors import (
     SchemaError,
     SingularMatrix,
     SizeGuard,
-    SpecError,
 )
 from .games import GameEvaluator, Term, ValueFunctionSpec, parse_spec
 
@@ -36,7 +35,6 @@ __all__ = [
     "SchemaError",
     "SingularMatrix",
     "SizeGuard",
-    "SpecError",
     "Term",
     "ValueFunctionSpec",
     "parse_spec",

@@ -251,9 +251,11 @@ def positive_eigenvalues(report: CovarianceReport) -> np.ndarray:
 def detect_blocks(report: CovarianceReport, threshold: float) -> list[list[int]]:
     """Connected groups of players under |matrix entry| > threshold.
 
-    Expects a q-by-q matrix (the permutation covariances qualify); returns
-    0-based groups sorted within and ordered by smallest member.  Zero rows
-    come out as singleton groups.
+    Expects a symmetric q-by-q matrix (the permutation covariances qualify);
+    returns 0-based groups sorted within and ordered by smallest member.
+    Zero rows come out as singleton groups.  The groups are the distinct rows
+    of the adjacency's boolean transitive closure, each kept at its smallest
+    member.
     """
     if not threshold > 0:
         raise DomainError(f"threshold must be positive, got {threshold}")
@@ -262,24 +264,13 @@ def detect_blocks(report: CovarianceReport, threshold: float) -> list[list[int]]
         raise DimensionError(
             f"block detection needs a {report.q}x{report.q} matrix, got {M.shape}"
         )
-    adjacency = np.abs(M) > threshold
-    unseen = set(range(report.q))
-    blocks: list[list[int]] = []
-    while unseen:
-        start = min(unseen)
-        frontier = [start]
-        unseen.discard(start)
-        component = {start}
-        while frontier:
-            node = frontier.pop()
-            for neighbour in np.nonzero(adjacency[node])[0]:
-                neighbour = int(neighbour)
-                if neighbour in unseen:
-                    unseen.discard(neighbour)
-                    component.add(neighbour)
-                    frontier.append(neighbour)
-        blocks.append(sorted(component))
-    return blocks
+    # the reflexive transitive closure of the adjacency, by repeated boolean
+    # squaring: after k squarings it joins players linked by paths of up to
+    # 2^k edges, and no path needs more than q - 1
+    reach = (np.abs(M) > threshold) | np.eye(report.q, dtype=bool)
+    for _ in range(max(report.q - 1, 1).bit_length()):
+        reach = reach @ reach
+    return [np.flatnonzero(row).tolist() for j, row in enumerate(reach) if row.argmax() == j]
 
 
 def report_to_dict(report: CovarianceReport) -> dict:

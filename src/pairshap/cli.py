@@ -5,7 +5,9 @@ Data goes to stdout (JSON by default, TSV where tabular); error names and
 messages go to stderr.  Exit codes: 0 success, 2 bad input or request
 outside the supported range, 3 numerical failure, 141 (128 + SIGPIPE)
 stdout closed by its reader.  Every randomized subcommand requires an
-explicit --seed.
+explicit --seed.  Sampled estimates and covariances are reached only
+through `estimators.ESTIMATORS`; `blocks` reads the covariance of its
+permutation-paired entry, exact or plug-in as `asymptotics` does.
 """
 from __future__ import annotations
 
@@ -109,16 +111,19 @@ def _cmd_sample(args) -> int:
     return 0
 
 
+def _covariance(estimator, ev, args) -> asymptotics.CovarianceReport:
+    """The estimator's exact covariance, or its plug-in one from `--plugin N` draws with `--seed`."""
+    if args.plugin is None:
+        return estimator.exact_covariance(ev)
+    if args.seed is None:
+        raise SchemaError("--plugin requires --seed")
+    return estimator.plugin_covariance(ev, args.plugin, args.seed)
+
+
 def _cmd_asymptotics(args) -> int:
     spec = _load_spec(args.vf)
     estimator = ESTIMATORS[args.method]
-    ev = GameEvaluator(spec)
-    if args.plugin is not None:
-        if args.seed is None:
-            raise SchemaError("--plugin requires --seed")
-        report = estimator.plugin_covariance(ev, args.plugin, args.seed)
-    else:
-        report = estimator.exact_covariance(ev)
+    report = _covariance(estimator, GameEvaluator(spec), args)
     payload = asymptotics.report_to_dict(report)
     if args.adjusted:
         # rescaled by the evaluations one draw costs, for cross-method comparison
@@ -137,13 +142,7 @@ def _cmd_experiment(args) -> int:
 
 def _cmd_blocks(args) -> int:
     spec = _load_spec(args.vf)
-    ev = GameEvaluator(spec)
-    if args.plugin is not None:
-        if args.seed is None:
-            raise SchemaError("--plugin requires --seed")
-        report = asymptotics.permutation_covariance_plugin(ev, args.plugin, seed=args.seed, paired=True)
-    else:
-        report = asymptotics.permutation_covariance_exact(ev, paired=True)
+    report = _covariance(ESTIMATORS["permutation-paired"], GameEvaluator(spec), args)
     blocks = asymptotics.detect_blocks(report, args.threshold)
     _emit(
         {

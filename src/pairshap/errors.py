@@ -38,10 +38,6 @@ class PartitionError(InputError):
     """Index groups do not form a partition of the players."""
 
 
-class SpecError(InputError):
-    """A value function lacks the structure a routine requires."""
-
-
 class NonFiniteError(NumericError):
     """A value function produced NaN or infinity."""
 

@@ -71,14 +71,13 @@ class KernelWeights:
     """Sampling distribution over nonempty proper coalitions.
 
     `size_probs[s-1]` is the total probability of drawing some coalition of
-    size s; within a size all coalitions are equally likely.  `normalizer` is
-    the constant that scales the raw per-coalition weight
-    (q-1) / (C(q,s) * s * (q-s)) into a probability.
+    size s; within a size all coalitions are equally likely.  A coalition's
+    probability is its raw weight (q-1) / (C(q,s) * s * (q-s)) over the
+    total raw weight.
     """
 
     q: int
     size_probs: np.ndarray
-    normalizer: float
 
 
 def float_binomial(n: int, k: int) -> float:
@@ -97,8 +96,7 @@ def kernel_weights(q: int) -> KernelWeights:
         raise DomainError(f"q must be at least 2, got {q}")
     sizes = np.arange(1, q)
     raw = (q - 1) / (sizes * (q - sizes))
-    normalizer = float(raw.sum())
-    return KernelWeights(q=q, size_probs=raw / normalizer, normalizer=normalizer)
+    return KernelWeights(q=q, size_probs=raw / raw.sum())
 
 
 @lru_cache(maxsize=None)

@@ -8,7 +8,9 @@ group attribution sums of an additively separated game are recovered from a
 single paired walk.  Every replicate draws from its own substream keyed by
 (master seed, method, size index, replicate index), so results do not depend
 on execution order, and the replicates of a (method, size) cell are fitted
-in stacks of up to STACK_ENTRIES draw entries each.
+in stacks of up to STACK_ENTRIES draw entries each.  Every estimate and
+covariance comes from an `estimators.ESTIMATORS` entry, and every kind's rows
+are written by `write_csv` under that kind's header.
 """
 from __future__ import annotations
 
@@ -17,11 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import asymptotics, exact, kernel, permutation
-from .errors import PartitionError, SchemaError, SizeGuard
+from . import asymptotics, exact, permutation
+from .errors import DomainError, PartitionError, SchemaError, SizeGuard
 from .estimators import ESTIMATORS
 from .games import DRAW_LIMIT, GameEvaluator, ValueFunctionSpec, guard_draws, parse_spec
-from .streams import derive_rng
 
 # One stack of replicates holds at most this many draw entries (draws x q):
 # as many as the largest single replicate of a q = 4 benchmark cell, so a
@@ -167,33 +168,28 @@ def run_additive_recovery(config: ExperimentConfig, partition, kernel_n: int = 1
 
     The game's terms must respect the partition (every term inside one
     group); the single paired permutation walk then recovers the exact group
-    sums, while the kernel column shows a finite-sample estimate.
+    sums, while the kernel column shows a finite-sample estimate.  The walk
+    is the `permutation-paired` estimate at n = 1 seeded by the master seed,
+    the fit the `kernel-paired` one at kernel_n pairs seeded by the master
+    seed with spawn key (1,).  The partition and kernel_n are checked before
+    the game is tabulated or sampled.
     """
     spec = config.vf
-    groups = [np.asarray(sorted(int(i) for i in g), dtype=np.int64) for g in partition]
+    groups = permutation.partition_groups([sorted(int(i) for i in g) for g in partition], spec.q)
     _check_partition_against_terms(spec, groups)
+    if kernel_n < 1:
+        raise DomainError(f"kernel_n must be positive, got {kernel_n}")
+    guard_draws(kernel_n, spec.q)
 
     ev = GameEvaluator(spec)
-    exact_sums = permutation.group_sums(exact.shapley_subset(ev).phi, groups)
-
-    rng = derive_rng(config.master_seed, 0)
-    perms = permutation.sample_permutations(spec.q, 1, rng)
-    walk = 0.5 * permutation.marginal_vectors(ev, perms, paired=True)[0]
-    perm_sums = permutation.group_sums(walk, groups)
-
     kernel_seed = np.random.SeedSequence(entropy=config.master_seed, spawn_key=(1,))
-    kernel_vec, _ = kernel.estimate_kernel(ev, kernel_n, paired=True, seed=kernel_seed)
-    kernel_sums = permutation.group_sums(kernel_vec.phi, groups)
-
-    return [
-        RecoveryRow(
-            group=k + 1,
-            exact=float(exact_sums[k]),
-            permutation_paired=float(perm_sums[k]),
-            kernel_paired=float(kernel_sums[k]),
-        )
-        for k in range(len(groups))
+    columns = [
+        exact.shapley_subset(ev),
+        ESTIMATORS["permutation-paired"].estimate(ev, 1, config.master_seed)[0],
+        ESTIMATORS["kernel-paired"].estimate(ev, kernel_n, kernel_seed)[0],
     ]
+    sums = [permutation.group_sums(vector, groups) for vector in columns]
+    return [RecoveryRow(k + 1, *(float(column[k]) for column in sums)) for k in range(len(groups))]
 
 
 def _check_partition_against_terms(spec: ValueFunctionSpec, groups) -> None:
@@ -231,28 +227,13 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def write_bias_variance_csv(rows: list[BiasVarianceRow], path) -> None:
-    lines = [BIAS_VARIANCE_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.method},{r.n},{r.j},{_fmt(r.bias)},{_fmt(r.sigma_hat)},{_fmt(r.tau)},{r.evals_per_sample}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_comparison_csv(rows: list[ComparisonRow], path) -> None:
-    lines = [COMPARISON_HEADER]
-    for r in rows:
-        lines.append(f"{r.method},{r.kind},{r.position},{_fmt(r.eigenvalue)}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def write_recovery_csv(rows: list[RecoveryRow], path) -> None:
-    lines = [RECOVERY_HEADER]
-    for r in rows:
-        lines.append(
-            f"{r.group},{_fmt(r.exact)},{_fmt(r.permutation_paired)},{_fmt(r.kernel_paired)}"
-        )
+def write_csv(rows, header: str, path) -> None:
+    """Write `header`, then per row the fields it names: floats by `_fmt`, anything else by `str`."""
+    names = header.split(",")
+    lines = [header]
+    for row in rows:
+        values = [getattr(row, name) for name in names]
+        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in values))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -305,19 +286,17 @@ def run_from_config(doc: dict) -> dict:
     )
 
     if kind == "bias_variance":
-        rows = run_bias_variance(config)
-        write = write_bias_variance_csv
+        rows, header = run_bias_variance(config), BIAS_VARIANCE_HEADER
     elif kind == "method_comparison":
-        rows = run_method_comparison(config)
-        write = write_comparison_csv
+        rows, header = run_method_comparison(config), COMPARISON_HEADER
     else:
         if "partition" not in doc:
             raise SchemaError("additive_recovery requires 'partition'")
         partition = _parse_partition(doc["partition"], config.vf.q)
         rows = run_additive_recovery(config, partition, kernel_n=doc.get("kernel_n", 100))
-        write = write_recovery_csv
+        header = RECOVERY_HEADER
     try:
-        write(rows, csv)
+        write_csv(rows, header, csv)
     except OSError as exc:
         raise SchemaError(f"cannot write CSV file {csv!r}: {exc}") from exc
 

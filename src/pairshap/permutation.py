@@ -141,19 +141,26 @@ def estimate_permutation(ev, n: int, paired: bool = False, seed=None):
     return estimate_permutation_stack(ev, n, [seed], paired)[0]
 
 
-def group_sums(phi, partition) -> np.ndarray:
-    """Sum of attribution over each group of a partition of the players.
+def partition_groups(partition, q: int) -> list:
+    """The 0-based index groups of `partition` as int64 arrays.
 
-    `partition` lists 0-based index groups that must cover every player
-    exactly once; PartitionError otherwise.
+    PartitionError unless every group is non-empty and the groups hold each
+    of the q players exactly once.
     """
-    values = phi.phi if isinstance(phi, exact.ShapleyVector) else np.asarray(phi, dtype=float)
-    q = values.shape[0]
     groups = [np.asarray(g, dtype=np.int64) for g in partition]
     if any(g.size == 0 for g in groups):
         raise PartitionError("partition groups must be non-empty")
     flat = np.concatenate(groups) if groups else np.empty(0, dtype=np.int64)
     if not np.array_equal(np.sort(flat), np.arange(q)):
         raise PartitionError(f"groups must cover each of the {q} players exactly once")
-    return np.array([float(values[g].sum()) for g in groups])
+    return groups
 
+
+def group_sums(phi, partition) -> np.ndarray:
+    """Sum of attribution over each group of a partition of the players.
+
+    `partition` lists 0-based index groups that must cover every player
+    exactly once (`partition_groups`); PartitionError otherwise.
+    """
+    values = phi.phi if isinstance(phi, exact.ShapleyVector) else np.asarray(phi, dtype=float)
+    return np.array([float(values[g].sum()) for g in partition_groups(partition, values.shape[0])])

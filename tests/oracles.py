@@ -10,8 +10,12 @@ from __future__ import annotations
 import numpy as np
 
 from pairshap import exact, experiments, linalg, permutation
-from pairshap.errors import DimensionError, DomainError, SpecError
+from pairshap.errors import DimensionError, DomainError, InputError
 from pairshap.games import ValueFunctionSpec, mask_rows
+
+
+class SpecError(InputError):
+    """A value function lacks the structure a routine requires."""
 
 
 def evaluate(spec: ValueFunctionSpec, z) -> float:
@@ -123,6 +127,32 @@ def psd_gap(T, T2) -> float:
     difference = np.asarray(T, dtype=float) - np.asarray(T2, dtype=float)
     eigenvalues, _ = linalg.eig_sym(difference)
     return float(eigenvalues[-1])
+
+
+def search_blocks(adjacency) -> list[list[int]]:
+    """Connected groups of a symmetric boolean adjacency by breadth-first search.
+
+    Groups are sorted within and ordered by smallest member, as
+    `asymptotics.detect_blocks` returns them.
+    """
+    adjacency = np.asarray(adjacency, dtype=bool)
+    unseen = set(range(adjacency.shape[0]))
+    blocks: list[list[int]] = []
+    while unseen:
+        start = min(unseen)
+        frontier = [start]
+        unseen.discard(start)
+        component = {start}
+        while frontier:
+            node = frontier.pop()
+            for neighbour in np.nonzero(adjacency[node])[0]:
+                neighbour = int(neighbour)
+                if neighbour in unseen:
+                    unseen.discard(neighbour)
+                    component.add(neighbour)
+                    frontier.append(neighbour)
+        blocks.append(sorted(component))
+    return blocks
 
 
 def separated_exact_check(ev, d: int, perm) -> np.ndarray:

@@ -24,7 +24,7 @@ from conftest import (
     three_block_doc,
     traced_peak,
 )
-from oracles import psd_gap
+from oracles import psd_gap, search_blocks
 
 
 def test_reference_unpaired_kernel_spectrum(reference_ev):
@@ -116,7 +116,7 @@ def test_paired_moment_check_fires_on_complement_asymmetric_weights(monkeypatch,
     def skewed(q):
         kw = honest(q)
         probs = kw.size_probs * np.linspace(1.0, 2.0, q - 1)
-        return exact.KernelWeights(q=q, size_probs=probs / probs.sum(), normalizer=kw.normalizer)
+        return exact.KernelWeights(q=q, size_probs=probs / probs.sum())
 
     monkeypatch.setattr(exact, "kernel_weights", skewed)
     asymptotics.kernel_matrices_exact(reference_ev, paired=False)
@@ -215,6 +215,21 @@ def test_block_detection_exact_and_edge_cases(reference_ev):
     assert asymptotics.detect_blocks(dense, 1e6) == [[0], [1], [2], [3]]
     with pytest.raises(DomainError):
         asymptotics.detect_blocks(dense, 0.0)
+
+
+def test_block_detection_is_the_breadth_first_search_on_random_patterns():
+    rng = np.random.default_rng(95)
+    for _ in range(2000):
+        q = int(rng.integers(1, 20))
+        # a symmetric pattern of random density, with signed entries on both
+        # sides of the threshold
+        upper = np.triu(rng.uniform(-1.0, 1.0, size=(q, q)) * (rng.random((q, q)) < rng.uniform(0.0, 0.4)))
+        M = upper + upper.T
+        report = asymptotics.CovarianceReport(
+            method="permutation-paired", provenance="pattern", q=q, matrix=M,
+            eigenvalues=np.zeros(q), trace=0.0, degenerate=False,
+        )
+        assert asymptotics.detect_blocks(report, 0.5) == search_blocks(np.abs(M) > 0.5)
 
 
 def test_block_detection_requires_full_size_matrix(reference_ev):

@@ -1,8 +1,10 @@
 """CLI surface: subcommand output, exit codes, determinism."""
 import contextlib
+import hashlib
 import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairshap
+from pairshap import asymptotics
 from pairshap.cli import main
 from pairshap.estimators import ESTIMATORS
 
@@ -232,6 +235,50 @@ def test_blocks_plugin_path(vf_path, capsys):
     payload = json.loads(out)
     assert payload["blocks"] == [[1, 2, 3, 4]]
     assert payload["provenance"].startswith("plug-in")
+
+
+@pytest.mark.parametrize("flags", [[], ["--plugin", "300", "--seed", "8"]], ids=["exact", "plugin"])
+def test_blocks_are_the_groups_of_the_paired_walk_covariance(tmp_path, flags):
+    vf = tmp_path / "vf.json"
+    vf.write_text(json.dumps(three_block_doc(np.random.default_rng(62))))
+    code, out, err = call(["asymptotics", "--vf", str(vf), "--method", "permutation-paired", *flags])
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    matrix = np.array(report["matrix"])
+    for threshold in (1e-8, 1e-3, float(np.median(np.abs(matrix)))):
+        code, out, err = call(["blocks", "--vf", str(vf), "--threshold", repr(threshold), *flags])
+        assert code == 0 and err == ""
+        payload = json.loads(out)
+        expected = asymptotics.detect_blocks(asymptotics.CovarianceReport(**dict(report, matrix=matrix)), threshold)
+        assert payload["provenance"] == report["provenance"]
+        assert payload["blocks"] == [[j + 1 for j in block] for block in expected]
+
+
+README_SHA256 = "7f14250e53a68d56a31dab63bc59a7f9e90c0c2c198a10693f4b1c4337069b5e"
+
+
+def test_readme_commands_are_pinned(tmp_path, monkeypatch):
+    # every `pairshap ...` line of the README, run in a copy of its working
+    # directory: each exits 0 with nothing on stderr, and one digest covers
+    # their stdout and the CSV files the experiments write
+    root = Path(__file__).resolve().parents[1]
+    commands = [
+        line.split()[1:] for line in (root / "README.md").read_text(encoding="utf-8").splitlines()
+        if line.startswith("pairshap ")
+    ]
+    assert len(commands) == 11
+    shutil.copytree(root / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    digest = hashlib.sha256()
+    for argv in commands:
+        code, out, err = call(argv)
+        assert (code, err) == (0, ""), argv
+        digest.update(out.encode())
+    csvs = sorted(tmp_path.glob("*.csv"))
+    assert [p.name for p in csvs] == ["additive_recovery_q5.csv", "bias_variance_q4.csv", "method_comparison_q4.csv"]
+    for path in csvs:
+        digest.update(path.read_bytes())
+    assert digest.hexdigest() == README_SHA256
 
 
 def test_bilinear_test_verdicts(tmp_path, capsys):

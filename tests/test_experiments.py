@@ -1,5 +1,7 @@
 """Experiment harness: replication, determinism, CSV output, config parsing."""
 import contextlib
+import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -8,11 +10,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pairshap import exact, experiments
+from pairshap import exact, experiments, permutation
 from pairshap.cli import main
 from pairshap.errors import PartitionError, SchemaError, SizeGuard
 from pairshap.estimators import ESTIMATORS
 from pairshap.games import GameEvaluator, parse_spec
+from pairshap.streams import derive_rng
 
 from conftest import REFERENCE_DOC, RowCounter, separated_doc
 
@@ -68,7 +71,7 @@ def test_bias_variance_row_grid():
 
 def test_bias_variance_csv_has_one_round_tripping_row_per_cell_and_player(tmp_path):
     a = tmp_path / "a.csv"
-    experiments.write_bias_variance_csv(experiments.run_bias_variance(small_config()), a)
+    experiments.write_csv(experiments.run_bias_variance(small_config()), experiments.BIAS_VARIANCE_HEADER, a)
     lines = a.read_text().splitlines()
     assert lines[0] == experiments.BIAS_VARIANCE_HEADER
     assert len(lines) == 1 + 4 * 2 * 4
@@ -251,7 +254,7 @@ def test_method_comparison_csv(tmp_path):
     config = experiments.ExperimentConfig(vf=parse_spec(REFERENCE_DOC), master_seed=5)
     rows = experiments.run_method_comparison(config)
     out = tmp_path / "cmp.csv"
-    experiments.write_comparison_csv(rows, out)
+    experiments.write_csv(rows, experiments.COMPARISON_HEADER, out)
     lines = out.read_text().splitlines()
     assert lines[0] == experiments.COMPARISON_HEADER
     assert len(lines) == 1 + len(rows)
@@ -279,10 +282,93 @@ def test_recovery_csv(tmp_path):
     config = experiments.ExperimentConfig(vf=parse_spec(separated_doc(rng, 3)), master_seed=6)
     rows = experiments.run_additive_recovery(config, [[0, 1, 2], [3, 4, 5, 6]])
     out = tmp_path / "rec.csv"
-    experiments.write_recovery_csv(rows, out)
+    experiments.write_csv(rows, experiments.RECOVERY_HEADER, out)
     lines = out.read_text().splitlines()
     assert lines[0] == experiments.RECOVERY_HEADER
     assert len(lines) == 3
+
+
+def recovery_game(rng):
+    """A game of one term per kind, each on its own group of a random partition; returns (doc, 0-based groups)."""
+    q = int(rng.integers(4, 10))
+    cuts = np.sort(rng.choice(np.arange(1, q), size=3, replace=False))
+    groups = [g.tolist() for g in np.split(rng.permutation(q), cuts)]
+    terms = []
+    for kind, group in zip(rng.permutation(["linear", "bilinear", "exp_linear", "exp_bilinear"]), groups):
+        k = len(group)
+        term = {"kind": str(kind), "indices": sorted(i + 1 for i in group), "offset": float(rng.uniform(-1, 1))}
+        if kind in ("linear", "exp_linear"):
+            term["beta"] = [float(b) for b in rng.uniform(-0.8, 0.8, size=k)]
+        else:
+            term["A"] = [[float(a) for a in row] for row in rng.uniform(-0.8 / k, 0.8 / k, size=(k, k))]
+        terms.append(term)
+    return {"q": q, "terms": terms}, groups
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_additive_recovery_walk_column_is_one_paired_order_bit_for_bit(seed):
+    rng = np.random.default_rng(310 + seed)
+    doc, groups = recovery_game(rng)
+    master_seed = int(rng.integers(0, 2**40))
+    config = experiments.ExperimentConfig(vf=parse_spec(doc), master_seed=master_seed)
+    rows = experiments.run_additive_recovery(config, groups, kernel_n=50)
+    # one order from the master seed's first substream, walked with its
+    # reverse and halved, then summed over each (sorted) group
+    ev = GameEvaluator(parse_spec(doc))
+    perms = permutation.sample_permutations(ev.q, 1, derive_rng(master_seed, 0))
+    walk = 0.5 * permutation.marginal_vectors(ev, perms, paired=True)[0]
+    expected = permutation.group_sums(walk, [sorted(g) for g in groups])
+    assert np.array([r.permutation_paired for r in rows]).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize(
+    "change, error",
+    [
+        ({"partition": [[1, 2], [3, 4, 5], [5]]}, "PartitionError: groups must cover each of the 5 players exactly once"),
+        ({"partition": [[1, 2], [3, 4]]}, "PartitionError: groups must cover each of the 5 players exactly once"),
+        ({"partition": [[1, 2], [], [3, 4, 5]]}, "PartitionError: partition groups must be non-empty"),
+        ({"kernel_n": 0}, "DomainError: kernel_n must be positive, got 0"),
+        ({"kernel_n": 10**9}, "SizeGuard: sampled draws support n * q <= "),
+    ],
+    ids=["repeated-player", "missing-player", "empty-group", "kernel_n-zero", "kernel_n-huge"],
+)
+def test_additive_recovery_inputs_fail_before_the_game_is_tabulated(tmp_path, spec_rows, spec_tables, change, error):
+    doc = json.loads((CONFIGS / "additive_recovery_q5.json").read_text())
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(doc, outputs={"csv": str(tmp_path / "rows.csv")}, **change)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["experiment", "--config", str(config)]) == 2
+    assert out.getvalue() == ""
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1 and lines[0].startswith(error)
+    assert spec_tables == [] and spec_rows == []
+
+
+@pytest.mark.parametrize("kind", experiments.KINDS)
+def test_write_csv_writes_the_header_fields_of_each_row(tmp_path, kind):
+    if kind == "bias_variance":
+        rows, header = experiments.run_bias_variance(small_config(sizes=(16,), reps=3)), experiments.BIAS_VARIANCE_HEADER
+    elif kind == "method_comparison":
+        config = experiments.ExperimentConfig(vf=parse_spec(REFERENCE_DOC), master_seed=5)
+        rows, header = experiments.run_method_comparison(config), experiments.COMPARISON_HEADER
+    else:
+        config = experiments.ExperimentConfig(vf=parse_spec(separated_doc(np.random.default_rng(306), 2)), master_seed=8)
+        rows, header = experiments.run_additive_recovery(config, [[0, 1], [2, 3, 4, 5]]), experiments.RECOVERY_HEADER
+    fields = [f.name for f in dataclasses.fields(rows[0]) if f.name != "mean_error"]
+    assert header.split(",") == fields
+    out = tmp_path / "rows.csv"
+    experiments.write_csv(rows, header, out)
+    with out.open(newline="") as fh:
+        read = list(csv.DictReader(fh))
+    assert len(read) == len(rows)
+    for row, line in zip(rows, read):
+        for name in fields:
+            value = getattr(row, name)
+            if isinstance(value, float):
+                assert float(line[name]).hex() == value.hex()
+            else:
+                assert line[name] == str(value)
 
 
 def config_doc(tmp_path, **overrides):

@@ -9,7 +9,7 @@ from scipy.stats import chi2
 
 from pairshap import asymptotics, exact, games, kernel, permutation
 from pairshap.estimators import ESTIMATORS
-from pairshap.errors import DimensionError, DomainError, NonFiniteError, PartitionError, SizeGuard, SpecError
+from pairshap.errors import DimensionError, DomainError, NonFiniteError, PartitionError, SizeGuard
 from pairshap.games import GameEvaluator, mask_rows, member_masks, parse_spec
 from pairshap.streams import derive_rng
 
@@ -31,6 +31,7 @@ from oracles import (
     evaluate_many,
     marginal_vector,
     prefix_coalition,
+    SpecError,
     separated_exact_check,
     two_pass_covariance,
     walk_rows,
