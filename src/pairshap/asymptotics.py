@@ -48,7 +48,7 @@ class CovarianceReport:
 
 def _make_report(matrix: np.ndarray, method: str, provenance: str, q: int, scale: float) -> CovarianceReport:
     matrix = 0.5 * (matrix + matrix.T)
-    eigenvalues, _ = linalg.eig_sym(matrix)
+    eigenvalues = linalg.eig_sym(matrix)
     # |matrix| <= atol * scale^2, divided by the scale so that no square overflows
     scale = max(1.0, scale)
     degenerate = bool(np.max(np.abs(matrix)) / scale <= DEGENERATE_ATOL * scale)
@@ -248,6 +248,12 @@ def positive_eigenvalues(report: CovarianceReport) -> np.ndarray:
     return w[np.abs(w) > NULLSPACE_RTOL * abs(report.trace)]
 
 
+def check_threshold(threshold: float) -> None:
+    """DomainError unless a block threshold is positive; callers check it before computing a covariance."""
+    if not threshold > 0:
+        raise DomainError(f"threshold must be positive, got {threshold}")
+
+
 def detect_blocks(report: CovarianceReport, threshold: float) -> list[list[int]]:
     """Connected groups of players under |matrix entry| > threshold.
 
@@ -257,8 +263,7 @@ def detect_blocks(report: CovarianceReport, threshold: float) -> list[list[int]]
     of the adjacency's boolean transitive closure, each kept at its smallest
     member.
     """
-    if not threshold > 0:
-        raise DomainError(f"threshold must be positive, got {threshold}")
+    check_threshold(threshold)
     M = report.matrix
     if M.shape != (report.q, report.q):
         raise DimensionError(

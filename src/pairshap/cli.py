@@ -141,6 +141,8 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_blocks(args) -> int:
+    # before the covariance, which may walk all q! orders
+    asymptotics.check_threshold(args.threshold)
     spec = _load_spec(args.vf)
     report = _covariance(ESTIMATORS["permutation-paired"], GameEvaluator(spec), args)
     blocks = asymptotics.detect_blocks(report, args.threshold)

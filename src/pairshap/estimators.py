@@ -1,9 +1,12 @@
 """The four sampling estimators, each resolved by name in one place.
 
 `ESTIMATORS` maps kernel, kernel-paired, permutation and permutation-paired
-to an estimator object with five parts: its estimate, the same estimate
-for a stack of seeds at once, its exact covariance, its plug-in covariance
-and the value-function evaluations one draw costs.
+to an estimator object with five parts: its estimate, the estimates of a
+stack of seeds at once, its exact covariance, its plug-in covariance and
+the value-function evaluations one draw costs.  A lone estimate returns
+what its plug-in covariance reads beside the ShapleyVector; a stack returns
+the ShapleyVectors alone, and bounds its own working memory however many
+seeds it gets.
 The key order is part of the experiment seeding: replicate substreams are
 keyed by a method's position in it.
 
@@ -29,7 +32,7 @@ class KernelEstimator:
         return kernel.estimate_kernel(ev, n, paired=self.paired, seed=seed)
 
     def estimate_stack(self, ev, n: int, seeds) -> list:
-        """What `estimate` returns for each seed, fitted as one stack."""
+        """The ShapleyVector `estimate` returns for each seed, fitted as one stack."""
         return kernel.estimate_kernel_stack(ev, n, seeds, paired=self.paired)
 
     def exact_covariance(self, ev) -> asymptotics.CovarianceReport:
@@ -63,7 +66,7 @@ class PermutationEstimator:
         return permutation.estimate_permutation(ev, n, paired=self.paired, seed=seed)
 
     def estimate_stack(self, ev, n: int, seeds) -> list:
-        """What `estimate` returns for each seed, walked as one stack."""
+        """The ShapleyVector `estimate` returns for each seed, walked as one stream."""
         return permutation.estimate_permutation_stack(ev, n, seeds, paired=self.paired)
 
     def exact_covariance(self, ev) -> asymptotics.CovarianceReport:

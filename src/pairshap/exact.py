@@ -24,9 +24,9 @@ block's gains from a source, scatters them into player order and hands
 them to a sink.  A source either looks the prefixes up and differences
 their payoffs (`lookup_gains`) or gathers the gains from one table of the
 q 2^q gains v(T) - v(T - j) (`table_gains` over `gain_table`), to the same
-bits.  A sink either keeps the rows or folds them into `WalkMoments`, their
-sum and covariance, so a walk of all q! orders holds the orders and a few
-blocks, and no q! x q gain matrix.
+bits.  A sink either keeps the rows or folds them: into `WalkSum`, their
+sum, or into `WalkMoments`, their sum and covariance.  So a walk of all q!
+orders holds the orders and a few blocks, and no q! x q gain matrix.
 """
 from __future__ import annotations
 
@@ -355,17 +355,47 @@ def order_blocks(perms: np.ndarray, out: np.ndarray):
         yield block, (out[start : start + step] if out.shape[0] == perms.shape[0] else out[: block.shape[0]])
 
 
-class WalkMoments:
-    """The sum, extremes and covariance of one walk's marginal-contribution rows, folded chunk by chunk.
+class WalkSum:
+    """The sum of one walk's marginal-contribution rows, folded chunk by chunk.
 
     `add` takes the rows in order, in chunks of at most np.getbufsize()
     rows counted from the walk's first row, so a walk folds to the same
-    bits however its chunks come in blocks.  Chunks are overwritten.
-    `row_sum` adds the rows in order to zero, as numpy's sum over rows
-    does: each chunk's first row has the sum so far added to it while the
-    chunk is summed, and is then restored.  Paired, each row is then
-    halved, the average of an order's and its reverse's vectors; `high`
-    and `low` are the extremes of those rows.
+    bits however its chunks come in blocks.  `row_sum` adds the rows in
+    order to zero, as numpy's sum over rows does: each chunk's first row
+    has the sum so far added to it while the chunk is summed, and is then
+    restored.  `paired` tells whether each row sums an order's and its
+    reverse's vectors; the sum is not halved.
+    """
+
+    def __init__(self, paired: bool):
+        self.paired = paired
+        self.count, self.row_sum = 0, 0.0
+
+    def add(self, chunk: np.ndarray) -> np.ndarray:
+        """Fold a chunk of rows into `row_sum`; returns the chunk's own row sum."""
+        # sums of finite gains can overflow; what reads the fold refuses a
+        # non-finite phi with NonFiniteError
+        with np.errstate(over="ignore", invalid="ignore"):
+            # einsum adds the rows in order to zero, as numpy's sum over rows
+            # does, to the bit, in a quarter of its time
+            own = np.einsum("ij->j", chunk)
+            if self.count:
+                first = chunk[0].copy()
+                chunk[0] += self.row_sum
+                self.row_sum = np.einsum("ij->j", chunk)
+                chunk[0] = first
+            else:
+                self.row_sum = own
+        self.count += chunk.shape[0]
+        return own
+
+
+class WalkMoments(WalkSum):
+    """The sum, extremes and covariance of one walk's marginal-contribution rows, folded chunk by chunk.
+
+    `row_sum` is `WalkSum`'s.  Chunks are overwritten: paired, each row is
+    then halved, the average of an order's and its reverse's vectors;
+    `high` and `low` are the extremes of those rows.
 
     The covariance is folded by the pairwise update of Chan, Golub and
     LeVeque, "Algorithms for computing the sample variance" (The American
@@ -382,25 +412,17 @@ class WalkMoments:
     """
 
     def __init__(self, paired: bool):
-        self.paired = paired
-        self.count, self.row_sum, self.excess = 0, 0.0, 0.0
+        super().__init__(paired)
+        self.excess = 0.0
         self.high, self.low = -np.inf, np.inf
 
     def add(self, chunk: np.ndarray) -> None:
+        before = self.count
+        own = super().add(chunk)
         m = chunk.shape[0]
-        # sums and products of finite gains can overflow; what reads the
-        # fold refuses a non-finite phi or covariance with NonFiniteError
+        # products of finite gains can overflow; what reads the fold refuses
+        # a non-finite covariance with NonFiniteError
         with np.errstate(over="ignore", invalid="ignore"):
-            # einsum adds the rows in order to zero, as numpy's sum over rows
-            # does, to the bit, in a quarter of its time
-            own = np.einsum("ij->j", chunk)
-            if self.count:
-                first = chunk[0].copy()
-                chunk[0] += self.row_sum
-                self.row_sum = np.einsum("ij->j", chunk)
-                chunk[0] = first
-            else:
-                self.row_sum = own
             if self.paired:
                 chunk *= 0.5
             self.high = max(self.high, float(chunk.max()))
@@ -410,17 +432,15 @@ class WalkMoments:
             chunk -= center
             rest = np.ones(m) @ chunk / m
             scatter = chunk.T @ chunk
-            if not self.count:
+            if not before:
                 self.shift, self.mean, self.m2 = center, rest, scatter
                 self.excess = m * rest[:, None] * rest
             else:
                 scatter -= m * rest[:, None] * rest
                 delta = (center - self.shift) + rest - self.mean
-                total = self.count + m
-                self.m2 = self.m2 - self.excess + scatter + delta[:, None] * delta * (self.count * m / total)
+                self.m2 = self.m2 - self.excess + scatter + delta[:, None] * delta * (before * m / self.count)
                 self.excess = 0.0
-                self.mean = self.mean + delta * (m / total)
-        self.count += m
+                self.mean = self.mean + delta * (m / self.count)
 
     def covariance(self) -> np.ndarray:
         """The rows' covariance, 1/(count - 1) normalized, for a fold of at least two rows."""

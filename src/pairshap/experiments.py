@@ -7,8 +7,8 @@ spectra for the two paired estimators, and `additive_recovery` checks that
 group attribution sums of an additively separated game are recovered from a
 single paired walk.  Every replicate draws from its own substream keyed by
 (master seed, method, size index, replicate index), so results do not depend
-on execution order, and the replicates of a (method, size) cell are fitted
-in stacks of up to STACK_ENTRIES draw entries each.  Every estimate and
+on execution order, and the replicates of a (method, size) cell are
+estimated by one `estimate_stack` call.  Every estimate and
 covariance comes from an `estimators.ESTIMATORS` entry, and every kind's rows
 are written by `write_csv` under that kind's header.
 """
@@ -23,11 +23,6 @@ from . import asymptotics, exact, permutation
 from .errors import DomainError, PartitionError, SchemaError, SizeGuard
 from .estimators import ESTIMATORS
 from .games import DRAW_LIMIT, GameEvaluator, ValueFunctionSpec, guard_draws, parse_spec
-
-# One stack of replicates holds at most this many draw entries (draws x q):
-# as many as the largest single replicate of a q = 4 benchmark cell, so a
-# stack never needs more working memory than that replicate did alone.
-STACK_ENTRIES = 2**14
 
 KINDS = ("bias_variance", "method_comparison", "additive_recovery")
 
@@ -95,8 +90,9 @@ def _replicate_seeds(config: ExperimentConfig, method: str, n_index: int) -> lis
 def run_bias_variance(config: ExperimentConfig) -> list[BiasVarianceRow]:
     """Replicate every (method, size) cell and summarize against exact values.
 
-    A cell's replicates are estimated in stacks of at most STACK_ENTRIES
-    draw entries; each replicate gives bit for bit its lone estimate.  One
+    A cell's replicates are estimated by one `estimate_stack` call, which
+    bounds its own working memory; each replicate gives bit for bit its
+    lone estimate.  One
     evaluator serves the whole run, so the game is tabulated once and every
     replicate reads that table.
     """
@@ -112,12 +108,7 @@ def run_bias_variance(config: ExperimentConfig) -> list[BiasVarianceRow]:
         cost = estimator.cost(q)
         for n_index, n in enumerate(config.sizes):
             seeds = _replicate_seeds(config, method, n_index)
-            per_stack = max(1, STACK_ENTRIES // (n * q))
-            # the inner comprehension drops each stack's draws before the next stack is drawn
-            estimates = np.concatenate([
-                [vector.phi for vector, _ in estimator.estimate_stack(ev, n, seeds[start : start + per_stack])]
-                for start in range(0, len(seeds), per_stack)
-            ])
+            estimates = np.array([vector.phi for vector in estimator.estimate_stack(ev, n, seeds)])
             tau = asymptotics.predicted_stderr(report, n)
             errors = estimates - exact_phi
             bias = np.abs(errors).mean(axis=0)

@@ -5,8 +5,9 @@ eliminate one pivot at a time, over a whole (r, k, k) stack of matrices at
 once where many small systems share a shape; each slice is pivoted on its
 own and gives bit for bit what its own 2-D call gives.  The
 eigensolver is a parallel-order Jacobi that applies all the disjoint
-rotations of a round in one matrix product.  `solve_spd` and `eig_sym` raise
-NonFiniteError for NaN or infinite input entries rather than returning NaN.
+rotations of a round in one matrix product; it computes eigenvalues only.
+`solve_spd` and `eig_sym` raise NonFiniteError for NaN or infinite input
+entries rather than returning NaN.
 """
 from __future__ import annotations
 
@@ -119,8 +120,9 @@ def _round_robin(n: int) -> tuple:
     round, and slot i meets slot m-1-i.  Odd n gets a dummy slot n, whose
     partner sits out that round, so a sweep is n-1 rounds for even n and n
     for odd n, each pair meets exactly once, and the pairs of one round are
-    disjoint.  Each round holds its p < r index arrays and the flat offsets
-    of a[p, r], a[r, p], a[p, p] and a[r, r] in an n-by-n matrix.
+    disjoint.  Each round holds its p < r index arrays, the flat offsets
+    of a[p, p], a[r, r], a[p, r] and a[r, p] in an n-by-n matrix, in that
+    order, and the identity's entries at those offsets.
     """
     m = n + n % 2
     slots = list(range(m))
@@ -128,23 +130,26 @@ def _round_robin(n: int) -> tuple:
     for _ in range(m - 1):
         pairs = [sorted((slots[i], slots[m - 1 - i])) for i in range(m // 2)]
         p, r = np.array([pr for pr in pairs if pr[1] < n], dtype=np.intp).reshape(-1, 2).T
-        offsets = (p * n + r, r * n + p, p * (n + 1), r * (n + 1))
-        for index in (p, r, *offsets):
-            index.flags.writeable = False
-        rounds.append((p, r, *offsets))
+        offsets = np.concatenate([p * (n + 1), r * (n + 1), p * n + r, r * n + p])
+        identity = np.repeat([1.0, 0.0], 2 * p.size)
+        for array in (p, r, offsets, identity):
+            array.flags.writeable = False
+        rounds.append((p, r, offsets, identity))
         slots.insert(1, slots.pop())
     return tuple(rounds)
 
 
-def eig_sym(A):
-    """Eigenvalues (descending) and orthonormal eigenvectors of symmetric A.
+def eig_sym(A) -> np.ndarray:
+    """Eigenvalues of symmetric A, descending.
 
     Parallel-order Jacobi: each sweep runs the round-robin rounds of
     `_round_robin`, and the rotations of one round, acting on disjoint
-    pairs, commute, so one step a <- J^T a J, V <- V J applies them all.
-    Converged when the off-diagonal Frobenius norm drops to EIG_OFFDIAG_RTOL
-    times the Frobenius norm of the input.  Raises NoConvergence after
-    EIG_MAX_SWEEPS sweeps.
+    pairs, commute, so one step a <- J^T a J applies them all.  J is the
+    identity but in the round's four slots, which one indexed assignment
+    writes and another restores.  No eigenvectors are accumulated.
+    Converged when the off-diagonal Frobenius norm drops to
+    EIG_OFFDIAG_RTOL times the Frobenius norm of the input.  Raises
+    NoConvergence after EIG_MAX_SWEEPS sweeps.
     """
     A = _square_symmetric(A, EIG_SYMMETRY_RTOL)
     n = A.shape[0]
@@ -153,8 +158,6 @@ def eig_sym(A):
     a = np.ldexp(A, -exponent, order="C")
     flat = a.reshape(-1)
     work = np.empty_like(a)
-    V = np.eye(n)
-    rotated = np.empty_like(V)
     J = np.eye(n)
     J_flat = J.reshape(-1)
     threshold = EIG_OFFDIAG_RTOL * float(np.linalg.norm(a))
@@ -167,36 +170,26 @@ def eig_sym(A):
         for _ in range(EIG_MAX_SWEEPS):
             if offdiag_norm() <= threshold:
                 break
-            for _, _, pr, rp, pp, rr in _round_robin(n):
-                apr = flat[pr]
+            for p, _, slots, identity in _round_robin(n):
+                app, arr, apr, _ = flat[slots].reshape(4, -1)
                 if not apr.any():
                     continue
                 zero = apr == 0.0
                 # theta = 0 turns by 45 degrees; a zero a_pr gets the identity
-                theta = (flat[rr] - flat[pp]) / (2.0 * np.where(zero, 1.0, apr))
+                theta = (arr - app) / (2.0 * np.where(zero, 1.0, apr))
                 t = np.sign(theta) / (np.abs(theta) + np.sqrt(theta * theta + 1.0))
                 t[theta == 0.0] = 1.0
                 t[zero] = 0.0
                 c = 1.0 / np.sqrt(t * t + 1.0)
                 s = t * c
-                J_flat[pp] = c
-                J_flat[rr] = c
-                J_flat[pr] = s
-                J_flat[rp] = -s
+                J_flat[slots] = np.concatenate([c, c, s, -s])
                 np.matmul(J.T, a, out=work)
                 np.matmul(work, J, out=a)
-                flat[pr] = 0.0
-                flat[rp] = 0.0
-                np.matmul(V, J, out=rotated)
-                V, rotated = rotated, V
-                J_flat[pp] = 1.0
-                J_flat[rr] = 1.0
-                J_flat[pr] = 0.0
-                J_flat[rp] = 0.0
+                flat[slots[2 * p.size :]] = 0.0
+                J_flat[slots] = identity
         else:
             if offdiag_norm() > threshold:
                 raise NoConvergence(f"Jacobi iteration did not converge in {EIG_MAX_SWEEPS} sweeps")
 
     w = np.ldexp(np.diag(a), exponent)
-    order = np.argsort(-w, kind="stable")
-    return w[order], V[:, order]
+    return w[np.argsort(-w, kind="stable")]

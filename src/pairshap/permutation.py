@@ -7,13 +7,16 @@ ones, and averages the two marginal-contribution vectors, which cancels the
 odd part of the game.
 
 An estimate streams its orders: each block is drawn into one reused
-buffer, walked, and folded into the replicate's `exact.WalkMoments`, its
-sum and covariance, so a sampled walk holds a few blocks of orders and
-gains, and no n x q array, beyond the tables it reads.
+buffer, walked, and folded into each replicate's own fold.  A lone
+estimate folds `exact.WalkMoments`, the rows' sum and covariance, which a
+plug-in covariance reads; a stack of replicates folds `exact.WalkSum`, the
+sum alone, since only phi is read.  So a sampled walk holds a few blocks of
+orders and gains, and no n x q array, beyond the tables it reads.
 """
 from __future__ import annotations
 
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -86,59 +89,90 @@ def marginal_vectors(ev, perms, paired: bool = False) -> np.ndarray:
     return B
 
 
-def estimate_permutation_stack(ev, n: int, seeds, paired: bool = False) -> list:
-    """Average marginal contributions over n sampled orders (n pairs if paired), one estimate per seed.
+def _blocks(reps: int, n: int, per: int):
+    """The walk blocks of reps replicates of n orders: lists of `per` chunks (replicate, rows), the last one shorter.
 
-    The replicates' orders are walked as one stack and streamed: each
-    replicate's rows come in chunks of at most np.getbufsize(), counted
-    from its first row, and replicates of one chunk each share a block of
-    the walk.  A chunk is drawn from derive_rng(seeds[i], 0), replicate
-    i's generator, into one reused buffer, walked, and folded into
-    replicate i's own `exact.WalkMoments`.  So its result is bit for bit that of
-    `estimate_permutation` with seeds[i], and phi, the fold's row sum over
-    n, has the bits of the mean of the n marginal vectors.  Returns one
-    (ShapleyVector, WalkMoments) per seed.
+    Each replicate's rows come in chunks of at most np.getbufsize(), counted
+    from its first row.  `per` is 1 unless a replicate is one chunk, so the
+    chunks of one block have the same length.
+    """
+    step = np.getbufsize()
+    chunks = ((i, min(step, n - start)) for i in range(reps) for start in range(0, n, step))
+    while block := list(islice(chunks, per)):
+        yield block
+
+
+def _estimate(ev, n: int, seeds, paired: bool, fold) -> list:
+    """Walk n sampled orders per seed as one stream, folding replicate i's rows into its own `fold(paired)`.
+
+    Replicate i draws its orders from derive_rng(seeds[i], 0), made when its
+    first chunk is drawn, block by block (`_blocks`) into one reused
+    buffer, and the blocks of every replicate are one `_walk`.  Returns the
+    folds, in seed order.
     """
     if n < 1:
         raise DomainError(f"sample size must be positive, got {n}")
     q = ev.q
     guard_draws(n, q)
-    rngs = [derive_rng(seed, 0) for seed in seeds]
-    folds = [exact.WalkMoments(paired) for _ in seeds]
+    folds = [fold(paired) for _ in seeds]
     step = np.getbufsize()
-    chunks = [(i, min(step, n - start)) for i in range(len(seeds)) for start in range(0, n, step)]
-    per = max(1, min(len(seeds), step // n))
-    blocks = [chunks[k : k + per] for k in range(0, len(chunks), per)]
+    # whole replicates share a block while its orders' n q entries per
+    # replicate add up to at most np.getbufsize(); else a block is one
+    # chunk of one replicate
+    per = max(1, min(len(seeds), step // (n * q)))
     orders = np.empty((per * min(step, n), q), dtype=np.int64)
     gains = np.empty(orders.shape)
 
     def draws():
-        for block in blocks:
-            rows = len(block) * block[0][1]
-            for (i, m), out in zip(block, orders[:rows].reshape(len(block), -1, q)):
-                sample_permutations(q, m, rngs[i], out=out)
-            yield orders[:rows], gains[:rows]
+        # a replicate's chunks are consecutive, so one generator is held at a time
+        owner, rng = -1, None
+        for block in _blocks(len(seeds), n, per):
+            m = len(block) * block[0][1]
+            for (i, k), out in zip(block, orders[:m].reshape(len(block), -1, q)):
+                if i != owner:
+                    owner, rng = i, derive_rng(seeds[i], 0)
+                sample_permutations(q, k, rng, out=out)
+            yield orders[:m], gains[:m]
 
-    owners = iter(blocks)
+    owners = _blocks(len(seeds), n, per)
 
-    def fold(out):
+    def sink(out):
         block = next(owners)
-        for (i, _), rows in zip(block, out.reshape(len(block), -1, q)):
-            folds[i].add(rows)
+        for (i, _), chunk in zip(block, out.reshape(len(block), -1, q)):
+            folds[i].add(chunk)
 
-    _walk(ev, draws(), n * len(seeds), paired, fold)
-    tag = "permutation-paired" if paired else "permutation"
-    return [(exact.ShapleyVector(phi=f.row_sum / n * (0.5 if paired else 1.0), method_tag=tag), f) for f in folds]
+    _walk(ev, draws(), n * len(seeds), paired, sink)
+    return folds
+
+
+def _phi(fold, n: int) -> exact.ShapleyVector:
+    """The mean of a fold's n marginal vectors, halved if paired."""
+    tag = "permutation-paired" if fold.paired else "permutation"
+    return exact.ShapleyVector(phi=fold.row_sum / n * (0.5 if fold.paired else 1.0), method_tag=tag)
+
+
+def estimate_permutation_stack(ev, n: int, seeds, paired: bool = False) -> list:
+    """Average marginal contributions over n sampled orders (n pairs if paired), one ShapleyVector per seed.
+
+    The whole stack is one streamed walk (`_estimate`) that folds only each
+    replicate's row sum (`exact.WalkSum`), which has the bits of the row
+    sum `estimate_permutation` folds.  So each result is bit for bit that of
+    `estimate_permutation` with its seed, and has the bits of the mean of
+    the n marginal vectors.  Beside the tables it reads, the walk holds one
+    block of orders and gains, and q floats per replicate.
+    """
+    return [_phi(fold, n) for fold in _estimate(ev, n, seeds, paired, exact.WalkSum)]
 
 
 def estimate_permutation(ev, n: int, paired: bool = False, seed=None):
     """Average marginal contributions over n sampled orders (n pairs if paired).
 
-    The one-seed case of `estimate_permutation_stack`.  Returns
-    (ShapleyVector, WalkMoments), the fold of the drawn orders' marginal
-    vectors.
+    The one-seed walk of `estimate_permutation_stack`, folded into
+    `exact.WalkMoments`.  Returns (ShapleyVector, WalkMoments), the fold of
+    the drawn orders' marginal vectors, which a plug-in covariance reads.
     """
-    return estimate_permutation_stack(ev, n, [seed], paired)[0]
+    (moments,) = _estimate(ev, n, [seed], paired, exact.WalkMoments)
+    return _phi(moments, n), moments
 
 
 def partition_groups(partition, q: int) -> list:

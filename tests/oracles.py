@@ -125,7 +125,7 @@ def coalition_probability(weights: exact.KernelWeights, size: int) -> float:
 def psd_gap(T, T2) -> float:
     """Smallest eigenvalue of T - T2; nonnegative when pairing only helps."""
     difference = np.asarray(T, dtype=float) - np.asarray(T2, dtype=float)
-    eigenvalues, _ = linalg.eig_sym(difference)
+    eigenvalues = linalg.eig_sym(difference)
     return float(eigenvalues[-1])
 
 
@@ -181,7 +181,7 @@ def separated_exact_check(ev, d: int, perm) -> np.ndarray:
 
 
 def cyclic_jacobi(A):
-    """Eigenvalues (descending) and eigenvectors of symmetric A by one rotation at a time.
+    """Eigenvalues (descending) of symmetric A by one rotation at a time.
 
     The row-by-row cyclic Jacobi that `linalg.eig_sym` ran before its
     rotations were grouped into parallel rounds: the same rotation formulas,
@@ -190,7 +190,6 @@ def cyclic_jacobi(A):
     """
     a = np.array(A, dtype=float)
     n = a.shape[0]
-    V = np.eye(n)
     threshold = linalg.EIG_OFFDIAG_RTOL * float(np.linalg.norm(a))
     for _ in range(linalg.EIG_MAX_SWEEPS):
         if np.linalg.norm(a - np.diag(np.diag(a))) <= threshold:
@@ -208,7 +207,5 @@ def cyclic_jacobi(A):
                 J[p, r], J[r, p] = s, -s
                 a = J.T @ a @ J
                 a[p, r] = a[r, p] = 0.0
-                V = V @ J
     w = np.diag(a).copy()
-    order = np.argsort(-w, kind="stable")
-    return w[order], V[:, order]
+    return w[np.argsort(-w, kind="stable")]

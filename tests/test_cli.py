@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairshap
-from pairshap import asymptotics
+from pairshap import asymptotics, exact
 from pairshap.cli import main
 from pairshap.estimators import ESTIMATORS
 
@@ -252,6 +252,19 @@ def test_blocks_are_the_groups_of_the_paired_walk_covariance(tmp_path, flags):
         expected = asymptotics.detect_blocks(asymptotics.CovarianceReport(**dict(report, matrix=matrix)), threshold)
         assert payload["provenance"] == report["provenance"]
         assert payload["blocks"] == [[j + 1 for j in block] for block in expected]
+
+
+@pytest.mark.parametrize("flags", [[], ["--plugin", "1000", "--seed", "8"]], ids=["exact", "plugin"])
+@pytest.mark.parametrize("threshold", ["0", "-1e-3"])
+def test_blocks_threshold_fails_before_the_covariance(tmp_path, capsys, spec_tables, monkeypatch, flags, threshold):
+    vf = tmp_path / "vf.json"
+    vf.write_text(json.dumps(three_block_doc(np.random.default_rng(63))))
+    walks = []
+    monkeypatch.setattr(exact, "prefix_walk", lambda *args: walks.append(args))
+    code, out, err = run(capsys, ["blocks", "--vf", str(vf), f"--threshold={threshold}", *flags])
+    assert code == 2 and out == ""
+    assert err == f"DomainError: threshold must be positive, got {float(threshold)}\n"
+    assert spec_tables == [] and walks == []
 
 
 README_SHA256 = "7f14250e53a68d56a31dab63bc59a7f9e90c0c2c198a10693f4b1c4337069b5e"

@@ -10,14 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pairshap import exact, experiments, permutation
+from pairshap import exact, experiments, kernel, permutation
 from pairshap.cli import main
 from pairshap.errors import PartitionError, SchemaError, SizeGuard
 from pairshap.estimators import ESTIMATORS
 from pairshap.games import GameEvaluator, parse_spec
 from pairshap.streams import derive_rng
 
-from conftest import REFERENCE_DOC, RowCounter, separated_doc
+from conftest import REFERENCE_DOC, RowCounter, separated_doc, traced_peak
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -125,19 +125,22 @@ Q2_DOC = {"q": 2, "terms": [{"kind": "exp_linear", "indices": [1, 2], "beta": [0
 @pytest.mark.parametrize(
     "doc, sizes, reps, stack_entries",
     [
-        # one draw per replicate, every cell in one stack
-        (Q2_DOC, (1, 2), 5, experiments.STACK_ENTRIES),
-        # 4 replicates per stack: 10 replicates leave a stack of 2
+        # one draw per replicate, every kernel cell in one chunk
+        (Q2_DOC, (1, 2), 5, kernel.STACK_ENTRIES),
+        # 4 replicates per chunk: 10 replicates leave a chunk of 2
         (REFERENCE_DOC, (16,), 10, 256),
-        # a stack holds one replicate, exactly filled and overfilled
+        # a chunk holds one replicate, exactly filled and overfilled
         (REFERENCE_DOC, (64, 100), 3, 256),
-        # the benchmark's largest cell: one replicate per stack
-        (REFERENCE_DOC, (4096,), 3, experiments.STACK_ENTRIES),
+        # the benchmark's largest cell: one replicate per chunk
+        (REFERENCE_DOC, (4096,), 3, kernel.STACK_ENTRIES),
+        # 50 replicates, kernel ones in chunks of 4 (n = 4) or 1 (n = 20)
+        # and solve groups of 7; the walks are not cut by STACK_ENTRIES
+        (REFERENCE_DOC, (4, 20), 50, 64),
     ],
-    ids=["n1", "remainder", "one-per-stack", "one-per-stack-4096"],
+    ids=["n1", "remainder", "one-per-stack", "one-per-stack-4096", "fifty"],
 )
 def test_stacked_cells_equal_lone_estimates(monkeypatch, doc, sizes, reps, stack_entries):
-    monkeypatch.setattr(experiments, "STACK_ENTRIES", stack_entries)
+    monkeypatch.setattr(kernel, "STACK_ENTRIES", stack_entries)
     config = small_config(vf=parse_spec(doc), sizes=sizes, reps=reps)
     rows = experiments.run_bias_variance(config)
     q = config.vf.q
@@ -154,18 +157,66 @@ def test_stacked_draws_equal_lone_draws_at_one_sample(method):
     estimator = ESTIMATORS[method]
     seeds = [np.random.SeedSequence(entropy=[7, rep]) for rep in range(6)]
     stacked = estimator.estimate_stack(GameEvaluator(spec), 1, seeds)
-    for seed, (vector, drawn) in zip(seeds, stacked):
+    for seed, vector in zip(seeds, stacked):
         lone_vector, lone_drawn = estimator.estimate(GameEvaluator(spec), 1, seed)
-        assert np.array_equal(vector.phi, lone_vector.phi)
+        assert vector.phi.tobytes() == lone_vector.phi.tobytes()
         assert vector.method_tag == lone_vector.method_tag
+        # the lone estimate keeps what its plug-in reads: the one draw, or the fold of the one order
         if method.startswith("kernel"):
-            assert np.array_equal(drawn.draws, lone_drawn.draws)
-            assert np.array_equal(drawn.design, lone_drawn.design)
-            assert np.array_equal(drawn.response, lone_drawn.response)
+            draws = kernel.sample_coalitions(exact.kernel_weights(2), 1, [derive_rng(seed, 0)])
+            assert np.array_equal(lone_drawn.draws, draws[0]) and lone_drawn.retries == 0
+            grand = np.array([GameEvaluator(spec).grand_value()])
+            x, y = kernel.design_response(GameEvaluator(spec), draws, grand, lone_drawn.paired)
+            assert np.array_equal(lone_drawn.design, x[0]) and np.array_equal(lone_drawn.response, y[0])
         else:
-            for field in ("row_sum", "shift", "mean", "m2"):
-                assert getattr(drawn, field).tobytes() == getattr(lone_drawn, field).tobytes()
-            assert (drawn.count, drawn.high, drawn.low) == (lone_drawn.count, lone_drawn.high, lone_drawn.low)
+            assert lone_drawn.count == 1
+            assert lone_drawn.row_sum.tobytes() == (lone_vector.phi / (0.5 if lone_drawn.paired else 1.0)).tobytes()
+
+
+@pytest.mark.parametrize("reps", [1, 3, 50])
+@pytest.mark.parametrize("method", list(ESTIMATORS))
+def test_stacks_are_lone_estimates_bit_for_bit(method, reps):
+    spec = parse_spec(REFERENCE_DOC)
+    estimator = ESTIMATORS[method]
+    seeds = [[91, reps, rep] for rep in range(reps)]
+    stacked = estimator.estimate_stack(GameEvaluator(spec), 40, seeds)
+    assert len(stacked) == reps
+    for seed, vector in zip(seeds, stacked):
+        lone, _ = estimator.estimate(GameEvaluator(spec), 40, seed)
+        assert vector.phi.tobytes() == lone.phi.tobytes()
+        assert vector.method_tag == lone.method_tag
+
+
+@pytest.mark.parametrize("method", list(ESTIMATORS))
+def test_cell_memory_does_not_grow_with_replicates(method):
+    # at n = 1024 one replicate's draws hold n q = 4096 entries (32 KB of
+    # floats); what a stack keeps per replicate, its result and a kernel
+    # fit's Gram matrix and right side, takes well under 1 KB
+    spec = parse_spec(REFERENCE_DOC)
+    estimator = ESTIMATORS[method]
+    ev = GameEvaluator(spec)
+    ev.value_table()
+    # a first call also allocates what numpy keeps for the process
+    estimator.estimate_stack(ev, 1024, [[92, 0]])
+    peaks = {}
+    for reps in (5, 200):
+        seeds = [[92, rep] for rep in range(reps)]
+        _, peaks[reps] = traced_peak(lambda: estimator.estimate_stack(ev, 1024, seeds))
+    assert peaks[200] - peaks[5] <= 195 * 1024, peaks
+
+
+def test_each_cell_is_one_stack_call(monkeypatch):
+    config = small_config(sizes=(16, 32, 64), reps=7)
+    calls = []
+    for kind in {type(estimator) for estimator in ESTIMATORS.values()}:
+
+        def spied(self, ev, n, seeds, stack=kind.estimate_stack):
+            calls.append((self, n, len(seeds)))
+            return stack(self, ev, n, seeds)
+
+        monkeypatch.setattr(kind, "estimate_stack", spied)
+    experiments.run_bias_variance(config)
+    assert calls == [(ESTIMATORS[m], n, 7) for m in config.methods for n in config.sizes]
 
 
 def test_replicate_streams_differ_by_cell():

@@ -459,7 +459,7 @@ def test_bilinear_payoffs_do_not_depend_on_their_batch(width):
             ev = GameEvaluator(spec)
             ev.value_table()
             stacked = kernel.estimate_kernel_stack(ev, 2 * q, seeds)
-            for seed, (vector, _) in zip(seeds, stacked):
+            for seed, vector in zip(seeds, stacked):
                 assert same_bits(vector.phi, kernel.estimate_kernel(GameEvaluator(spec), 2 * q, seed=seed)[0].phi)
 
 

@@ -75,7 +75,7 @@ def test_batch_sampler_matches_members_by_rank():
 
 
 class TiedKeys:
-    """Random generator whose uniform keys are rounded to quarters, so rows hold ties."""
+    """Random generator whose uniform keys, drawn into `out`, are rounded to quarters, so rows hold ties."""
 
     def __init__(self, seed):
         self.rng = np.random.default_rng(seed)
@@ -84,10 +84,9 @@ class TiedKeys:
         return self.rng.choice(*args, **kwargs)
 
     def random(self, size=None, out=None):
-        keys = np.floor(4 * self.rng.random(size if out is None else out.shape)) / 4
         if out is None:
-            return keys
-        out[...] = keys
+            return self.rng.random(size)
+        out[...] = np.floor(4 * self.rng.random(out.shape)) / 4
         return out
 
 
@@ -97,24 +96,29 @@ def test_batch_sampler_keeps_sizes_when_keys_tie():
     masks = kernel.sample_coalitions(kw, n, [TiedKeys(106)])[0]
     stub = TiedKeys(106)
     s = stub.choice(np.arange(1, q), size=n, p=kw.size_probs)
-    u = stub.random((n, q))
+    u = stub.random(out=np.empty((n, q)))
     Z = mask_rows(masks, q)
     np.testing.assert_array_equal(Z.sum(axis=1), s)
     assert np.array_equal(Z, members_by_rank(u, s))
 
 
 class FixedKeys:
-    """Generator stub that draws the given sizes and uniform keys."""
+    """Generator stub that draws the given sizes and uniform keys.
+
+    The sizes come from uniforms at the foot of each size's step of the
+    sampler's cumulative size probabilities.
+    """
 
     def __init__(self, sizes, keys):
         self.sizes = np.asarray(sizes)
         self.keys = np.asarray(keys, dtype=float)
 
-    def choice(self, a, size, p):
-        assert size == len(self.sizes)
-        return self.sizes.copy()
-
     def random(self, size=None, out=None):
+        if out is None:
+            assert size == len(self.sizes)
+            cdf = exact.kernel_weights(self.keys.shape[1]).size_probs.cumsum()
+            cdf /= cdf[-1]
+            return np.append(0.0, cdf)[self.sizes - 1]
         out[...] = self.keys
         return out
 
@@ -286,26 +290,53 @@ def fail_first_solve(monkeypatch, replicate):
 
 def test_rank_deficient_replicate_alone_redraws(monkeypatch, reference_spec):
     n, seeds = 12, [31, 32, 33]
-    lone = [kernel.estimate_kernel(GameEvaluator(reference_spec), n, seed=seed) for seed in seeds]
+    lone = [kernel.estimate_kernel(GameEvaluator(reference_spec), n, seed=seed)[0] for seed in seeds]
     stacks = fail_first_solve(monkeypatch, 1)
     ev = GameEvaluator(reference_spec)
     stacked = kernel.estimate_kernel_stack(ev, n, seeds)
     # the stack, then the stack again with replicate 1 redrawn
     assert stacks == [3, 3]
-    assert [batch.retries for _, batch in stacked] == [0, 1, 0]
     for i in (0, 2):
-        assert np.array_equal(stacked[i][0].phi, lone[i][0].phi)
-        assert np.array_equal(stacked[i][1].draws, lone[i][1].draws)
-    redrawn = kernel.sample_coalitions(exact.kernel_weights(4), n, [derive_rng(32, 1)])[0]
-    assert np.array_equal(stacked[1][1].draws, redrawn)
-    # replicate 1 gets what a lone estimate whose first batch failed gets
+        assert stacked[i].phi.tobytes() == lone[i].phi.tobytes()
+    # replicate 1 gets what a lone estimate whose first batch failed gets:
+    # the fit of its second batch, drawn from the attempt-1 substream
     fail_first_solve(monkeypatch, 0)
     vector, batch = kernel.estimate_kernel(GameEvaluator(reference_spec), n, seed=32)
     assert batch.retries == 1
-    assert np.array_equal(stacked[1][0].phi, vector.phi)
-    assert np.array_equal(stacked[1][1].design, batch.design)
+    redrawn = kernel.sample_coalitions(exact.kernel_weights(4), n, [derive_rng(32, 1)])[0]
+    assert np.array_equal(batch.draws, redrawn)
+    assert stacked[1].phi.tobytes() == vector.phi.tobytes()
     # the redraw looks up its n draws again, but not the grand value
     assert ev.eval_count == 3 * (n + 1) + n
+
+
+@pytest.mark.parametrize("reps", [1, 3, 50])
+def test_a_cell_solved_again_gives_the_redrawn_lone_estimate(monkeypatch, reference_spec, reps):
+    n, failing = 12, reps // 2
+    seeds = [[33, reps, rep] for rep in range(reps)]
+    lone = [kernel.estimate_kernel(GameEvaluator(reference_spec), n, seed=seed)[0] for seed in seeds]
+    stacks = fail_first_solve(monkeypatch, failing)
+    stacked = kernel.estimate_kernel_stack(GameEvaluator(reference_spec), n, seeds)
+    # one solve of the whole cell, then one again with the failed replicate redrawn
+    assert stacks == [reps, reps]
+    fail_first_solve(monkeypatch, 0)
+    redrawn, batch = kernel.estimate_kernel(GameEvaluator(reference_spec), n, seed=seeds[failing])
+    assert batch.retries == 1
+    for i, vector in enumerate(stacked):
+        expected = redrawn if i == failing else lone[i]
+        assert vector.phi.tobytes() == expected.phi.tobytes(), i
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 18, 63])
+def test_sampler_sizes_are_generator_choice_and_leave_its_state(q):
+    kw = exact.kernel_weights(q)
+    for n in (1, 7, 256, 4096):
+        rng, reference = derive_rng(109, q, n), derive_rng(109, q, n)
+        masks = kernel.sample_coalitions(kw, n, [rng])[0]
+        sizes = reference.choice(np.arange(1, q), size=n, p=kw.size_probs)
+        reference.random((n, q))
+        assert np.array_equal(mask_rows(masks, q).sum(axis=1), sizes), n
+        assert rng.bit_generator.state == reference.bit_generator.state, n
 
 
 def test_solve_verdict_is_the_numpy_rank_of_sampled_kernel_grams():

@@ -61,37 +61,31 @@ def test_solve_rejects_asymmetric_and_bad_shapes():
 
 
 def test_eig_diagonal_sorted_descending():
-    w, V = linalg.eig_sym(np.diag([3.0, 1.0, 2.0]))
+    w = linalg.eig_sym(np.diag([3.0, 1.0, 2.0]))
     np.testing.assert_allclose(w, [3.0, 2.0, 1.0], atol=1e-14)
-    np.testing.assert_allclose(np.abs(V), np.eye(3)[:, [0, 2, 1]], atol=1e-14)
 
 
-def test_eig_fuzz_reconstruction_and_orthonormality():
+def test_eig_fuzz_matches_eigvalsh():
     rng = np.random.default_rng(13)
     for n in list(range(1, 9)) + [12, 16, 20]:
         M = rng.normal(size=(n, n))
         A = 0.5 * (M + M.T)
-        w, V = linalg.eig_sym(A)
+        w = linalg.eig_sym(A)
         norm = np.linalg.norm(A)
         assert np.all(np.diff(w) <= 1e-12 * max(1.0, norm))
-        np.testing.assert_allclose(V @ np.diag(w) @ V.T, A, atol=1e-8 * max(1.0, norm))
-        np.testing.assert_allclose(V.T @ V, np.eye(n), atol=1e-10)
-        residual = np.max(np.abs(A @ V - V * w))
-        assert residual <= 1e-8 * max(1.0, norm)
-        np.testing.assert_allclose(np.sort(w), np.sort(np.linalg.eigvalsh(A)), atol=1e-9 * max(1.0, norm))
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(A)[::-1], atol=1e-9 * max(1.0, norm))
 
 
 def test_eig_zero_matrix():
-    w, V = linalg.eig_sym(np.zeros((4, 4)))
+    w = linalg.eig_sym(np.zeros((4, 4)))
     np.testing.assert_array_equal(w, np.zeros(4))
-    np.testing.assert_allclose(V.T @ V, np.eye(4), atol=1e-14)
 
 
 def test_eig_convergence_budget_is_enforced():
     # the sweep cap exists as a contract; a plain matrix converges well inside it
     rng = np.random.default_rng(14)
     M = rng.normal(size=(20, 20))
-    w, _ = linalg.eig_sym(0.5 * (M + M.T))
+    w = linalg.eig_sym(0.5 * (M + M.T))
     assert w.shape == (20,)
     assert linalg.EIG_MAX_SWEEPS == 100
     assert isinstance(NoConvergence("x"), Exception)
@@ -110,25 +104,21 @@ def test_round_robin_rounds_are_disjoint_and_cover_every_pair_once(n):
     rounds = linalg._round_robin(n)
     assert len(rounds) == (n - 1 if n % 2 == 0 else n)
     met = []
-    for p, r, pr, rp, pp, rr in rounds:
+    for p, r, slots, identity in rounds:
         assert np.all(p < r)
         assert len(set(p.tolist()) | set(r.tolist())) == 2 * len(p)
         assert len(p) == n // 2
-        np.testing.assert_array_equal(pr, p * n + r)
-        np.testing.assert_array_equal(rp, r * n + p)
-        np.testing.assert_array_equal(pp, p * n + p)
-        np.testing.assert_array_equal(rr, r * n + r)
+        np.testing.assert_array_equal(slots, np.concatenate([p * n + p, r * n + r, p * n + r, r * n + p]))
+        np.testing.assert_array_equal(identity, np.eye(n).reshape(-1)[slots])
         met += zip(p.tolist(), r.tolist())
     assert sorted(met) == list(itertools.combinations(range(n), 2))
 
 
 def assert_matches_eigvalsh(A, rtol=1e-13):
-    w, V = linalg.eig_sym(A)
+    w = linalg.eig_sym(A)
     reference = np.linalg.eigvalsh(A)[::-1]
     scale = max(np.max(np.abs(reference)), np.finfo(float).tiny)
     assert np.max(np.abs(w - reference)) <= rtol * scale
-    np.testing.assert_allclose(V.T @ V, np.eye(len(w)), atol=1e-13)
-    np.testing.assert_allclose(V @ np.diag(w) @ V.T, A, atol=1e-13 * scale)
 
 
 def test_eig_matches_the_cyclic_loop():
@@ -136,11 +126,9 @@ def test_eig_matches_the_cyclic_loop():
     for n in list(range(1, 13)) + [17]:
         M = rng.normal(size=(n, n))
         A = 0.5 * (M + M.T)
-        w, V = linalg.eig_sym(A)
-        w_loop, V_loop = cyclic_jacobi(A)
+        w = linalg.eig_sym(A)
+        w_loop = cyclic_jacobi(A)
         assert np.max(np.abs(w - w_loop)) <= 1e-13 * max(1.0, np.max(np.abs(w_loop)))
-        # eigenvectors of simple eigenvalues agree up to sign
-        np.testing.assert_allclose(np.abs(np.sum(V * V_loop, axis=0)), 1.0, atol=1e-10)
 
 
 def test_eig_clustered_and_repeated_spectra():
@@ -175,25 +163,21 @@ def test_eig_paired_kernel_covariance_at_q18():
     assert_matches_eigvalsh(report.matrix)
 
 
-def test_eig_diagonal_input_returns_permuted_identity():
+def test_eig_diagonal_input_returns_its_sorted_diagonal():
     d = np.array([3.0, -1.0, 2.0, 5.0, 0.0, 2.0])
-    w, V = linalg.eig_sym(np.diag(d))
-    order = np.argsort(-d, kind="stable")
-    np.testing.assert_array_equal(w, d[order])
-    np.testing.assert_array_equal(V, np.eye(6)[:, order])
+    w = linalg.eig_sym(np.diag(d))
+    np.testing.assert_array_equal(w, np.sort(d)[::-1])
 
 
 def test_eig_scales_exactly_by_powers_of_two():
     rng = np.random.default_rng(18)
     M = rng.normal(size=(9, 9))
     A = M + M.T
-    w, V = linalg.eig_sym(A)
+    w = linalg.eig_sym(A)
     for power in (-600, 600):
-        w_scaled, V_scaled = linalg.eig_sym(np.ldexp(A, power))
-        np.testing.assert_array_equal(w_scaled, np.ldexp(w, power))
-        np.testing.assert_array_equal(V_scaled, V)
+        np.testing.assert_array_equal(linalg.eig_sym(np.ldexp(A, power)), np.ldexp(w, power))
     # squares of these entries overflow; the rank-one spectrum must survive
-    w, _ = linalg.eig_sym(np.full((2, 2), 1e200))
+    w = linalg.eig_sym(np.full((2, 2), 1e200))
     np.testing.assert_allclose(w, [2e200, 0.0], rtol=1e-15, atol=1e185)
 
 
@@ -201,10 +185,7 @@ def test_eig_ignores_memory_layout():
     rng = np.random.default_rng(19)
     M = rng.normal(size=(7, 7))
     A = M + M.T
-    w, V = linalg.eig_sym(A)
-    w_f, V_f = linalg.eig_sym(np.asfortranarray(A))
-    np.testing.assert_array_equal(w_f, w)
-    np.testing.assert_array_equal(V_f, V)
+    np.testing.assert_array_equal(linalg.eig_sym(np.asfortranarray(A)), linalg.eig_sym(A))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

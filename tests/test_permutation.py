@@ -363,20 +363,34 @@ def test_drawing_orders_block_by_block_is_one_draw(q):
 @pytest.mark.parametrize("n, reps", [(5, 7), (256, 3), (np.getbufsize(), 2), (np.getbufsize() + 5, 3), (20_000, 2)])
 def test_stacked_walks_are_lone_walks_and_the_mean_of_the_rows(n, reps, paired):
     # a stack streams each replicate's orders in chunks counted from its own
-    # first row, so each replicate folds as it does alone; phi has the bits
-    # of the mean of the drawn orders' marginal vectors, and a fold of one
-    # chunk has the two-pass covariance's bits
+    # first row, and folds only their row sums, to the bits of the lone
+    # fold's; phi has the bits of the mean of the drawn orders' marginal
+    # vectors, and a lone fold of one chunk has the two-pass covariance's bits
     spec = parse_spec(random_game_doc(np.random.default_rng(52), 5))
     seeds = [np.random.SeedSequence([53, n, rep]) for rep in range(reps)]
     stacked = permutation.estimate_permutation_stack(GameEvaluator(spec), n, seeds, paired)
-    for seed, (vector, moments) in zip(seeds, stacked):
-        lone, lone_moments = permutation.estimate_permutation(GameEvaluator(spec), n, paired, seed=seed)
+    for seed, vector in zip(seeds, stacked):
+        lone, moments = permutation.estimate_permutation(GameEvaluator(spec), n, paired, seed=seed)
         assert vector.phi.tobytes() == lone.phi.tobytes()
-        assert moments.covariance().tobytes() == lone_moments.covariance().tobytes()
         B = permutation.marginal_vectors(GameEvaluator(spec), permutation.sample_permutations(5, n, derive_rng(seed, 0)), paired)
         assert vector.phi.tobytes() == (B.mean(axis=0) * (0.5 if paired else 1.0)).tobytes()
         if n > 1 and n <= np.getbufsize():
             assert moments.covariance().tobytes() == two_pass_covariance(B, paired).tobytes()
+
+
+@pytest.mark.parametrize("paired", [False, True])
+@pytest.mark.parametrize("n", [5, 8192, 20_000])
+def test_walk_sum_is_the_row_sum_of_walk_moments(n, paired):
+    # rows of mixed scales, folded in chunks of np.getbufsize() rows, as a walk folds them
+    rng = np.random.default_rng(n)
+    rows = rng.normal(size=(n, 6)) * 10.0 ** rng.integers(-3, 4, size=6)
+    folds = exact.WalkSum(paired), exact.WalkMoments(paired)
+    for fold in folds:
+        for start in range(0, n, np.getbufsize()):
+            fold.add(rows[start : start + np.getbufsize()].copy())
+    assert folds[0].count == folds[1].count == n
+    assert folds[0].row_sum.tobytes() == folds[1].row_sum.tobytes()
+    assert folds[0].row_sum.tobytes() == rows.sum(axis=0).tobytes()
 
 
 @pytest.mark.parametrize("paired", [False, True])
