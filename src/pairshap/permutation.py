@@ -39,19 +39,20 @@ def sample_permutations(q: int, n: int, rng: np.random.Generator, out=None) -> n
     return rng.permuted(out, axis=1, out=out)
 
 
-def _walk(ev, supply, n: int, paired: bool, sink=None) -> None:
-    """`exact.prefix_walk` of the n orders `supply` gives, counted once it has walked them all.
+def _walk(ev, supply, n: int, paired: bool, sink=None, reps: int = 1) -> None:
+    """`exact.prefix_walk` of the reps runs of n orders `supply` gives, counted once it has walked them all.
 
     The logical cost is q evaluations per order, 2q paired; a walk that
-    raises counts nothing.  Whether the evaluator reads its value table is
-    decided once, from all n q lookups, as one `ev.values_at` call of them
-    would decide it.  From n = 2^q orders on, with the table read, every
-    gain is one of the q 2^q entries of `exact.gain_table`, which then holds
-    no more floats than one n x q array, and the walk gathers them from it
-    (`exact.table_gains`).  Otherwise it looks up each block's q nonempty
-    prefixes, and paired the reverse ones, through `ev.values_at`
-    (`exact.lookup_gains`).  Both sources give the same bits, non-finite
-    ones too.
+    raises counts nothing.  Which gains the walk reads is decided once, from
+    one run of n orders, so a walk of many runs holds what one run's walk
+    holds.  The evaluator's value table is read as one `ev.values_at` call
+    of the run's n q lookups would read it.  From n = 2^q orders on, with
+    the table read, every gain is one of the q 2^q entries of
+    `exact.gain_table`, which then holds no more floats than one n x q
+    array, and the walk gathers them from it (`exact.table_gains`).
+    Otherwise it looks up each block's q nonempty prefixes, and paired the
+    reverse ones, through `ev.values_at` (`exact.lookup_gains`).  Both
+    sources give the same bits, non-finite ones too.
     """
     q = ev.q
     table = ev.lookup_table(n * q)
@@ -65,7 +66,7 @@ def _walk(ev, supply, n: int, paired: bool, sink=None) -> None:
     finally:
         # lookups count block by block; the walk counts once, when it is whole
         ev.eval_count = count
-    ev.eval_count += (2 if paired else 1) * n * q
+    ev.eval_count += (2 if paired else 1) * reps * n * q
 
 
 def marginal_vectors(ev, perms, paired: bool = False) -> np.ndarray:
@@ -107,8 +108,9 @@ def _estimate(ev, n: int, seeds, paired: bool, fold) -> list:
 
     Replicate i draws its orders from derive_rng(seeds[i], 0), made when its
     first chunk is drawn, block by block (`_blocks`) into one reused
-    buffer, and the blocks of every replicate are one `_walk`.  Returns the
-    folds, in seed order.
+    buffer, and the blocks of every replicate are one `_walk`, which reads
+    the gains one replicate's walk would read.  Returns the folds, in seed
+    order.
     """
     if n < 1:
         raise DomainError(f"sample size must be positive, got {n}")
@@ -141,7 +143,7 @@ def _estimate(ev, n: int, seeds, paired: bool, fold) -> list:
         for (i, _), chunk in zip(block, out.reshape(len(block), -1, q)):
             folds[i].add(chunk)
 
-    _walk(ev, draws(), n * len(seeds), paired, sink)
+    _walk(ev, draws(), n, paired, sink, len(seeds))
     return folds
 
 
@@ -158,8 +160,9 @@ def estimate_permutation_stack(ev, n: int, seeds, paired: bool = False) -> list:
     replicate's row sum (`exact.WalkSum`), which has the bits of the row
     sum `estimate_permutation` folds.  So each result is bit for bit that of
     `estimate_permutation` with its seed, and has the bits of the mean of
-    the n marginal vectors.  Beside the tables it reads, the walk holds one
-    block of orders and gains, and q floats per replicate.
+    the n marginal vectors.  The walk reads the tables one replicate's walk
+    reads, and beside them holds one block of orders and gains, and q
+    floats per replicate.
     """
     return [_phi(fold, n) for fold in _estimate(ev, n, seeds, paired, exact.WalkSum)]
 

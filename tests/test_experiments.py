@@ -17,7 +17,7 @@ from pairshap.estimators import ESTIMATORS
 from pairshap.games import GameEvaluator, parse_spec
 from pairshap.streams import derive_rng
 
-from conftest import REFERENCE_DOC, RowCounter, separated_doc, traced_peak
+from conftest import REFERENCE_DOC, RowCounter, random_game_doc, separated_doc, traced_peak
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -203,6 +203,29 @@ def test_cell_memory_does_not_grow_with_replicates(method):
         seeds = [[92, rep] for rep in range(reps)]
         _, peaks[reps] = traced_peak(lambda: estimator.estimate_stack(ev, 1024, seeds))
     assert peaks[200] - peaks[5] <= 195 * 1024, peaks
+
+
+@pytest.mark.parametrize("method", list(ESTIMATORS))
+def test_cell_memory_does_not_grow_with_replicates_at_q12(method, monkeypatch):
+    # at q = 12, 200 replicates of n = 64 orders walk 12 800 >= 2^12 orders,
+    # but a replicate walks fewer: a cell builds no gain table, whose q 2^q
+    # floats take 384 KB, and keeps per replicate its result, and its row
+    # sum or its Gram matrix and right side, with 1 KB of overhead each
+    q, n = 12, 64
+    spec = parse_spec(random_game_doc(np.random.default_rng(93), q))
+    estimator = ESTIMATORS[method]
+    kept = q + (q if method.startswith("permutation") else (q - 1) * q)
+    built = []
+    monkeypatch.setattr(exact, "gain_table", lambda *args, built_table=exact.gain_table: built.append(args) or built_table(*args))
+    ev = GameEvaluator(spec)
+    ev.value_table()
+    estimator.estimate_stack(ev, n, [[94, 0]])
+    peaks = {}
+    for reps in (5, 200):
+        seeds = [[94, rep] for rep in range(reps)]
+        _, peaks[reps] = traced_peak(lambda: estimator.estimate_stack(ev, n, seeds))
+    assert built == []
+    assert peaks[200] - peaks[5] <= 195 * (1024 + 2 * 8 * kept), peaks
 
 
 def test_each_cell_is_one_stack_call(monkeypatch):

@@ -507,6 +507,25 @@ def test_table_switch_is_decided_once_per_walk(paired):
 
 
 @pytest.mark.parametrize("paired", [False, True])
+def test_a_stack_decides_its_tables_from_one_replicate(gain_walks, paired):
+    # 20 replicates of n = 1 000 orders make 360 000 >= 2^18 lookups at
+    # q = 18, but one replicate makes 18 000: the stack builds no value table
+    # and looks its blocks' prefixes up as rows, as each lone walk does
+    q, n, reps = 18, 1000, 20
+    assert n * q < 2**q <= reps * n * q
+    spec = parse_spec(random_game_doc(np.random.default_rng(103), q))
+    game = RowCounter(spec)
+    ev = GameEvaluator(game)
+    seeds = [[104, rep] for rep in range(reps)]
+    stacked = permutation.estimate_permutation_stack(ev, n, seeds, paired)
+    assert ev._table is None and gain_walks == []
+    assert sum(game.calls) == ev.eval_count == (2 if paired else 1) * reps * n * q
+    for seed, vector in zip(seeds[:2], stacked):
+        lone, _ = permutation.estimate_permutation(GameEvaluator(spec), n, paired, seed=seed)
+        assert vector.phi.tobytes() == lone.phi.tobytes()
+
+
+@pytest.mark.parametrize("paired", [False, True])
 def test_row_walk_memory_is_one_order_array_and_four_blocks(paired):
     # q = 26 is beyond the value table, so every block's prefixes are sent as
     # rows.  Over several blocks the walk's traced peak stays below its
