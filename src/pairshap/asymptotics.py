@@ -5,8 +5,9 @@ the design second moment and the residual-weighted second moment; the
 permutation estimators disperse like the covariance of (paired) marginal-
 contribution vectors.  Both are available exactly, by enumeration, and as
 plug-in estimates from a sampled batch.  A permutation covariance, exact or
-plug-in, is folded block by block as its walk streams
-(`exact.WalkMoments`), so no q! x q or n x q matrix of marginal vectors is
+plug-in, is folded block by block as its walk streams: each block of
+orders is walked by one `exact.PrefixWalk` call and folded into
+`exact.WalkMoments`, so no q! x q or n x q matrix of marginal vectors is
 held.  Reports carry the matrix, its spectrum, and provenance, and feed the
 block detector and the cost-adjusted spectrum comparison.
 """
@@ -197,7 +198,7 @@ def permutation_covariance_exact(ev, paired: bool = True) -> CovarianceReport:
     space; for additively separated games the matrix is block diagonal, and
     for bilinear games it vanishes entirely.
     """
-    return _walk_covariance(exact.walk_all_orders(ev, paired), "exact-enumeration")
+    return _walk_covariance(exact.walk_all_orders(ev, exact.WalkMoments(paired)), "exact-enumeration")
 
 
 def permutation_covariance_plugin(ev, n: int, seed=None, paired: bool = True, drawn=None) -> CovarianceReport:
@@ -249,9 +250,9 @@ def positive_eigenvalues(report: CovarianceReport) -> np.ndarray:
 
 
 def check_threshold(threshold: float) -> None:
-    """DomainError unless a block threshold is positive; callers check it before computing a covariance."""
-    if not threshold > 0:
-        raise DomainError(f"threshold must be positive, got {threshold}")
+    """DomainError unless a block threshold is finite and positive; callers check it before computing a covariance."""
+    if not 0 < threshold < np.inf:
+        raise DomainError(f"threshold must be finite and positive, got {threshold}")
 
 
 def detect_blocks(report: CovarianceReport, threshold: float) -> list[list[int]]:

@@ -17,16 +17,16 @@ over 2^q entries: its weights depend on coalition size alone, so its pair
 sums follow from the q + 1 size weights, and every vector indexed by
 coalition size is copied out of those q + 1 values.
 
-Every walk of player orders, sampled or all q! of them, is `prefix_walk`.
-It streams: a supply gives the orders one block at a time, and for each
-block the walk forms the prefix bitmasks, checks the orders, takes the
-block's gains from a source, scatters them into player order and hands
-them to a sink.  A source either looks the prefixes up and differences
-their payoffs (`lookup_gains`) or gathers the gains from one table of the
-q 2^q gains v(T) - v(T - j) (`table_gains` over `gain_table`), to the same
-bits.  A sink either keeps the rows or folds them: into `WalkSum`, their
-sum, or into `WalkMoments`, their sum and covariance.  So a walk of all q!
-orders holds the orders and a few blocks, and no q! x q gain matrix.
+Every walk of player orders, sampled or all q! of them, is a `PrefixWalk`.
+It walks one block of orders per call, and its caller owns the loop over
+blocks.  For each block the walk forms the prefix bitmasks, checks the
+orders, takes the block's gains from a source and scatters them into player
+order.  A source either looks the prefixes up and differences their
+payoffs (`lookup_gains`) or gathers the gains from one table of the q 2^q
+gains v(T) - v(T - j) (`table_gains` over `gain_table`), to the same bits.
+The caller then folds the rows: into `WalkSum`, their sum, or into
+`WalkMoments`, their sum and covariance.  So a walk of all q! orders holds
+the orders and a few blocks, and no q! x q gain matrix.
 """
 from __future__ import annotations
 
@@ -307,52 +307,43 @@ def _check_orders(last: np.ndarray, grand) -> None:
         raise DomainError("every player order must hold each player exactly once")
 
 
-def prefix_walk(supply, source, sink=None) -> None:
+class PrefixWalk:
     """Marginal-contribution vectors of player orders, walked by prefixes: the package's one walk.
 
-    `supply` yields pairs (orders, out): an (m, q) block of at most
-    np.getbufsize() orders, numpy's ufunc buffer size, and the (m, q) float
-    rows its gains go to.  Row i, column j of out gets the payoff gain of
-    player j joining the players that precede it in order i (paired, plus
-    its gain in the reverse order).  For each block the walk forms the
-    (m, q) int64 bitmasks of the q nonempty prefixes, by column adds of
-    2^orders, checks the orders, and calls `source(masks, block)`, which
-    returns the block's gains, column t that of the player at position t,
-    in an (m, q) float array that may reuse the masks' memory:
-    `table_gains` or `lookup_gains`.  The gains are scattered to entry
-    i q + orders of out's flat view, and `sink(out)`, if given, takes them
-    before the next block is drawn.  So the walk holds a few blocks beside
-    what the supply and the sink hold, whichever source it has.  The
+    A call `walk(orders, out)` walks one (m, q) block of at most
+    np.getbufsize() orders, numpy's ufunc buffer size, and returns out, the
+    (m, q) float rows its gains go to.  Row i, column j of out gets the
+    payoff gain of player j joining the players that precede it in order i
+    (paired, plus its gain in the reverse order).  The walk forms the (m, q)
+    int64 bitmasks of the q nonempty prefixes, by column adds of 2^orders,
+    checks the orders, and calls `source(masks, orders)`, which returns the
+    block's gains, column t that of the player at position t, in an (m, q)
+    float array that may reuse the masks' memory: `table_gains` or
+    `lookup_gains`.  The gains are scattered to entry i q + orders of out's
+    flat view.  The prefix, target and row-offset buffers are kept from
+    block to block, so a caller that walks its orders block by block into
+    one reused out holds a few blocks, whichever source it has.  The
     orders' entries must lie in [0, q); DomainError unless each holds every
-    player once, raised at the first block that holds such a row.
+    player once.
     """
-    prefixes = np.empty((0, 0), dtype=np.int64)
-    for block, out in supply:
-        m, q = block.shape
-        if prefixes.shape[0] < m:
-            prefixes = np.empty((m, q), dtype=np.int64)
-            targets = np.empty_like(prefixes)
-            rows = q * np.arange(m, dtype=np.int64)[:, None]
-        masks = np.left_shift(np.int64(1), block, out=prefixes[:m])
+
+    def __init__(self, source):
+        self.source = source
+        self.prefixes = self.targets = self.rows = np.empty((0, 0), dtype=np.int64)
+
+    def __call__(self, orders: np.ndarray, out: np.ndarray) -> np.ndarray:
+        m, q = orders.shape
+        if self.prefixes.shape[0] < m:
+            self.prefixes = np.empty((m, q), dtype=np.int64)
+            self.targets = np.empty_like(self.prefixes)
+            self.rows = q * np.arange(m, dtype=np.int64)[:, None]
+        masks = np.left_shift(np.int64(1), orders, out=self.prefixes[:m])
         for t in range(1, q):
             masks[:, t] += masks[:, t - 1]
         _check_orders(masks[:, -1], full_mask(q))
-        np.add(block, rows[:m], out=targets[:m])
-        out.reshape(-1)[targets[:m]] = source(masks, block)
-        if sink is not None:
-            sink(out)
-
-
-def order_blocks(perms: np.ndarray, out: np.ndarray):
-    """A `prefix_walk` supply: the rows of perms in blocks of np.getbufsize(), each with the rows of out its gains go to.
-
-    out has perms' shape, and keeps every gain; or it has one block's rows,
-    and every block's gains overwrite it, for a sink to fold.
-    """
-    step = np.getbufsize()
-    for start in range(0, perms.shape[0], step):
-        block = perms[start : start + step]
-        yield block, (out[start : start + step] if out.shape[0] == perms.shape[0] else out[: block.shape[0]])
+        np.add(orders, self.rows[:m], out=self.targets[:m])
+        out.reshape(-1)[self.targets[:m]] = self.source(masks, orders)
+        return out
 
 
 class WalkSum:
@@ -448,7 +439,7 @@ class WalkMoments(WalkSum):
 
 
 def lookup_gains(values_at, paired: bool, masks: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """A `prefix_walk` source: the gains as differences of prefix payoffs.
+    """A `PrefixWalk` source: the gains as differences of prefix payoffs.
 
     `values_at(masks, out=...)` writes the payoffs of an (m, q) int64 array
     of coalition bitmasks into a float array that shares the masks' memory.
@@ -512,7 +503,7 @@ def gain_table(table: np.ndarray, paired: bool = False) -> np.ndarray:
 
 
 def table_gains(gains: np.ndarray, masks: np.ndarray, block: np.ndarray) -> np.ndarray:
-    """A `prefix_walk` source: one gather from a `gain_table`, `lookup_gains`'s bits to the bit.
+    """A `PrefixWalk` source: one gather from a `gain_table`, `lookup_gains`'s bits to the bit.
 
     Player j completing the prefix T reads entry T q + j.  That index
     overwrites the masks, exactly in integers, and the gathered gains
@@ -524,21 +515,26 @@ def table_gains(gains: np.ndarray, masks: np.ndarray, block: np.ndarray) -> np.n
     return np.take(gains.reshape(-1), index, out=index.view(np.float64), mode="clip")
 
 
-def walk_all_orders(ev, paired: bool = False) -> WalkMoments:
-    """`prefix_walk` of all q! orders, in `all_permutations` order, gathering from the evaluator's gain table.
+def walk_all_orders(ev, fold):
+    """A `PrefixWalk` of all q! orders, in `all_permutations` order, gathering from the evaluator's gain table.
 
-    Each block of orders is one chunk of the returned fold.
+    Each block of orders is one chunk of `fold`, a `WalkSum` or a
+    `WalkMoments`, whose pairing the walk takes; returns the fold.
     """
     perms = all_permutations(ev.q)
-    moments = WalkMoments(paired)
-    out = np.empty((min(perms.shape[0], np.getbufsize()), ev.q))
-    prefix_walk(order_blocks(perms, out), partial(table_gains, gain_table(ev.value_table(), paired)), moments.add)
-    return moments
+    walk = PrefixWalk(partial(table_gains, gain_table(ev.value_table(), fold.paired)))
+    step = np.getbufsize()
+    out = np.empty((min(perms.shape[0], step), ev.q))
+    for start in range(0, perms.shape[0], step):
+        block = perms[start : start + step]
+        fold.add(walk(block, out[: block.shape[0]]))
+    return fold
 
 
 def shapley_all_permutations(ev) -> ShapleyVector:
     """Shapley values as the average marginal contribution over all q! orders."""
-    return ShapleyVector(phi=walk_all_orders(ev).row_sum / math.factorial(ev.q), method_tag="permutation")
+    row_sum = walk_all_orders(ev, WalkSum(False)).row_sum
+    return ShapleyVector(phi=row_sum / math.factorial(ev.q), method_tag="permutation")
 
 
 def shapley_kernel_exact(ev) -> ShapleyVector:

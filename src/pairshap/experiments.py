@@ -168,8 +168,8 @@ def run_additive_recovery(config: ExperimentConfig, partition, kernel_n: int = 1
     spec = config.vf
     groups = permutation.partition_groups([sorted(int(i) for i in g) for g in partition], spec.q)
     _check_partition_against_terms(spec, groups)
-    if kernel_n < 1:
-        raise DomainError(f"kernel_n must be positive, got {kernel_n}")
+    if kernel_n < spec.q - 1:
+        raise DomainError(f"kernel_n must be at least q - 1 = {spec.q - 1}, got {kernel_n}")
     guard_draws(kernel_n, spec.q)
 
     ev = GameEvaluator(spec)

@@ -14,7 +14,6 @@ estimate is the stack of one seed, and also keeps its accepted batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -162,11 +161,13 @@ def _fit(ev, n: int, seeds, paired: bool, batches=None) -> np.ndarray:
     their next attempt's substream, and all are solved again, up to
     RANK_RETRY_LIMIT batches in all; RankDeficient is raised after that.
     `batches`, a list as long as seeds, receives each replicate's accepted
-    KernelSampleBatch, and so keeps its chunk.
+    KernelSampleBatch, and so keeps its chunk.  n draws give a design of
+    rank at most n, paired or not, so n < q - 1 raises DomainError before
+    anything is drawn.
     """
-    if n < 1:
-        raise DomainError(f"sample size must be positive, got {n}")
     q = ev.q
+    if n < q - 1:
+        raise DomainError(f"a kernel fit of {q} players needs at least {q - 1} draws, got {n}")
     weights = exact.kernel_weights(q)
     guard_draws(n, q)
     grand = ev.values_at(np.full((len(seeds), 1), full_mask(q)))[:, 0]
@@ -279,16 +280,15 @@ def bilinearity_test(ev, trials: int, tol: float, seed=None) -> BilinearityVerdi
     """
     if trials < 2:
         raise DomainError(f"need at least 2 trials, got {trials}")
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
-    solutions = []
-    for trial in range(trials):
-        rng = derive_rng(seed, trial)
-        basis = random_independent_basis(ev.q, rng)
-        solutions.append(solve_bilinear_basis(ev, basis).phi)
-    worst = 0.0
-    for a, b in combinations(solutions, 2):
-        worst = max(worst, float(np.max(np.abs(a - b))))
+    if not 0 < tol < np.inf:
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
+    solutions = np.array([
+        solve_bilinear_basis(ev, random_independent_basis(ev.q, derive_rng(seed, trial))).phi
+        for trial in range(trials)
+    ])
+    # rounding is monotone, so a coordinate's worst pair is its largest
+    # and smallest solution, and their difference is the all-pairs maximum
+    worst = float((solutions.max(axis=0) - solutions.min(axis=0)).max())
     return BilinearityVerdict(
         consistent=worst <= tol, max_discrepancy=worst, trials=trials, tol=tol
     )

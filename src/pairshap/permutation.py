@@ -6,22 +6,22 @@ looks up the reversed order's prefixes, the complements of the forward
 ones, and averages the two marginal-contribution vectors, which cancels the
 odd part of the game.
 
-An estimate streams its orders: each block is drawn into one reused
-buffer, walked, and folded into each replicate's own fold.  A lone
-estimate folds `exact.WalkMoments`, the rows' sum and covariance, which a
-plug-in covariance reads; a stack of replicates folds `exact.WalkSum`, the
-sum alone, since only phi is read.  So a sampled walk holds a few blocks of
-orders and gains, and no n x q array, beyond the tables it reads.
+An estimate streams its orders: one loop draws each block into one reused
+buffer, walks it with one `exact.PrefixWalk` call and folds its rows into
+each replicate's own fold.  A lone estimate folds `exact.WalkMoments`, the
+rows' sum and covariance, which a plug-in covariance reads; a stack of
+replicates folds `exact.WalkSum`, the sum alone, since only phi is read.
+So a sampled walk holds a few blocks of orders and gains, and no n x q
+array, beyond the tables it reads.
 """
 from __future__ import annotations
 
 from functools import partial
-from itertools import islice
 
 import numpy as np
 
 from . import exact
-from .errors import DimensionError, DomainError, PartitionError
+from .errors import DomainError, PartitionError
 from .games import guard_draws
 from .streams import derive_rng
 
@@ -39,77 +39,37 @@ def sample_permutations(q: int, n: int, rng: np.random.Generator, out=None) -> n
     return rng.permuted(out, axis=1, out=out)
 
 
-def _walk(ev, supply, n: int, paired: bool, sink=None, reps: int = 1) -> None:
-    """`exact.prefix_walk` of the reps runs of n orders `supply` gives, counted once it has walked them all.
+def _source(ev, n: int, paired: bool):
+    """The gain source of a walk of n orders: which gains it reads is decided from one replicate's n.
 
-    The logical cost is q evaluations per order, 2q paired; a walk that
-    raises counts nothing.  Which gains the walk reads is decided once, from
-    one run of n orders, so a walk of many runs holds what one run's walk
-    holds.  The evaluator's value table is read as one `ev.values_at` call
-    of the run's n q lookups would read it.  From n = 2^q orders on, with
-    the table read, every gain is one of the q 2^q entries of
-    `exact.gain_table`, which then holds no more floats than one n x q
-    array, and the walk gathers them from it (`exact.table_gains`).
-    Otherwise it looks up each block's q nonempty prefixes, and paired the
-    reverse ones, through `ev.values_at` (`exact.lookup_gains`).  Both
-    sources give the same bits, non-finite ones too.
+    The evaluator's value table is read as one `ev.values_at` call of the
+    n q lookups would read it.  From n = 2^q orders on, with the table
+    read, every gain is one of the q 2^q entries of `exact.gain_table`,
+    which then holds no more floats than one n x q array, and the walk
+    gathers them from it (`exact.table_gains`).  Otherwise it looks up each
+    block's q nonempty prefixes, and paired the reverse ones, through
+    `ev.values_at` (`exact.lookup_gains`).  Both sources give the same bits,
+    non-finite ones too.
     """
-    q = ev.q
-    table = ev.lookup_table(n * q)
-    if table is not None and n >= 1 << q:
-        source = partial(exact.table_gains, exact.gain_table(table, paired))
-    else:
-        source = partial(exact.lookup_gains, ev.values_at, paired)
-    count = ev.eval_count
-    try:
-        exact.prefix_walk(supply, source, sink)
-    finally:
-        # lookups count block by block; the walk counts once, when it is whole
-        ev.eval_count = count
-    ev.eval_count += (2 if paired else 1) * reps * n * q
-
-
-def marginal_vectors(ev, perms, paired: bool = False) -> np.ndarray:
-    """Marginal-contribution vector of each permutation, walked by prefixes.
-
-    Row i, column j holds the payoff gain when player j joins the players
-    preceding it in permutation i; paired, row i is the sum of the vectors
-    of order i and of its reverse, whose prefixes are the complements of
-    the forward ones, so no second walk is made.  The walk (`_walk`) writes
-    each block's gains into the rows of the result.  DomainError unless
-    every row orders the q players.
-    """
-    q = ev.q
-    perms = np.asarray(perms)
-    if perms.ndim != 2 or perms.shape[1] != q:
-        raise DimensionError(f"expected an (n, {q}) array of player orders, got shape {perms.shape}")
-    if perms.size and (perms.min() < 0 or perms.max() >= q):
-        raise DomainError(f"player orders must hold players 0..{q - 1}")
-    B = np.empty(perms.shape)
-    _walk(ev, exact.order_blocks(perms, B), perms.shape[0], paired)
-    return B
-
-
-def _blocks(reps: int, n: int, per: int):
-    """The walk blocks of reps replicates of n orders: lists of `per` chunks (replicate, rows), the last one shorter.
-
-    Each replicate's rows come in chunks of at most np.getbufsize(), counted
-    from its first row.  `per` is 1 unless a replicate is one chunk, so the
-    chunks of one block have the same length.
-    """
-    step = np.getbufsize()
-    chunks = ((i, min(step, n - start)) for i in range(reps) for start in range(0, n, step))
-    while block := list(islice(chunks, per)):
-        yield block
+    table = ev.lookup_table(n * ev.q)
+    if table is not None and n >= 1 << ev.q:
+        return partial(exact.table_gains, exact.gain_table(table, paired))
+    return partial(exact.lookup_gains, ev.values_at, paired)
 
 
 def _estimate(ev, n: int, seeds, paired: bool, fold) -> list:
     """Walk n sampled orders per seed as one stream, folding replicate i's rows into its own `fold(paired)`.
 
-    Replicate i draws its orders from derive_rng(seeds[i], 0), made when its
-    first chunk is drawn, block by block (`_blocks`) into one reused
-    buffer, and the blocks of every replicate are one `_walk`, which reads
-    the gains one replicate's walk would read.  Returns the folds, in seed
+    Replicate i draws its orders from derive_rng(seeds[i], 0), made when
+    its first chunk is drawn, in chunks of at most np.getbufsize() rows
+    counted from its first row, so they are the orders of one draw of all
+    n.  Whole replicates share a block while their orders' n q entries add
+    up to at most np.getbufsize(), so such a group holds one chunk of each;
+    else a group is one replicate, walked chunk by chunk.  Each block is
+    drawn into one reused buffer, walked by one `exact.PrefixWalk` with the
+    gain source of one replicate (`_source`), and folded.  The logical cost
+    is q evaluations per order, 2q paired, counted once every block is
+    walked; a walk that raises counts nothing.  Returns the folds, in seed
     order.
     """
     if n < 1:
@@ -118,32 +78,27 @@ def _estimate(ev, n: int, seeds, paired: bool, fold) -> list:
     guard_draws(n, q)
     folds = [fold(paired) for _ in seeds]
     step = np.getbufsize()
-    # whole replicates share a block while its orders' n q entries per
-    # replicate add up to at most np.getbufsize(); else a block is one
-    # chunk of one replicate
     per = max(1, min(len(seeds), step // (n * q)))
     orders = np.empty((per * min(step, n), q), dtype=np.int64)
     gains = np.empty(orders.shape)
-
-    def draws():
-        # a replicate's chunks are consecutive, so one generator is held at a time
-        owner, rng = -1, None
-        for block in _blocks(len(seeds), n, per):
-            m = len(block) * block[0][1]
-            for (i, k), out in zip(block, orders[:m].reshape(len(block), -1, q)):
-                if i != owner:
-                    owner, rng = i, derive_rng(seeds[i], 0)
-                sample_permutations(q, k, rng, out=out)
-            yield orders[:m], gains[:m]
-
-    owners = _blocks(len(seeds), n, per)
-
-    def sink(out):
-        block = next(owners)
-        for (i, _), chunk in zip(block, out.reshape(len(block), -1, q)):
-            folds[i].add(chunk)
-
-    _walk(ev, draws(), n, paired, sink, len(seeds))
+    walk = exact.PrefixWalk(_source(ev, n, paired))
+    count = ev.eval_count
+    try:
+        for first in range(0, len(seeds), per):
+            group = range(first, min(first + per, len(seeds)))
+            for start in range(0, n, step):
+                m = len(group) * min(step, n - start)
+                for i, out in zip(group, orders[:m].reshape(len(group), -1, q)):
+                    if start == 0:
+                        rng = derive_rng(seeds[i], 0)
+                    sample_permutations(q, out.shape[0], rng, out=out)
+                walk(orders[:m], gains[:m])
+                for i, chunk in zip(group, gains[:m].reshape(len(group), -1, q)):
+                    folds[i].add(chunk)
+    finally:
+        # lookups count block by block; the walk counts once, when it is whole
+        ev.eval_count = count
+    ev.eval_count += (2 if paired else 1) * len(seeds) * n * q
     return folds
 
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis.configuration import set_hypothesis_home_dir
 
+from pairshap import linalg
 from pairshap.games import GameEvaluator, ValueFunctionSpec, parse_spec
 
 # q=4 reference game: exp of a linear form minus one.  Its exact Shapley
@@ -118,6 +119,40 @@ class RowCounter:
         self.calls.append(len(Z))
         self.masks.append(np.asarray(Z, dtype=np.int64) @ (np.int64(1) << np.arange(self.q)))
         return self.game.values(Z)
+
+
+class LateInfinity:
+    """Game wrapper whose payoffs turn +inf from its `after`-th `values` call on, counting calls from 0."""
+
+    def __init__(self, game, after: int):
+        self.game = game
+        self.q = game.q
+        self.after = after
+        self.calls: list[int] = []
+
+    def values(self, Z) -> np.ndarray:
+        self.calls.append(len(Z))
+        payoffs = self.game.values(Z)
+        return np.full_like(payoffs, np.inf) if len(self.calls) > self.after else payoffs
+
+
+def fail_solves(monkeypatch, replicate: int, solves: float = 1) -> list[int]:
+    """Zero the Gram matrix of `replicate` in the first `solves` calls of `linalg.solve_spd`, so that each finds it singular.
+
+    Returns the stack size of every solve, in order.
+    """
+    solve = linalg.solve_spd
+    stacks = []
+
+    def failing(gram, rhs):
+        if len(stacks) < solves:
+            gram = gram.copy()
+            gram[replicate] = 0.0
+        stacks.append(len(gram))
+        return solve(gram, rhs)
+
+    monkeypatch.setattr(linalg, "solve_spd", failing)
+    return stacks
 
 
 @pytest.fixture

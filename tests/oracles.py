@@ -7,9 +7,12 @@ definition.
 """
 from __future__ import annotations
 
+from functools import partial
+from itertools import combinations
+
 import numpy as np
 
-from pairshap import exact, experiments, linalg, permutation
+from pairshap import exact, experiments, linalg
 from pairshap.errors import DimensionError, DomainError, InputError
 from pairshap.games import ValueFunctionSpec, mask_rows
 
@@ -31,17 +34,39 @@ def evaluate_many(spec: ValueFunctionSpec, Z) -> np.ndarray:
     return spec.values(Z)
 
 
-def marginal_vector(ev, perm) -> np.ndarray:
-    """Marginal-contribution vector of a single permutation."""
-    return permutation.marginal_vectors(ev, np.asarray(perm)[None, :])[0]
-
-
 def walk_rows(perms, source) -> np.ndarray:
-    """`exact.prefix_walk` of an (n, q) array of orders from a gain source, every block's gains kept as rows of one matrix."""
+    """An `exact.PrefixWalk` of an (n, q) array of orders from a gain source, every block's gains kept as rows of one matrix."""
     perms = np.asarray(perms)
     B = np.empty(perms.shape)
-    exact.prefix_walk(exact.order_blocks(perms, B), source)
+    walk = exact.PrefixWalk(source)
+    step = np.getbufsize()
+    for start in range(0, perms.shape[0], step):
+        walk(perms[start : start + step], B[start : start + step])
     return B
+
+
+def marginal_vectors(ev, perms, paired: bool = False) -> np.ndarray:
+    """Marginal-contribution vector of each order, every row kept, its prefixes looked up through `ev.values_at`.
+
+    Row i, column j holds the payoff gain when player j joins the players
+    preceding it in order i; paired, row i also adds the gains of the
+    reverse order.  The estimators fold these rows as they walk them and
+    keep none.
+    """
+    return walk_rows(perms, partial(exact.lookup_gains, ev.values_at, paired))
+
+
+def marginal_vector(ev, perm) -> np.ndarray:
+    """Marginal-contribution vector of a single permutation."""
+    return marginal_vectors(ev, np.asarray(perm)[None, :])[0]
+
+
+def max_pairwise_discrepancy(solutions) -> float:
+    """The largest max-norm distance between two of the solutions, over every pair in turn."""
+    worst = 0.0
+    for a, b in combinations(solutions, 2):
+        worst = max(worst, float(np.max(np.abs(a - b))))
+    return worst
 
 
 def two_pass_covariance(W: np.ndarray, paired: bool) -> np.ndarray:

@@ -20,7 +20,14 @@ from pairshap import asymptotics, exact
 from pairshap.cli import main
 from pairshap.estimators import ESTIMATORS
 
-from conftest import OPPOSITE_INFINITIES_DOC, OVERFLOWING_GAIN_DOC, REFERENCE_DOC, REFERENCE_PHI, three_block_doc
+from conftest import (
+    OPPOSITE_INFINITIES_DOC,
+    OVERFLOWING_GAIN_DOC,
+    REFERENCE_DOC,
+    REFERENCE_PHI,
+    fail_solves,
+    three_block_doc,
+)
 
 
 @pytest.fixture
@@ -255,16 +262,23 @@ def test_blocks_are_the_groups_of_the_paired_walk_covariance(tmp_path, flags):
 
 
 @pytest.mark.parametrize("flags", [[], ["--plugin", "1000", "--seed", "8"]], ids=["exact", "plugin"])
-@pytest.mark.parametrize("threshold", ["0", "-1e-3"])
+@pytest.mark.parametrize("threshold", ["0", "-1e-3", "inf", "1e400", "nan"])
 def test_blocks_threshold_fails_before_the_covariance(tmp_path, capsys, spec_tables, monkeypatch, flags, threshold):
     vf = tmp_path / "vf.json"
     vf.write_text(json.dumps(three_block_doc(np.random.default_rng(63))))
     walks = []
-    monkeypatch.setattr(exact, "prefix_walk", lambda *args: walks.append(args))
+    monkeypatch.setattr(exact, "PrefixWalk", lambda *args: walks.append(args))
     code, out, err = run(capsys, ["blocks", "--vf", str(vf), f"--threshold={threshold}", *flags])
     assert code == 2 and out == ""
-    assert err == f"DomainError: threshold must be positive, got {float(threshold)}\n"
+    assert err == f"DomainError: threshold must be finite and positive, got {float(threshold)}\n"
     assert spec_tables == [] and walks == []
+
+
+@pytest.mark.parametrize("tol", ["0", "-1e-9", "inf", "1e400", "nan"])
+def test_bilinear_test_tolerance_must_be_finite_and_positive(vf_path, capsys, tol):
+    code, out, err = run(capsys, ["bilinear-test", "--vf", vf_path, "--trials", "4", f"--tol={tol}", "--seed", "1"])
+    assert code == 2 and out == ""
+    assert err == f"DomainError: tolerance must be finite and positive, got {float(tol)}\n"
 
 
 README_SHA256 = "7f14250e53a68d56a31dab63bc59a7f9e90c0c2c198a10693f4b1c4337069b5e"
@@ -634,12 +648,25 @@ def test_oversized_game_exits_two(tmp_path, capsys):
     assert err.startswith("SizeGuard:")
 
 
-def test_rank_deficient_sampling_exits_three(vf_path, capsys):
-    code, _, err = run(
-        capsys, ["sample", "--vf", vf_path, "--method", "kernel", "--n", "1", "--seed", "0"]
+def test_rank_deficient_sampling_exits_three(vf_path, capsys, monkeypatch):
+    # a fit of q - 1 = 3 draws whose every solve is singular spends the
+    # redraw budget
+    fail_solves(monkeypatch, 0, solves=np.inf)
+    code, out, err = run(
+        capsys, ["sample", "--vf", vf_path, "--method", "kernel", "--n", "3", "--seed", "0"]
     )
-    assert code == 3
-    assert err.startswith("RankDeficient:")
+    assert code == 3 and out == ""
+    assert err.startswith("RankDeficient:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("paired", [[], ["--paired"]])
+def test_kernel_sample_below_q_minus_one_draws_exits_two(vf_path, capsys, spec_rows, paired):
+    code, out, err = run(
+        capsys, ["sample", "--vf", vf_path, "--method", "kernel", "--n", "2", "--seed", "0", *paired]
+    )
+    assert code == 2 and out == ""
+    assert err == "DomainError: a kernel fit of 4 players needs at least 3 draws, got 2\n"
+    assert spec_rows == []
 
 
 def test_unknown_flag_exits_two(vf_path, capsys):

@@ -18,6 +18,7 @@ from pairshap.games import GameEvaluator, parse_spec
 from pairshap.streams import derive_rng
 
 from conftest import REFERENCE_DOC, RowCounter, random_game_doc, separated_doc, traced_peak
+from oracles import marginal_vectors
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -390,7 +391,7 @@ def test_additive_recovery_walk_column_is_one_paired_order_bit_for_bit(seed):
     # reverse and halved, then summed over each (sorted) group
     ev = GameEvaluator(parse_spec(doc))
     perms = permutation.sample_permutations(ev.q, 1, derive_rng(master_seed, 0))
-    walk = 0.5 * permutation.marginal_vectors(ev, perms, paired=True)[0]
+    walk = 0.5 * marginal_vectors(ev, perms, paired=True)[0]
     expected = permutation.group_sums(walk, [sorted(g) for g in groups])
     assert np.array([r.permutation_paired for r in rows]).tobytes() == expected.tobytes()
 
@@ -401,10 +402,11 @@ def test_additive_recovery_walk_column_is_one_paired_order_bit_for_bit(seed):
         ({"partition": [[1, 2], [3, 4, 5], [5]]}, "PartitionError: groups must cover each of the 5 players exactly once"),
         ({"partition": [[1, 2], [3, 4]]}, "PartitionError: groups must cover each of the 5 players exactly once"),
         ({"partition": [[1, 2], [], [3, 4, 5]]}, "PartitionError: partition groups must be non-empty"),
-        ({"kernel_n": 0}, "DomainError: kernel_n must be positive, got 0"),
+        ({"kernel_n": 0}, "DomainError: kernel_n must be at least q - 1 = 4, got 0"),
+        ({"kernel_n": 3}, "DomainError: kernel_n must be at least q - 1 = 4, got 3"),
         ({"kernel_n": 10**9}, "SizeGuard: sampled draws support n * q <= "),
     ],
-    ids=["repeated-player", "missing-player", "empty-group", "kernel_n-zero", "kernel_n-huge"],
+    ids=["repeated-player", "missing-player", "empty-group", "kernel_n-zero", "kernel_n-below-rank", "kernel_n-huge"],
 )
 def test_additive_recovery_inputs_fail_before_the_game_is_tabulated(tmp_path, spec_rows, spec_tables, change, error):
     doc = json.loads((CONFIGS / "additive_recovery_q5.json").read_text())

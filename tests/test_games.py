@@ -18,6 +18,7 @@ from pairshap.games import TERM_KINDS, GameEvaluator, mask_rows, parse_spec
 from conftest import (
     OPPOSITE_INFINITIES_DOC,
     REFERENCE_DOC,
+    LateInfinity,
     RowCounter,
     TableGame,
     UnplayableGame,
@@ -29,6 +30,7 @@ from oracles import (
     evaluate,
     evaluate_many,
     inverse_positions,
+    marginal_vectors,
     prefix_coalition,
     reverse_permutation,
 )
@@ -146,9 +148,11 @@ def test_terms_of_opposite_infinite_sign_raise_without_a_warning():
         with pytest.raises(NonFiniteError):
             spec.value_table()
         # 4 orders of 3 players reach the 8 coalitions: the walk tries the
-        # table first, then the rows
+        # table first, then the rows; every order ends on the grand coalition
         with pytest.raises(NonFiniteError):
-            permutation.marginal_vectors(GameEvaluator(spec), orders)
+            permutation.estimate_permutation(GameEvaluator(spec), 4, seed=1)
+        with pytest.raises(NonFiniteError):
+            marginal_vectors(GameEvaluator(spec), orders)
 
 
 def test_evaluate_rejects_wrong_length_and_non_binary():
@@ -309,7 +313,7 @@ def test_value_only_game_with_a_non_finite_payoff_builds_no_table():
         # 8 orders make at least 2^3 lookups
         orders = np.array([[0, 1, 2], [1, 0, 2], [2, 0, 1], [0, 2, 1]] * 2)
         for walked, paired in ((orders, False), (orders[1:3].repeat(4, axis=0), True)):
-            B = permutation.marginal_vectors(ev, walked, paired)
+            B = marginal_vectors(ev, walked, paired)
             assert np.all(np.isfinite(B))
         assert game.calls == [4, 4] + [8] * 9
         # a lookup of 2^3 masks sends its rows, and builds no table again
@@ -330,26 +334,24 @@ def test_row_lookups_refuse_a_non_finite_payoff_of_a_value_only_game(paired):
     assert np.array_equal(ev.values_at([[1, 3, 7]]), [[1.0, 3.0, 7.0]])
     ev.eval_count = 0
     # neither order, nor its reverse, has {2, 3} as a prefix
-    B = permutation.marginal_vectors(ev, np.array([[1, 0, 2], [2, 0, 1]]), paired)
+    B = marginal_vectors(ev, np.array([[1, 0, 2], [2, 0, 1]]), paired)
     assert np.all(np.isfinite(B)) and ev.eval_count == (2 if paired else 1) * 6
     with pytest.raises(NonFiniteError):
-        permutation.marginal_vectors(ev, np.array([[1, 0, 2], [1, 2, 0]]), paired)
+        marginal_vectors(ev, np.array([[1, 0, 2], [1, 2, 0]]), paired)
     assert ev.eval_count == (2 if paired else 1) * 6
 
 
 def test_a_streamed_walk_raises_at_the_first_block_that_visits_a_non_finite_payoff():
-    # one block more than np.getbufsize() orders: the table build is refused,
-    # the first block's prefixes are evaluated as rows, column by column, and
-    # the second block's one order starts with players 2 and 3
-    payoffs = np.arange(8.0)
-    payoffs[6] = np.inf
-    game = RowCounter(TableGame(3, payoffs))
+    # one block more than np.getbufsize() orders of q = 18 players, fewer
+    # than 2^18 lookups: each block's prefixes are evaluated as rows, column
+    # by column, and the game turns non-finite from its 19th call on, the
+    # second block's first column.  The walk raises there and counts nothing.
+    q, step = 18, np.getbufsize()
+    game = LateInfinity(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}), q)
     ev = GameEvaluator(game)
-    step = np.getbufsize()
-    perms = np.array([[0, 1, 2]] * step + [[2, 1, 0]])
     with pytest.raises(NonFiniteError):
-        permutation.marginal_vectors(ev, perms)
-    assert game.calls == [4, 4] + [step] * 3 + [1, 1]
+        permutation.estimate_permutation(ev, step + 1, seed=1)
+    assert game.calls == [step] * q + [1]
     assert ev.eval_count == 0 and ev._table is None
 
 

@@ -13,9 +13,11 @@ from conftest import (
     REFERENCE_PHI,
     UnplayableGame,
     bilinear_shapley,
+    fail_solves,
     random_bilinear_doc,
+    random_game_doc,
 )
-from oracles import coalition_matrix, coalition_probability, sample_coalition
+from oracles import coalition_matrix, coalition_probability, max_pairwise_discrepancy, sample_coalition
 
 
 def coalition_to_mask(Z):
@@ -272,26 +274,10 @@ def test_batch_layout(reference_spec):
     assert unpaired.design.shape == (n, 3)
 
 
-def fail_first_solve(monkeypatch, replicate):
-    """Zero the Gram matrix of `replicate` in the first solve, so that the solve finds it singular."""
-    solve = linalg.solve_spd
-    stacks = []
-
-    def failing(gram, rhs):
-        if not stacks:
-            gram = gram.copy()
-            gram[replicate] = 0.0
-        stacks.append(len(gram))
-        return solve(gram, rhs)
-
-    monkeypatch.setattr(linalg, "solve_spd", failing)
-    return stacks
-
-
 def test_rank_deficient_replicate_alone_redraws(monkeypatch, reference_spec):
     n, seeds = 12, [31, 32, 33]
     lone = [kernel.estimate_kernel(GameEvaluator(reference_spec), n, seed=seed)[0] for seed in seeds]
-    stacks = fail_first_solve(monkeypatch, 1)
+    stacks = fail_solves(monkeypatch, 1)
     ev = GameEvaluator(reference_spec)
     stacked = kernel.estimate_kernel_stack(ev, n, seeds)
     # the stack, then the stack again with replicate 1 redrawn
@@ -300,7 +286,7 @@ def test_rank_deficient_replicate_alone_redraws(monkeypatch, reference_spec):
         assert stacked[i].phi.tobytes() == lone[i].phi.tobytes()
     # replicate 1 gets what a lone estimate whose first batch failed gets:
     # the fit of its second batch, drawn from the attempt-1 substream
-    fail_first_solve(monkeypatch, 0)
+    fail_solves(monkeypatch, 0)
     vector, batch = kernel.estimate_kernel(GameEvaluator(reference_spec), n, seed=32)
     assert batch.retries == 1
     redrawn = kernel.sample_coalitions(exact.kernel_weights(4), n, [derive_rng(32, 1)])[0]
@@ -315,11 +301,11 @@ def test_a_cell_solved_again_gives_the_redrawn_lone_estimate(monkeypatch, refere
     n, failing = 12, reps // 2
     seeds = [[33, reps, rep] for rep in range(reps)]
     lone = [kernel.estimate_kernel(GameEvaluator(reference_spec), n, seed=seed)[0] for seed in seeds]
-    stacks = fail_first_solve(monkeypatch, failing)
+    stacks = fail_solves(monkeypatch, failing)
     stacked = kernel.estimate_kernel_stack(GameEvaluator(reference_spec), n, seeds)
     # one solve of the whole cell, then one again with the failed replicate redrawn
     assert stacks == [reps, reps]
-    fail_first_solve(monkeypatch, 0)
+    fail_solves(monkeypatch, 0)
     redrawn, batch = kernel.estimate_kernel(GameEvaluator(reference_spec), n, seed=seeds[failing])
     assert batch.retries == 1
     for i, vector in enumerate(stacked):
@@ -363,15 +349,37 @@ def test_solve_verdict_is_the_numpy_rank_of_sampled_kernel_grams():
     assert checked >= 5000 and 0.2 < deficient / checked < 0.8
 
 
-def test_rank_deficient_raises_after_redraw_budget(reference_spec):
-    # one draw can never span a 3-dimensional design space
-    with pytest.raises(RankDeficient):
-        kernel.estimate_kernel(GameEvaluator(reference_spec), 1, paired=False, seed=4)
+def test_rank_deficient_raises_after_redraw_budget(monkeypatch, reference_spec):
+    # every solve finds the fit singular: it is redrawn until the budget of
+    # RANK_RETRY_LIMIT batches is spent, one solve per batch
+    stacks = fail_solves(monkeypatch, 0, solves=np.inf)
+    for paired in (False, True):
+        stacks.clear()
+        ev = GameEvaluator(reference_spec)
+        with pytest.raises(RankDeficient):
+            kernel.estimate_kernel(ev, 12, paired=paired, seed=4)
+        assert stacks == [1] * kernel.RANK_RETRY_LIMIT
+        assert ev.eval_count == 1 + kernel.RANK_RETRY_LIMIT * (2 if paired else 1) * 12
 
 
 def test_rejects_nonpositive_n(reference_spec):
     with pytest.raises(DomainError):
         kernel.estimate_kernel(GameEvaluator(reference_spec), 0, seed=1)
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_fits_of_fewer_than_q_minus_one_draws_fail_before_drawing(monkeypatch, reference_spec, paired):
+    # n draws span at most n dimensions, paired or not (a complement's row is
+    # minus its draw's), so below q - 1 = 3 no redraw can reach full rank
+    streams = []
+    monkeypatch.setattr(kernel, "derive_rng", lambda *key: streams.append(key))
+    for n in (0, 1, 2):
+        ev = GameEvaluator(reference_spec)
+        with pytest.raises(DomainError, match=f"needs at least 3 draws, got {n}"):
+            kernel.estimate_kernel(ev, n, paired=paired, seed=1)
+        with pytest.raises(DomainError):
+            kernel.estimate_kernel_stack(ev, n, [1, 2], paired=paired)
+        assert ev.eval_count == 0 and streams == []
 
 
 def test_consistency_reference_game():
@@ -463,5 +471,19 @@ def test_bilinearity_test_accepts_linear_games():
 def test_bilinearity_test_validates_arguments(reference_spec):
     with pytest.raises(DomainError):
         kernel.bilinearity_test(GameEvaluator(reference_spec), trials=1, tol=1e-8, seed=1)
-    with pytest.raises(DomainError):
-        kernel.bilinearity_test(GameEvaluator(reference_spec), trials=3, tol=0.0, seed=1)
+    for tol in (0.0, -1e-9, np.inf, np.nan):
+        with pytest.raises(DomainError):
+            kernel.bilinearity_test(GameEvaluator(reference_spec), trials=3, tol=tol, seed=1)
+
+
+@pytest.mark.parametrize("trials", [2, 5, 40])
+def test_bilinearity_discrepancy_is_the_all_pairs_maximum(trials):
+    # the spread of each coordinate over the trials, to the bit of the
+    # largest max-norm distance over every pair of per-basis solutions
+    ev = GameEvaluator(parse_spec(random_game_doc(np.random.default_rng(64), 6)))
+    verdict = kernel.bilinearity_test(ev, trials=trials, tol=1e-8, seed=63)
+    solutions = [
+        kernel.solve_bilinear_basis(ev, kernel.random_independent_basis(6, derive_rng(63, trial))).phi
+        for trial in range(trials)
+    ]
+    assert verdict.max_discrepancy == max_pairwise_discrepancy(solutions) > 0.0

@@ -9,13 +9,14 @@ from scipy.stats import chi2
 
 from pairshap import asymptotics, exact, games, kernel, permutation
 from pairshap.estimators import ESTIMATORS
-from pairshap.errors import DimensionError, DomainError, NonFiniteError, PartitionError, SizeGuard
+from pairshap.errors import DomainError, NonFiniteError, PartitionError, SizeGuard
 from pairshap.games import GameEvaluator, mask_rows, member_masks, parse_spec
 from pairshap.streams import derive_rng
 
 from conftest import (
     OVERFLOWING_GAIN_DOC,
     REFERENCE_PHI,
+    LateInfinity,
     RowCounter,
     TableGame,
     UnplayableGame,
@@ -30,6 +31,7 @@ from oracles import (
     evaluate,
     evaluate_many,
     marginal_vector,
+    marginal_vectors,
     prefix_coalition,
     SpecError,
     separated_exact_check,
@@ -76,7 +78,26 @@ def walk_sizes(q: int) -> tuple[int, int]:
     return below, below + 1
 
 
+def drawn_orders(q: int, n: int, seed) -> np.ndarray:
+    """The n orders an estimate seeded by `seed` walks."""
+    return permutation.sample_permutations(q, n, derive_rng(seed, 0))
+
+
+def assert_estimate_folds(drawn, rows) -> None:
+    """An `estimate_permutation` result has the bits of the mean of rows, halved if paired.
+
+    Its fold has the bits of their two-pass covariance too when it holds at
+    least two rows and at most one chunk.
+    """
+    vector, moments = drawn
+    assert vector.phi.tobytes() == (rows.mean(axis=0) * (0.5 if moments.paired else 1.0)).tobytes()
+    if 1 < rows.shape[0] <= np.getbufsize():
+        assert moments.covariance().tobytes() == two_pass_covariance(rows, moments.paired).tobytes()
+
+
 def test_marginal_vectors_match_row_walk():
+    # the estimate folds the rows of the reference walk, to the bit, whether
+    # it looks its prefixes up as rows or in the value table
     rng = np.random.default_rng(90)
     kinds = set()
     for q in range(2, 13):
@@ -84,11 +105,9 @@ def test_marginal_vectors_match_row_walk():
             doc = random_game_doc(rng, q)
             kinds.update(term["kind"] for term in doc["terms"])
             spec = parse_spec(doc)
-            perms = permutation.sample_permutations(q, n, rng)
-            for orders in (perms, perms[:, ::-1]):
-                expected = walk_by_rows(GameEvaluator(spec), orders)
-                got = permutation.marginal_vectors(GameEvaluator(spec), orders)
-                assert np.array_equal(got, expected), (q, n)
+            seed = [90, q, n]
+            expected = walk_by_rows(GameEvaluator(spec), drawn_orders(q, n, seed))
+            assert_estimate_folds(permutation.estimate_permutation(GameEvaluator(spec), n, seed=seed), expected)
     assert kinds == {"linear", "bilinear", "exp_linear", "exp_bilinear"}
 
 
@@ -103,13 +122,12 @@ def test_marginal_vectors_physical_rows_and_logical_count():
         for n, tabulated in ((row_n, False), (table_n, True)):
             game = RowCounter(spec)
             ev = GameEvaluator(game)
-            perms = permutation.sample_permutations(q, n, rng)
-            permutation.marginal_vectors(ev, perms)
+            permutation.estimate_permutation(ev, n, seed=[91, q, n])
             assert ev.eval_count == n * q
             if tabulated:
                 assert game.calls == [2 ** (q - 1)] * 2
                 assert np.array_equal(np.concatenate(game.masks), np.arange(2**q))
-                permutation.marginal_vectors(ev, perms)
+                permutation.estimate_permutation(ev, n, seed=[91, q, n])
                 assert game.calls == [2 ** (q - 1)] * 2 and ev.eval_count == 2 * n * q
             else:
                 assert max(game.calls) <= n
@@ -124,11 +142,11 @@ def test_paired_marginal_vectors_match_two_one_way_walks():
             doc = random_game_doc(rng, q)
             kinds.update(term["kind"] for term in doc["terms"])
             spec = parse_spec(doc)
-            perms = permutation.sample_permutations(q, n, rng)
+            seed = [94, q, n]
+            perms = drawn_orders(q, n, seed)
             expected = walk_by_rows(GameEvaluator(spec), perms) + walk_by_rows(GameEvaluator(spec), perms[:, ::-1])
             ev = GameEvaluator(spec)
-            got = permutation.marginal_vectors(ev, perms, paired=True)
-            assert np.array_equal(got, expected), (q, n)
+            assert_estimate_folds(permutation.estimate_permutation(ev, n, paired=True, seed=seed), expected)
             assert ev.eval_count == 2 * q * n
             table = GameEvaluator(spec).value_table()
             both = lookup_walk(table, perms) + lookup_walk(table, perms[:, ::-1])
@@ -147,13 +165,12 @@ def test_paired_walk_physical_rows():
         for n, tabulated in ((row_n, False), (table_n, True)):
             game = RowCounter(spec)
             ev = GameEvaluator(game)
-            perms = permutation.sample_permutations(q, n, rng)
-            permutation.marginal_vectors(ev, perms, paired=True)
+            permutation.estimate_permutation(ev, n, paired=True, seed=[95, q, n])
             assert ev.eval_count == 2 * q * n
             if tabulated:
                 assert game.calls == [2 ** (q - 1)] * 2
                 assert np.array_equal(np.concatenate(game.masks), np.arange(2**q)), q
-                permutation.marginal_vectors(ev, perms, paired=True)
+                permutation.estimate_permutation(ev, n, paired=True, seed=[95, q, n])
                 assert game.calls == [2 ** (q - 1)] * 2 and ev.eval_count == 4 * q * n
             else:
                 assert max(game.calls) <= n
@@ -189,15 +206,15 @@ def test_gain_walk_is_the_lookup_walk_bit_for_bit(gain_walks):
             spec = parse_spec(doc)
             table = GameEvaluator(spec).value_table()
             for n in (2**q - 1, 2**q):
-                perms = permutation.sample_permutations(q, n, rng)
+                seed = [96, q, rep, n]
+                perms = drawn_orders(q, n, seed)
                 for paired in (False, True):
                     expected = lookup_walk(table, perms, paired)
                     direct = table_walk(table, perms, paired)
                     assert direct.tobytes() == expected.tobytes(), (q, n, paired)
                     gain_walks.clear()
                     ev = GameEvaluator(spec)
-                    got = permutation.marginal_vectors(ev, perms, paired)
-                    assert got.tobytes() == expected.tobytes(), (q, n, paired)
+                    assert_estimate_folds(permutation.estimate_permutation(ev, n, paired, seed), expected)
                     assert gain_walks == ([n] if n == 2**q else [])
                     assert ev.eval_count == (2 if paired else 1) * n * q
     assert kinds == {"linear", "bilinear", "exp_linear", "exp_bilinear"}
@@ -263,65 +280,70 @@ def test_overflowing_gains_are_the_same_bits_from_both_sources(gain_walks, paire
         expected = lookup_walk(table, perms, paired)
         assert not np.all(np.isfinite(expected))
         assert table_walk(table, perms, paired).tobytes() == expected.tobytes()
-        # 3 orders look their prefixes up in the table the walk builds, 4 gather
+        # 3 orders look their prefixes up in the table the walk builds, 4
+        # gather; each draw holds an order [0, 1], whose gain overflows
         for n in (3, 4):
+            assert (drawn_orders(2, n, 1)[:, 0] == 0).any()
             gain_walks.clear()
             ev = GameEvaluator(spec)
-            got = permutation.marginal_vectors(ev, perms[:n], paired)
-            assert got.tobytes() == expected[:n].tobytes()
+            with pytest.raises(NonFiniteError):
+                permutation.estimate_permutation(ev, n, paired, seed=1)
             assert gain_walks == ([n] if n == 4 else [])
             assert ev.eval_count == (2 if paired else 1) * n * 2
-        with pytest.raises(NonFiniteError):
-            permutation.estimate_permutation(GameEvaluator(spec), 4, paired, seed=1)
 
 
 @pytest.mark.parametrize("bad", [[0, 0, 1], [-1, 0, 1], [0, 1, 3], [2, 2, 2]])
 @pytest.mark.parametrize("paired", [False, True])
 def test_walks_refuse_rows_that_are_not_orders(hand_game_q3, bad, paired):
-    # one order walks by lookups, eight gather from the gain table
+    # the walk checks each block before its source reads a gain: through the
+    # evaluator's lookups, which count nothing, or from the gain table
+    table = hand_game_q3.value_table()
+    count = hand_game_q3.eval_count
     for perms in (np.array([bad]), np.array([[2, 0, 1]] * 7 + [bad])):
         with pytest.raises(DomainError):
-            permutation.marginal_vectors(hand_game_q3, perms, paired)
-        assert hand_game_q3.eval_count == 0
-    table = hand_game_q3.value_table()
-    if min(bad) >= 0 and max(bad) < 3:
+            marginal_vectors(hand_game_q3, perms, paired)
+        assert hand_game_q3.eval_count == count
         with pytest.raises(DomainError):
-            lookup_walk(table, np.array([bad]), paired)
-        with pytest.raises(DomainError):
-            table_walk(table, np.array([bad]), paired)
+            table_walk(table, perms, paired)
 
 
 @pytest.mark.parametrize("paired", [False, True])
-def test_bad_order_in_a_later_block_counts_nothing(gain_walks, paired):
-    # n spans two of the walk's blocks; the last order repeats a player.
-    # q = 18 sends rows, q = 14 looks prefixes up in the table, q = 3 gathers
-    # from the gain table; each walks its first block before it raises
-    n = np.getbufsize() + 10
-    for q in (18, 14, 3):
-        gain_walks.clear()
-        ev = GameEvaluator(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}))
-        perms = permutation.sample_permutations(q, n, np.random.default_rng(99))
-        perms[-1, 0] = perms[-1, 1]
-        with pytest.raises(DomainError):
-            permutation.marginal_vectors(ev, perms, paired)
-        assert ev.eval_count == 0, q
-        assert (ev._table is None) == (q == 18), q
-        assert gain_walks == ([np.getbufsize()] if q == 3 else []), q
+def test_a_walk_that_raises_in_a_later_block_counts_nothing(paired):
+    # q = 18 walks of fewer than 2^18 lookups send their prefixes as rows, q
+    # columns a block (2q paired), and the game turns non-finite at the
+    # second block's first column.  A lone estimate of np.getbufsize() + 10
+    # orders, and a stack of 8 replicates of 100 orders, 4 to a block, each
+    # walk their first block, raise, and count nothing.
+    q, step = 18, np.getbufsize()
+    spec = parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]})
+    columns = (2 if paired else 1) * q
+    for walk, rows in (
+        (lambda ev: permutation.estimate_permutation(ev, step + 10, paired, seed=1), [step] * columns + [10]),
+        (lambda ev: permutation.estimate_permutation_stack(ev, 100, list(range(8)), paired), [400] * (columns + 1)),
+    ):
+        game = LateInfinity(spec, columns)
+        ev = GameEvaluator(game)
+        with pytest.raises(NonFiniteError):
+            walk(ev)
+        assert game.calls == rows
+        assert ev.eval_count == 0 and ev._table is None
 
 
 @pytest.mark.parametrize("paired", [False, True])
 def test_gain_walk_memory_stays_within_three_order_arrays(paired):
     # q = 12 walks from the gain table from n = 2^12 = 4096 orders.  With the
-    # value table built in the trace, the walk's traced peak stays below
-    # three n x q float arrays, the gain table's q 2^q floats and 9 bytes per
-    # coalition (the value table and its finiteness check).  n spans
-    # several of the walk's blocks of np.getbufsize() rows.
+    # value table built in the trace, the estimate's traced peak stays below
+    # the gain table's q 2^q floats, 9 bytes per coalition (the value table
+    # and its finiteness check) and five blocks of np.getbufsize() x q
+    # entries (the drawn orders, their gains, the prefixes, the scatter
+    # targets and the fold's temporaries): less than three n x q float
+    # arrays.  n spans several of the walk's blocks.
     q, n = 12, 20_000
     ev = GameEvaluator(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}))
-    perms = permutation.sample_permutations(q, n, np.random.default_rng(98))
-    B, peak = traced_peak(lambda: permutation.marginal_vectors(ev, perms, paired))
-    np.testing.assert_allclose(B, 2.0 if paired else 1.0, atol=1e-12)
-    assert peak <= 3 * 8 * n * q + 8 * q * 2**q + 9 * 2**q
+    (vector, _), peak = traced_peak(lambda: permutation.estimate_permutation(ev, n, paired, seed=98))
+    np.testing.assert_allclose(vector.phi, 1.0, atol=1e-12)
+    bound = 8 * q * 2**q + 9 * 2**q + 5 * 8 * np.getbufsize() * q
+    assert peak <= bound < 3 * 8 * n * q
 
 
 def test_permutation_plugin_reuses_the_estimate_walk(reference_spec):
@@ -372,7 +394,7 @@ def test_stacked_walks_are_lone_walks_and_the_mean_of_the_rows(n, reps, paired):
     for seed, vector in zip(seeds, stacked):
         lone, moments = permutation.estimate_permutation(GameEvaluator(spec), n, paired, seed=seed)
         assert vector.phi.tobytes() == lone.phi.tobytes()
-        B = permutation.marginal_vectors(GameEvaluator(spec), permutation.sample_permutations(5, n, derive_rng(seed, 0)), paired)
+        B = marginal_vectors(GameEvaluator(spec), drawn_orders(5, n, seed), paired)
         assert vector.phi.tobytes() == (B.mean(axis=0) * (0.5 if paired else 1.0)).tobytes()
         if n > 1 and n <= np.getbufsize():
             assert moments.covariance().tobytes() == two_pass_covariance(B, paired).tobytes()
@@ -425,7 +447,7 @@ def test_folded_covariance_of_gains_with_a_large_mean(paired):
         ],
     }
     spec = parse_spec(doc)
-    B = permutation.marginal_vectors(GameEvaluator(spec), permutation.sample_permutations(q, n, derive_rng(seed, 0)), paired)
+    B = marginal_vectors(GameEvaluator(spec), drawn_orders(q, n, seed), paired)
     assert np.abs(B.mean(axis=0)).min() > (1e8 if paired else 5e7) and B.std(axis=0).max() < 10
     expected = two_pass_covariance(B - B[0], paired)
     got = asymptotics.permutation_covariance_plugin(GameEvaluator(spec), n, seed=seed, paired=paired).matrix
@@ -457,26 +479,21 @@ def test_walk_memory_stays_within_three_order_arrays(n):
     # q = 18 switches from indicator rows to the value table at
     # n = ceil(2^18 / 18) = 14564: n = 14 000 walks the row path and n = 15 000
     # builds the evaluator's table, which outlives the walk.  Either way the
-    # walk's traced peak, temporaries included, stays below three n x q float
-    # arrays, plus 9 bytes per coalition when it builds the table (the table
-    # and the boolean array of its finiteness check), and the paired walk's
-    # peak stays below that of the two one-way walks it replaces.
+    # estimate's traced peak, temporaries included, stays below 9 bytes per
+    # coalition when it builds the table (the table and the boolean array of
+    # its finiteness check) and five blocks of np.getbufsize() x q entries
+    # (the drawn orders, their gains, the prefixes, the scatter targets, and
+    # the rows of one prefix column or the fold's temporaries); paired, one
+    # more block holds the reverse prefixes.  The one-way peak stays below
+    # three n x q float arrays.
     q = 18
-    ev = GameEvaluator(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}))
-    perms = permutation.sample_permutations(q, n, np.random.default_rng(93))
-
-    def two_walks():
-        B = permutation.marginal_vectors(ev, perms)
-        B += permutation.marginal_vectors(ev, perms[:, ::-1])
-        return B
-
-    B, peak = traced_peak(lambda: permutation.marginal_vectors(ev, perms))
-    np.testing.assert_allclose(B, 1.0, atol=1e-12)
-    assert peak <= 3 * 8 * n * q + (9 * 2**q if n * q >= 2**q else 0)
-    _, two_peak = traced_peak(two_walks)
-    B, paired_peak = traced_peak(lambda: permutation.marginal_vectors(ev, perms, paired=True))
-    np.testing.assert_allclose(B, 2.0, atol=1e-12)
-    assert paired_peak <= two_peak
+    tables = 9 * 2**q if n * q >= 2**q else 0
+    for paired in (False, True):
+        ev = GameEvaluator(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}))
+        (vector, _), peak = traced_peak(lambda: permutation.estimate_permutation(ev, n, paired, seed=93))
+        np.testing.assert_allclose(vector.phi, 1.0, atol=1e-12)
+        assert peak <= tables + (6 if paired else 5) * 8 * np.getbufsize() * q
+        assert paired or peak <= 3 * 8 * n * q + tables
 
 
 @pytest.mark.parametrize("paired", [False, True])
@@ -491,8 +508,7 @@ def test_table_switch_is_decided_once_per_walk(paired):
     for n, tabulated in ((15_000, True), (14_000, False)):
         game = RowCounter(spec)
         ev = GameEvaluator(game)
-        perms = permutation.sample_permutations(q, n, np.random.default_rng(102))
-        B = permutation.marginal_vectors(ev, perms, paired)
+        drawn = permutation.estimate_permutation(ev, n, paired, seed=102)
         assert ev.eval_count == (2 if paired else 1) * n * q
         if tabulated:
             assert np.array_equal(np.concatenate(game.masks), np.arange(2**q))
@@ -500,10 +516,11 @@ def test_table_switch_is_decided_once_per_walk(paired):
             assert sum(game.calls) == (2 if paired else 1) * n * q
             assert max(game.calls) <= np.getbufsize()
             assert ev._table is None
+        perms = drawn_orders(q, n, 102)
         expected = walk_by_rows(GameEvaluator(spec), perms)
         if paired:
             expected += walk_by_rows(GameEvaluator(spec), perms[:, ::-1])
-        assert np.array_equal(B, expected)
+        assert_estimate_folds(drawn, expected)
 
 
 @pytest.mark.parametrize("paired", [False, True])
@@ -528,19 +545,19 @@ def test_a_stack_decides_its_tables_from_one_replicate(gain_walks, paired):
 @pytest.mark.parametrize("paired", [False, True])
 def test_row_walk_memory_is_one_order_array_and_four_blocks(paired):
     # q = 26 is beyond the value table, so every block's prefixes are sent as
-    # rows.  Over several blocks the walk's traced peak stays below its
-    # result, one n x q float array, plus four blocks of np.getbufsize() x q
-    # int64 entries: the prefixes, the scatter targets, the reverse prefixes
-    # when paired, and the rows of one prefix column with the game's own
-    # temporaries.  A walk that holds the prefixes of every order at once
-    # needs two n x q arrays and exceeds it.
+    # rows.  Over several blocks the estimate's traced peak stays below five
+    # blocks of np.getbufsize() x q entries: the drawn orders, their gains,
+    # the prefixes, the scatter targets, and the rows of one prefix column
+    # with the game's own temporaries; paired, one more block holds the
+    # reverse prefixes.  That is less than one n x q float array and four
+    # blocks, which a walk that held its orders or its gains would exceed.
     q, n = 26, 50_000
     ev = GameEvaluator(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}))
-    perms = permutation.sample_permutations(q, n, np.random.default_rng(103))
-    B, peak = traced_peak(lambda: permutation.marginal_vectors(ev, perms, paired))
-    np.testing.assert_allclose(B, 2.0 if paired else 1.0, atol=1e-12)
+    (vector, _), peak = traced_peak(lambda: permutation.estimate_permutation(ev, n, paired, seed=103))
+    np.testing.assert_allclose(vector.phi, 1.0, atol=1e-12)
     assert ev._table is None and n > 3 * np.getbufsize()
-    assert peak <= 8 * n * q + 4 * 8 * np.getbufsize() * q
+    bound = (6 if paired else 5) * 8 * np.getbufsize() * q
+    assert peak <= bound < 8 * n * q + 4 * 8 * np.getbufsize() * q
 
 
 def test_sampler_refuses_orders_over_the_limit(monkeypatch):
@@ -550,16 +567,6 @@ def test_sampler_refuses_orders_over_the_limit(monkeypatch):
     assert permutation.sample_permutations(9, 5, derive_rng(94)).shape == (5, 9)
     with pytest.raises(SizeGuard):
         permutation.sample_permutations(9, 6, derive_rng(94))
-
-
-def test_marginal_vectors_reject_orders_of_the_wrong_width(hand_game_q3):
-    for width in (2, 4):
-        with pytest.raises(DimensionError):
-            permutation.marginal_vectors(hand_game_q3, np.tile(np.arange(width), (5, 1)))
-        with pytest.raises(DimensionError):
-            marginal_vector(hand_game_q3, np.arange(width))
-    with pytest.raises(DimensionError):
-        permutation.marginal_vectors(hand_game_q3, np.arange(3))
 
 
 @pytest.mark.parametrize("bad", [-1, 8, 2**40])
@@ -599,14 +606,16 @@ def overflow_on_13_game() -> GameEvaluator:
 
 @pytest.mark.parametrize("n", [1, 6])
 def test_walk_raises_only_when_it_visits_a_non_finite_coalition(n):
-    # {1,3} is a prefix exactly when player 2 (index 1) comes last
-    safe = np.array([[1, 0, 2], [0, 1, 2], [2, 1, 0]] * 2)[:n]
-    B = permutation.marginal_vectors(overflow_on_13_game(), safe)
-    assert np.all(np.isfinite(B))
-    unsafe = safe.copy()
-    unsafe[-1] = [2, 0, 1]
+    # {1,3} is a prefix exactly when player 2 (index 1) comes last: the
+    # first seed whose n orders never end with it estimates finite values,
+    # and the first whose orders do raises
+    ends = [drawn_orders(3, n, seed)[:, -1] for seed in range(200)]
+    safe = next(seed for seed, last in enumerate(ends) if (last != 1).all())
+    unsafe = next(seed for seed, last in enumerate(ends) if (last == 1).any())
+    vector, _ = permutation.estimate_permutation(overflow_on_13_game(), n, seed=safe)
+    assert np.all(np.isfinite(vector.phi))
     with pytest.raises(NonFiniteError):
-        permutation.marginal_vectors(overflow_on_13_game(), unsafe)
+        permutation.estimate_permutation(overflow_on_13_game(), n, seed=unsafe)
 
 
 def test_walk_bitmasks_reach_63_players():
@@ -614,7 +623,7 @@ def test_walk_bitmasks_reach_63_players():
     ev = GameEvaluator(parse_spec({"q": 63, "terms": [{"kind": "linear", "indices": list(range(1, 64)), "beta": list(beta)}]}))
     perm = np.random.default_rng(92).permutation(63)
     np.testing.assert_allclose(marginal_vector(ev, perm), beta, atol=1e-12)
-    np.testing.assert_allclose(permutation.marginal_vectors(ev, perm[None, :], paired=True)[0], 2 * beta, atol=1e-12)
+    np.testing.assert_allclose(permutation.estimate_permutation(ev, 1, paired=True, seed=92)[0].phi, beta, atol=1e-12)
     with pytest.raises(SizeGuard):
         marginal_vector(GameEvaluator(UnplayableGame(64)), np.arange(64))
 
