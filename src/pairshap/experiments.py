@@ -212,6 +212,9 @@ def _validate_bias_variance(config: ExperimentConfig) -> None:
     guard_draws(config.sizes[-1], q)
     if config.reps * q > DRAW_LIMIT:
         raise SizeGuard(f"replicates support reps * q <= {DRAW_LIMIT}, got reps = {config.reps} at q = {q}")
+    # a kernel fit's design has rank at most its draws
+    if config.sizes[0] < q - 1 and any(m.startswith("kernel") for m in config.methods):
+        raise DomainError(f"kernel sizes must be at least q - 1 = {q - 1}, got {config.sizes[0]}")
 
 
 def _fmt(value: float) -> str:

@@ -372,12 +372,10 @@ class GameEvaluator:
 
     Any object with an integer attribute `q` and a method `values(Z)` mapping
     an (m, q) binary matrix to m normalized payoffs can be wrapped;
-    ValueFunctionSpec is the standard one.  The grand-coalition value is
-    cached after its first (counted) evaluation because several estimators
-    reuse it on every draw.  The value table of all 2^q payoffs is built the
-    first time an exact route, or a lookup of at least 2^q masks, needs it,
-    and kept: every later route and every lookup reads it, and the game is
-    not called again.
+    ValueFunctionSpec is the standard one.  The value table of all 2^q
+    payoffs is built the first time an exact route, or a lookup of at least
+    2^q masks, needs it, and kept: every later route and every lookup reads
+    it, and the game is not called again.
 
     `eval_count` is the paper's logical cost: 1 per kernel draw, 2 per paired
     kernel draw, q per walked order, 2q per paired order and 2^q per value
@@ -390,7 +388,6 @@ class GameEvaluator:
         self.game = game
         self.q = int(game.q)
         self.eval_count = 0
-        self._grand: float | None = None
         self._table: np.ndarray | None = None
         # a table build that raised NonFiniteError, which is not tried again
         self._refused = False
@@ -483,8 +480,3 @@ class GameEvaluator:
             np.take(table, masks, out=out, mode="clip")
         self.eval_count += masks.size
         return out
-
-    def grand_value(self) -> float:
-        if self._grand is None:
-            self._grand = float(self.values_at([[full_mask(self.q)]])[0, 0])
-        return self._grand

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact, linalg
-from .errors import DimensionError, DomainError, RankDeficient, SingularMatrix
+from .errors import DomainError, RankDeficient, SingularMatrix
 from .games import full_mask, guard_draws, mask_rows, member_masks
 from .streams import derive_rng
 
@@ -225,70 +225,23 @@ def estimate_kernel(ev, n: int, paired: bool = False, seed=None):
     return exact.ShapleyVector(phi=phi, method_tag="kernel-paired" if paired else "kernel"), batches[0]
 
 
-def solve_bilinear_basis(ev, basis) -> exact.ShapleyVector:
-    """Exact paired solve on q-1 chosen coalitions, given as bitmasks, plus their complements.
+def bilinearity_test(ev, trials: int, tol: float, seed=None) -> float:
+    """Largest spread of one player's value over paired fits on random coalition bases.
 
-    For games whose payoff is a quadratic form in the coalition indicator,
-    this reproduces the Shapley values exactly whatever independent basis is
-    chosen; `bilinearity_test` exploits that invariance.
-    """
-    basis = np.asarray(basis, dtype=np.int64)
-    if basis.shape != (ev.q - 1,):
-        raise DimensionError(f"basis must hold {ev.q - 1} coalition bitmasks, got shape {basis.shape}")
-    grand = np.array([ev.grand_value()])
-    x, y = design_response(ev, basis[None], grand, paired=True)
-    try:
-        phi = _solve_normal(*_normal_equations(x, y), grand)[0]
-    except SingularMatrix as exc:
-        raise RankDeficient("basis coalitions are linearly dependent") from exc
-    return exact.ShapleyVector(phi=phi, method_tag="kernel-paired-basis")
-
-
-def random_independent_basis(q: int, rng: np.random.Generator) -> np.ndarray:
-    """Draw q-1 nonempty proper coalitions, as bitmasks, until their paired design has full rank."""
-    full = full_mask(q)
-    for _ in range(RANK_RETRY_LIMIT):
-        masks = rng.integers(1, full, size=q - 1, dtype=np.int64)
-        x, _ = _design(masks, q)
-        try:
-            linalg.solve_spd(x.T @ x, np.zeros(q - 1))
-        except SingularMatrix:
-            continue
-        return masks
-    raise RankDeficient(f"no independent basis found in {RANK_RETRY_LIMIT} draws")
-
-
-@dataclass(frozen=True)
-class BilinearityVerdict:
-    """Outcome of the basis-invariance probe.
-
-    `consistent` is True when every pair of per-basis solutions agrees to
-    within `tol` in the max norm; `max_discrepancy` is the worst distance.
-    """
-
-    consistent: bool
-    max_discrepancy: float
-    trials: int
-    tol: float
-
-
-def bilinearity_test(ev, trials: int, tol: float, seed=None) -> BilinearityVerdict:
-    """Solve on several random bases and compare the answers.
-
-    Exactly bilinear games give identical answers on every basis; any
-    disagreement beyond `tol` certifies higher-order structure.
+    Each trial is a paired kernel fit on q - 1 draws, from the seed with
+    entropy `seed` and spawn key (trial,): its q - 1 pairs determine the
+    fit exactly, and `_fit` redraws a basis whose design is singular.  A
+    game whose interactions have order at most two gives the same answer
+    on every basis, so a spread beyond `tol` certifies higher-order
+    structure.  `trials` below 2 and a `tol` that is not finite and positive
+    raise DomainError before anything is drawn.
     """
     if trials < 2:
         raise DomainError(f"need at least 2 trials, got {trials}")
     if not 0 < tol < np.inf:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
-    solutions = np.array([
-        solve_bilinear_basis(ev, random_independent_basis(ev.q, derive_rng(seed, trial))).phi
-        for trial in range(trials)
-    ])
+    seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(trial,)) for trial in range(trials)]
+    solutions = np.array([vector.phi for vector in estimate_kernel_stack(ev, ev.q - 1, seeds, paired=True)])
     # rounding is monotone, so a coordinate's worst pair is its largest
     # and smallest solution, and their difference is the all-pairs maximum
-    worst = float((solutions.max(axis=0) - solutions.min(axis=0)).max())
-    return BilinearityVerdict(
-        consistent=worst <= tol, max_discrepancy=worst, trials=trials, tol=tol
-    )
+    return float((solutions.max(axis=0) - solutions.min(axis=0)).max())

@@ -92,17 +92,17 @@ def test_criterion_03_exact_route_agreement():
 
 
 def test_criterion_04_bilinear_kernel_basis_invariance():
+    # a paired kernel fit on q - 1 draws is exactly determined, so each of
+    # a game's 20 replicates solves it on its own random coalition basis
     rng = np.random.default_rng(444)
     worst = 0.0
-    for _ in range(20):
+    for game in range(20):
         q = int(rng.integers(3, 7))
         doc, A = random_bilinear_doc(rng, q)
         expected = bilinear_shapley(A)
-        ev = GameEvaluator(parse_spec(doc))
-        for _ in range(20):
-            basis = kernel.random_independent_basis(q, rng)
-            phi = kernel.solve_bilinear_basis(ev, basis).phi
-            worst = max(worst, float(np.abs(phi - expected).max()))
+        seeds = [np.random.SeedSequence(entropy=444, spawn_key=(game, basis)) for basis in range(20)]
+        for vector in kernel.estimate_kernel_stack(GameEvaluator(parse_spec(doc)), q - 1, seeds, paired=True):
+            worst = max(worst, float(np.abs(vector.phi - expected).max()))
     record(4, worst <= 1e-9, f"max dev {worst:.1e}")
 
 

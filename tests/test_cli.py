@@ -344,6 +344,41 @@ def test_bilinear_test_flags_curved_game(vf_path, capsys):
     assert payload["verdict"] == "not-bilinear-consistent"
 
 
+
+def q40_bilinear_doc(curved: bool) -> dict:
+    """q = 40: a `linear` term over every player and ten two-player `bilinear` blocks on players 1-20.
+
+    Curved, it adds an `exp_bilinear` block on players 31-33, an
+    interaction of order three.
+    """
+    rng = np.random.default_rng(40)
+    terms = [{"kind": "linear", "indices": list(range(1, 41)), "beta": rng.standard_normal(40).round(3).tolist()}]
+    for k in range(1, 21, 2):
+        terms.append({"kind": "bilinear", "indices": [k, k + 1], "A": rng.standard_normal((2, 2)).round(3).tolist()})
+    if curved:
+        A = 0.5 * rng.standard_normal((3, 3))
+        terms.append({"kind": "exp_bilinear", "indices": [31, 32, 33], "A": A.round(3).tolist()})
+    return {"q": 40, "terms": terms}
+
+
+@pytest.mark.parametrize("curved", [False, True], ids=["bilinear", "exp_bilinear"])
+def test_bilinear_test_past_the_value_table(tmp_path, capsys, spec_tables, curved):
+    # each trial is a paired kernel fit on 39 draws, every payoff evaluated
+    # as a row: at --tol 1e-6 with 8 trials and seed 0, the spread measured
+    # 6.8e-10 on the bilinear game and 19.5 with the exp_bilinear block
+    vf = tmp_path / "vf.json"
+    vf.write_text(json.dumps(q40_bilinear_doc(curved)))
+    code, out, err = run(capsys, ["bilinear-test", "--vf", str(vf), "--trials", "8", "--tol", "1e-6", "--seed", "0"])
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert list(payload) == ["q", "trials", "tol", "consistent", "max_discrepancy", "verdict"]
+    assert payload["consistent"] is not curved
+    if curved:
+        assert payload["max_discrepancy"] > 1.0 and payload["verdict"] == "not-bilinear-consistent"
+    else:
+        assert payload["max_discrepancy"] <= 1e-8 and payload["verdict"] == "bilinear-consistent"
+    assert spec_tables == []
+
 def test_experiment_end_to_end(tmp_path, vf_path, capsys):
     csv_path = tmp_path / "rows.csv"
     config = {

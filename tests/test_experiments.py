@@ -14,7 +14,7 @@ from pairshap import exact, experiments, kernel, permutation
 from pairshap.cli import main
 from pairshap.errors import PartitionError, SchemaError, SizeGuard
 from pairshap.estimators import ESTIMATORS
-from pairshap.games import GameEvaluator, parse_spec
+from pairshap.games import GameEvaluator, full_mask, parse_spec
 from pairshap.streams import derive_rng
 
 from conftest import REFERENCE_DOC, RowCounter, random_game_doc, separated_doc, traced_peak
@@ -166,7 +166,7 @@ def test_stacked_draws_equal_lone_draws_at_one_sample(method):
         if method.startswith("kernel"):
             draws = kernel.sample_coalitions(exact.kernel_weights(2), 1, [derive_rng(seed, 0)])
             assert np.array_equal(lone_drawn.draws, draws[0]) and lone_drawn.retries == 0
-            grand = np.array([GameEvaluator(spec).grand_value()])
+            grand = GameEvaluator(spec).values_at([[full_mask(2)]])[0]
             x, y = kernel.design_response(GameEvaluator(spec), draws, grand, lone_drawn.paired)
             assert np.array_equal(lone_drawn.design, x[0]) and np.array_equal(lone_drawn.response, y[0])
         else:
@@ -420,6 +420,23 @@ def test_additive_recovery_inputs_fail_before_the_game_is_tabulated(tmp_path, sp
     assert len(lines) == 1 and lines[0].startswith(error)
     assert spec_tables == [] and spec_rows == []
 
+
+
+def test_bias_variance_kernel_sizes_below_q_minus_one_fail_before_any_table(tmp_path, spec_rows, spec_tables):
+    # the permutation cells come first and would take any size: the
+    # kernel's rank floor is checked with the rest of the config, not when
+    # its cell is reached
+    doc = json.loads((CONFIGS / "bias_variance_q4.json").read_text())
+    change = {"sizes": [2, 256], "methods": ["permutation", "permutation-paired", "kernel"]}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(dict(doc, outputs={"csv": str(tmp_path / "rows.csv")}, **change)))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        assert main(["experiment", "--config", str(config)]) == 2
+    assert out.getvalue() == ""
+    assert err.getvalue() == "DomainError: kernel sizes must be at least q - 1 = 3, got 2\n"
+    assert spec_tables == [] and spec_rows == []
+    assert not (tmp_path / "rows.csv").exists()
 
 @pytest.mark.parametrize("kind", experiments.KINDS)
 def test_write_csv_writes_the_header_fields_of_each_row(tmp_path, kind):

@@ -226,17 +226,16 @@ def test_reversal_identity_exhaustive_small_q():
                 np.testing.assert_array_equal(lhs, complement(joined))
 
 
-def test_evaluator_counts_and_caches_grand_value(reference_spec):
+def test_evaluator_counts_every_lookup(reference_spec):
     ev = GameEvaluator(reference_spec)
     assert ev.eval_count == 0
     ev.values_at([[15]])
     assert ev.eval_count == 1
     ev.values_at(np.zeros((5, 1), dtype=np.int64))
     assert ev.eval_count == 6
-    first = ev.grand_value()
-    second = ev.grand_value()
-    assert first == second
-    assert ev.eval_count == 7  # cached after one counted call
+    # nothing below the value table is cached: a repeated lookup counts again
+    ev.values_at([[15]])
+    assert ev.eval_count == 7
 
 
 def test_value_table_is_built_once_read_only_and_counted_per_call(reference_spec):
@@ -269,9 +268,8 @@ def test_lookups_after_the_value_table_read_it(reference_spec):
     out = np.empty(many.shape)
     assert ev.values_at(many, out=out) is out
     assert np.array_equal(out, table[many])
-    assert ev.grand_value() == table[-1]
     assert game.calls == [8, 8]
-    assert ev.eval_count == 16 + few.size + many.size + 1
+    assert ev.eval_count == 16 + few.size + many.size
     # a lookup of at least 2^q masks builds the table and counts only its
     # masks; a later value_table() returns that table and counts 2^q
     game = RowCounter(reference_spec)

@@ -4,7 +4,7 @@ import pytest
 from scipy.stats import chi2
 
 from pairshap import exact, games, kernel, linalg
-from pairshap.errors import DimensionError, DomainError, RankDeficient, SingularMatrix, SizeGuard
+from pairshap.errors import DomainError, RankDeficient, SingularMatrix, SizeGuard
 from pairshap.estimators import ESTIMATORS
 from pairshap.games import GameEvaluator, mask_rows, parse_spec
 from pairshap.streams import derive_rng
@@ -17,7 +17,7 @@ from conftest import (
     random_bilinear_doc,
     random_game_doc,
 )
-from oracles import coalition_matrix, coalition_probability, max_pairwise_discrepancy, sample_coalition
+from oracles import coalition_matrix, coalition_probability, evaluate, max_pairwise_discrepancy, sample_coalition
 
 
 def coalition_to_mask(Z):
@@ -220,8 +220,7 @@ def test_bilinear_game_paired_estimate_exact_any_batch():
 
 
 def test_estimates_satisfy_efficiency(reference_spec):
-    ev = GameEvaluator(reference_spec)
-    grand = ev.grand_value()
+    grand = evaluate(reference_spec, np.ones(4))
     for paired in (False, True):
         for seed in range(5):
             vector, _ = kernel.estimate_kernel(
@@ -405,67 +404,68 @@ def test_consistency_reference_game():
     assert hits >= 99
 
 
-def test_unit_basis_solves_bilinear_closed_form():
+def draw_always(monkeypatch, masks):
+    """Make every kernel draw, of every generator and attempt, the given bitmasks."""
+    masks = np.asarray(masks, dtype=np.int64)
+    monkeypatch.setattr(kernel, "sample_coalitions", lambda weights, n, rngs: np.tile(masks, (len(rngs), 1)))
+
+
+def test_unit_basis_solves_bilinear_closed_form(monkeypatch):
     rng = np.random.default_rng(41)
     q = 5
     doc, A = random_bilinear_doc(rng, q)
-    spec = parse_spec(doc)
-    # the singletons of players 1..q-1
+    # a paired fit whose q - 1 draws are the singletons of players 1..q-1
     basis = np.int64(1) << np.arange(q - 1)
-    vector = kernel.solve_bilinear_basis(GameEvaluator(spec), basis)
+    draw_always(monkeypatch, basis)
+    vector, batch = kernel.estimate_kernel(GameEvaluator(parse_spec(doc)), q - 1, paired=True, seed=1)
+    assert np.array_equal(batch.draws, basis) and batch.retries == 0
     np.testing.assert_allclose(vector.phi, bilinear_shapley(A), atol=1e-9)
-    assert vector.method_tag == "kernel-paired-basis"
+    assert vector.method_tag == "kernel-paired"
 
 
 def test_two_bases_agree_on_bilinear_games():
+    # a paired fit on q - 1 draws is exactly determined: it solves the game
+    # on the basis it draws, and any basis gives a bilinear game's values
     rng = np.random.default_rng(42)
-    doc, _ = random_bilinear_doc(rng, 6)
+    doc, A = random_bilinear_doc(rng, 6)
     spec = parse_spec(doc)
-    first = kernel.solve_bilinear_basis(
-        GameEvaluator(spec), kernel.random_independent_basis(6, derive_rng(50, 0))
-    )
-    second = kernel.solve_bilinear_basis(
-        GameEvaluator(spec), kernel.random_independent_basis(6, derive_rng(51, 0))
-    )
+    first, first_batch = kernel.estimate_kernel(GameEvaluator(spec), 5, paired=True, seed=50)
+    second, second_batch = kernel.estimate_kernel(GameEvaluator(spec), 5, paired=True, seed=51)
+    assert set(first_batch.draws.tolist()) != set(second_batch.draws.tolist())
     np.testing.assert_allclose(first.phi, second.phi, atol=1e-10)
+    np.testing.assert_allclose(first.phi, bilinear_shapley(A), atol=1e-9)
 
 
 def test_two_bases_disagree_on_reference_game(reference_spec):
-    first = kernel.solve_bilinear_basis(
-        GameEvaluator(reference_spec), kernel.random_independent_basis(4, derive_rng(52, 0))
-    )
-    second = kernel.solve_bilinear_basis(
-        GameEvaluator(reference_spec), kernel.random_independent_basis(4, derive_rng(53, 0))
-    )
+    first, _ = kernel.estimate_kernel(GameEvaluator(reference_spec), 3, paired=True, seed=52)
+    second, _ = kernel.estimate_kernel(GameEvaluator(reference_spec), 3, paired=True, seed=53)
     assert np.max(np.abs(first.phi - second.phi)) > 1e-6
 
 
-def test_dependent_basis_raises(reference_spec):
-    # {1}, {1} and {2}
+def test_dependent_basis_raises(monkeypatch, reference_spec):
+    # fewer than q - 1 draws can never form a basis
+    with pytest.raises(DomainError):
+        kernel.estimate_kernel(GameEvaluator(reference_spec), 2, paired=True, seed=1)
+    # {1}, {1} and {2}, drawn on every attempt
+    draw_always(monkeypatch, [1, 1, 2])
     with pytest.raises(RankDeficient):
-        kernel.solve_bilinear_basis(GameEvaluator(reference_spec), [1, 1, 2])
-    with pytest.raises(DimensionError):
-        kernel.solve_bilinear_basis(GameEvaluator(reference_spec), [1, 2, 4, 8])
+        kernel.estimate_kernel(GameEvaluator(reference_spec), 3, paired=True, seed=1)
+    with pytest.raises(RankDeficient):
+        kernel.bilinearity_test(GameEvaluator(reference_spec), trials=2, tol=1e-8, seed=1)
 
 
 def test_bilinearity_test_verdicts(reference_spec):
     rng = np.random.default_rng(43)
     doc, _ = random_bilinear_doc(rng, 5)
-    verdict = kernel.bilinearity_test(GameEvaluator(parse_spec(doc)), trials=5, tol=1e-8, seed=60)
-    assert verdict.consistent
-    assert verdict.max_discrepancy <= 1e-8
-
-    verdict = kernel.bilinearity_test(GameEvaluator(reference_spec), trials=5, tol=1e-8, seed=61)
-    assert not verdict.consistent
-    assert verdict.max_discrepancy > 1e-6
+    assert kernel.bilinearity_test(GameEvaluator(parse_spec(doc)), trials=5, tol=1e-8, seed=60) <= 1e-8
+    assert kernel.bilinearity_test(GameEvaluator(reference_spec), trials=5, tol=1e-8, seed=61) > 1e-6
 
 
 def test_bilinearity_test_accepts_linear_games():
     spec = parse_spec(
         {"q": 4, "terms": [{"kind": "linear", "indices": [1, 2, 3, 4], "beta": [1.0, -2.0, 0.5, 3.0]}]}
     )
-    verdict = kernel.bilinearity_test(GameEvaluator(spec), trials=4, tol=1e-8, seed=62)
-    assert verdict.consistent
+    assert kernel.bilinearity_test(GameEvaluator(spec), trials=4, tol=1e-8, seed=62) <= 1e-8
 
 
 def test_bilinearity_test_validates_arguments(reference_spec):
@@ -479,11 +479,12 @@ def test_bilinearity_test_validates_arguments(reference_spec):
 @pytest.mark.parametrize("trials", [2, 5, 40])
 def test_bilinearity_discrepancy_is_the_all_pairs_maximum(trials):
     # the spread of each coordinate over the trials, to the bit of the
-    # largest max-norm distance over every pair of per-basis solutions
+    # largest max-norm distance over every pair of lone paired fits on
+    # q - 1 draws, one per trial seed
     ev = GameEvaluator(parse_spec(random_game_doc(np.random.default_rng(64), 6)))
-    verdict = kernel.bilinearity_test(ev, trials=trials, tol=1e-8, seed=63)
+    spread = kernel.bilinearity_test(ev, trials=trials, tol=1e-8, seed=63)
     solutions = [
-        kernel.solve_bilinear_basis(ev, kernel.random_independent_basis(6, derive_rng(63, trial))).phi
+        kernel.estimate_kernel(ev, 5, paired=True, seed=np.random.SeedSequence(entropy=63, spawn_key=(trial,)))[0].phi
         for trial in range(trials)
     ]
-    assert verdict.max_discrepancy == max_pairwise_discrepancy(solutions) > 0.0
+    assert spread == max_pairwise_discrepancy(solutions) > 0.0

@@ -35,3 +35,28 @@ def test_every_top_level_definition_has_a_caller():
         and not any(statement.name in names for other, names in used if other is not statement)
     ]
     assert uncalled == []
+
+
+def test_every_module_level_import_is_used():
+    # a name a module imports at its top level and never reads, such as an
+    # error class left behind when the code that raised it was deleted; a
+    # name listed in the module's `__all__` counts as read
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for statement in tree.body
+            if isinstance(statement, (ast.Import, ast.ImportFrom)) and getattr(statement, "module", None) != "__future__"
+            for alias in statement.names
+        }
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        exported = {
+            element.value
+            for statement in tree.body
+            if isinstance(statement, ast.Assign) and "__all__" in _names(statement)
+            for element in ast.walk(statement.value)
+            if isinstance(element, ast.Constant)
+        }
+        unused += [f"{path.stem}.{name}" for name in sorted(imported - read - exported)]
+    assert unused == []
