@@ -319,8 +319,10 @@ class PrefixWalk:
     checks the orders, and calls `source(masks, orders)`, which returns the
     block's gains, column t that of the player at position t, in an (m, q)
     float array that may reuse the masks' memory: `table_gains` or
-    `lookup_gains`.  The gains are scattered to entry i q + orders of out's
-    flat view.  The prefix, target and row-offset buffers are kept from
+    `lookup_gains`.  The orders are then spent as the scatter targets: each
+    entry becomes its flat index i q + orders in out, in place, and the
+    gains are scattered there, so a caller that needs its orders after the
+    walk passes a copy.  The prefix and row-offset buffers are kept from
     block to block, so a caller that walks its orders block by block into
     one reused out holds a few blocks, whichever source it has.  The
     orders' entries must lie in [0, q); DomainError unless each holds every
@@ -329,20 +331,19 @@ class PrefixWalk:
 
     def __init__(self, source):
         self.source = source
-        self.prefixes = self.targets = self.rows = np.empty((0, 0), dtype=np.int64)
+        self.prefixes = self.rows = np.empty((0, 0), dtype=np.int64)
 
     def __call__(self, orders: np.ndarray, out: np.ndarray) -> np.ndarray:
         m, q = orders.shape
         if self.prefixes.shape[0] < m:
             self.prefixes = np.empty((m, q), dtype=np.int64)
-            self.targets = np.empty_like(self.prefixes)
             self.rows = q * np.arange(m, dtype=np.int64)[:, None]
         masks = np.left_shift(np.int64(1), orders, out=self.prefixes[:m])
         for t in range(1, q):
             masks[:, t] += masks[:, t - 1]
         _check_orders(masks[:, -1], full_mask(q))
-        np.add(orders, self.rows[:m], out=self.targets[:m])
-        out.reshape(-1)[self.targets[:m]] = self.source(masks, orders)
+        gains = self.source(masks, orders)
+        out.reshape(-1)[np.add(orders, self.rows[:m], out=orders)] = gains
         return out
 
 

@@ -6,13 +6,16 @@ looks up the reversed order's prefixes, the complements of the forward
 ones, and averages the two marginal-contribution vectors, which cancels the
 odd part of the game.
 
-An estimate streams its orders: one loop draws each block into one reused
-buffer, walks it with one `exact.PrefixWalk` call and folds its rows into
-each replicate's own fold.  A lone estimate folds `exact.WalkMoments`, the
-rows' sum and covariance, which a plug-in covariance reads; a stack of
-replicates folds `exact.WalkSum`, the sum alone, since only phi is read.
-So a sampled walk holds a few blocks of orders and gains, and no n x q
-array, beyond the tables it reads.
+An estimate streams its orders: one loop draws each block, walks it with
+one `exact.PrefixWalk` call, which spends the orders as its scatter
+targets, and folds its rows into each replicate's own fold.  From
+np.getbufsize() orders per replicate on, a worker thread shuffles the next
+block into a second buffer while this one is walked (`streams.DrawAhead`).
+A lone estimate folds `exact.WalkMoments`, the rows' sum and covariance,
+which a plug-in covariance reads; a stack of replicates folds
+`exact.WalkSum`, the sum alone, since only phi is read.  So a sampled walk
+holds a few blocks of orders and gains, and no n x q array, beyond the
+tables it reads.
 """
 from __future__ import annotations
 
@@ -23,7 +26,7 @@ import numpy as np
 from . import exact
 from .errors import DomainError, PartitionError
 from .games import guard_draws
-from .streams import derive_rng
+from .streams import DrawAhead, derive_rng
 
 
 def sample_permutations(q: int, n: int, rng: np.random.Generator, out=None) -> np.ndarray:
@@ -63,14 +66,18 @@ def _estimate(ev, n: int, seeds, paired: bool, fold) -> list:
     Replicate i draws its orders from derive_rng(seeds[i], 0), made when
     its first chunk is drawn, in chunks of at most np.getbufsize() rows
     counted from its first row, so they are the orders of one draw of all
-    n.  Whole replicates share a block while their orders' n q entries add
-    up to at most np.getbufsize(), so such a group holds one chunk of each;
-    else a group is one replicate, walked chunk by chunk.  Each block is
-    drawn into one reused buffer, walked by one `exact.PrefixWalk` with the
-    gain source of one replicate (`_source`), and folded.  The logical cost
-    is q evaluations per order, 2q paired, counted once every block is
-    walked; a walk that raises counts nothing.  Returns the folds, in seed
-    order.
+    n.  Below np.getbufsize() orders a replicate is one chunk: whole
+    replicates share a block while their orders' n q entries add up to at
+    most np.getbufsize(), and each block is drawn into one buffer, then
+    walked.  From np.getbufsize() orders on, a block is one chunk of one
+    replicate, and `DrawAhead`'s worker shuffles the next block into a
+    second buffer while this thread walks the current one; smaller blocks
+    do not pay for the hand-off.  Each block is walked by one
+    `exact.PrefixWalk` with the gain source of one replicate (`_source`),
+    which spends the orders as its scatter targets, and folded.  The
+    logical cost is q evaluations per order, 2q paired, counted once every
+    block is walked; a walk that raises counts nothing.  Returns the folds,
+    in seed order.
     """
     if n < 1:
         raise DomainError(f"sample size must be positive, got {n}")
@@ -82,19 +89,37 @@ def _estimate(ev, n: int, seeds, paired: bool, fold) -> list:
     orders = np.empty((per * min(step, n), q), dtype=np.int64)
     gains = np.empty(orders.shape)
     walk = exact.PrefixWalk(_source(ev, n, paired))
+
+    def walk_block(group, block):
+        walk(block, gains[: block.shape[0]])
+        for i, chunk in zip(group, gains[: block.shape[0]].reshape(len(group), -1, q)):
+            folds[i].add(chunk)
+
     count = ev.eval_count
     try:
-        for first in range(0, len(seeds), per):
-            group = range(first, min(first + per, len(seeds)))
-            for start in range(0, n, step):
-                m = len(group) * min(step, n - start)
-                for i, out in zip(group, orders[:m].reshape(len(group), -1, q)):
+        if n < step:
+            for first in range(0, len(seeds), per):
+                group = range(first, min(first + per, len(seeds)))
+                block = orders[: len(group) * n]
+                for i, out in zip(group, block.reshape(len(group), n, q)):
+                    sample_permutations(q, n, derive_rng(seeds[i], 0), out=out)
+                walk_block(group, block)
+        else:
+            buffers = orders, np.empty_like(orders)
+            drawn = None
+            chunks = ((i, start) for i in range(len(seeds)) for start in range(0, n, step))
+            with DrawAhead() as ahead:
+                for k, (i, start) in enumerate(chunks):
                     if start == 0:
                         rng = derive_rng(seeds[i], 0)
-                    sample_permutations(q, out.shape[0], rng, out=out)
-                walk(orders[:m], gains[:m])
-                for i, chunk in zip(group, gains[:m].reshape(len(group), -1, q)):
-                    folds[i].add(chunk)
+                    block = buffers[k % 2][: min(step, n - start)]
+                    block[...] = np.arange(q)
+                    ahead.permute(rng, block)
+                    if drawn is not None:
+                        walk_block(*drawn)
+                    drawn = (i,), block
+                ahead.wait()
+                walk_block(*drawn)
     finally:
         # lookups count block by block; the walk counts once, when it is whole
         ev.eval_count = count

@@ -35,13 +35,17 @@ def evaluate_many(spec: ValueFunctionSpec, Z) -> np.ndarray:
 
 
 def walk_rows(perms, source) -> np.ndarray:
-    """An `exact.PrefixWalk` of an (n, q) array of orders from a gain source, every block's gains kept as rows of one matrix."""
+    """An `exact.PrefixWalk` of an (n, q) array of orders from a gain source, every block's gains kept as rows of one matrix.
+
+    The walk spends the orders it is given as its scatter targets, so each
+    block is walked as a copy and `perms` is left as it was.
+    """
     perms = np.asarray(perms)
     B = np.empty(perms.shape)
     walk = exact.PrefixWalk(source)
     step = np.getbufsize()
     for start in range(0, perms.shape[0], step):
-        walk(perms[start : start + step], B[start : start + step])
+        walk(perms[start : start + step].copy(), B[start : start + step])
     return B
 
 

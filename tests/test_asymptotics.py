@@ -430,10 +430,11 @@ def test_unpaired_walk_covariance_scales_estimator_variance(reference_spec):
 
 def test_exact_walk_covariance_memory_stays_within_three_and_a_half_order_arrays():
     # At q = 8 the paired walk over all q! orders holds the orders and a few
-    # blocks of np.getbufsize() x q entries: the prefixes, the scatter
-    # targets, the gains and the fold's temporaries.  No q! x q gain matrix
-    # is formed, so the traced peak stays below one q! x q order array and
-    # four blocks, well inside 3.5 q! x q float arrays.
+    # blocks of np.getbufsize() x q entries: the prefixes, the gains and the
+    # fold's temporaries; each block of orders is spent in place as its
+    # scatter targets.  No q! x q gain matrix is formed, so the traced peak
+    # stays below one q! x q order array and four blocks, well inside 3.5
+    # q! x q float arrays.
     q = 8
     rng = np.random.default_rng(97)
     spec = parse_spec(random_game_doc(rng, q))

@@ -1,5 +1,6 @@
 """Permutation estimators: walks, pairing, group sums, separated games."""
 import itertools
+import threading
 import warnings
 from functools import partial
 
@@ -7,11 +8,11 @@ import numpy as np
 import pytest
 from scipy.stats import chi2
 
-from pairshap import asymptotics, exact, games, kernel, permutation
+from pairshap import asymptotics, exact, games, kernel, permutation, streams
 from pairshap.estimators import ESTIMATORS
 from pairshap.errors import DomainError, NonFiniteError, PartitionError, SizeGuard
 from pairshap.games import GameEvaluator, mask_rows, member_masks, parse_spec
-from pairshap.streams import derive_rng
+from pairshap.streams import DrawAhead, derive_rng
 
 from conftest import (
     OVERFLOWING_GAIN_DOC,
@@ -329,14 +330,124 @@ def test_a_walk_that_raises_in_a_later_block_counts_nothing(paired):
         assert ev.eval_count == 0 and ev._table is None
 
 
+def inline_fold(ev, q: int, n: int, seed, paired: bool, fold):
+    """A fold of one replicate's drawn orders, walked and added chunk by chunk on this thread."""
+    rows = marginal_vectors(ev, drawn_orders(q, n, seed), paired)
+    folded = fold(paired)
+    for start in range(0, n, np.getbufsize()):
+        folded.add(rows[start : start + np.getbufsize()].copy())
+    return folded
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_orders_drawn_ahead_fold_to_the_inline_bits(paired):
+    # from np.getbufsize() orders on, each block is shuffled on a worker
+    # thread while the one before it is walked: a lone estimate of three
+    # blocks and five orders has the bits, phi and covariance, of its drawn
+    # orders walked and folded chunk by chunk inline, and so does each
+    # replicate of a two-replicate stack of 20 000 orders
+    q, seed = 7, 105
+    spec = parse_spec(random_game_doc(np.random.default_rng(106), q))
+    n = 3 * np.getbufsize() + 5
+    vector, moments = permutation.estimate_permutation(GameEvaluator(spec), n, paired, seed=seed)
+    expected = inline_fold(GameEvaluator(spec), q, n, seed, paired, exact.WalkMoments)
+    assert moments.count == expected.count == n
+    assert vector.phi.tobytes() == permutation._phi(expected, n).phi.tobytes()
+    assert moments.covariance().tobytes() == expected.covariance().tobytes()
+    seeds = [np.random.SeedSequence([107, rep]) for rep in range(2)]
+    stacked = permutation.estimate_permutation_stack(GameEvaluator(spec), 20_000, seeds, paired)
+    for rep, vector in zip(seeds, stacked):
+        expected = inline_fold(GameEvaluator(spec), q, 20_000, rep, paired, exact.WalkSum)
+        assert vector.phi.tobytes() == permutation._phi(expected, 20_000).phi.tobytes()
+
+
+@pytest.mark.parametrize("paired", [False, True])
+def test_a_walk_drawn_ahead_that_raises_leaves_no_thread(paired):
+    # a q = 20 walk of four blocks looks its prefixes up as rows, q columns
+    # a block (2q paired), and the game turns non-finite at the third
+    # block's first column, while the worker shuffles the fourth: the walk
+    # raises, counts nothing and joins its worker, and a fresh evaluator
+    # then walks all four blocks
+    q, step = 20, np.getbufsize()
+    spec = parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]})
+    columns = (2 if paired else 1) * q
+    n = 3 * step + 10
+    assert n * q < 2**q
+    threads = threading.active_count()
+    game = LateInfinity(spec, 2 * columns)
+    ev = GameEvaluator(game)
+    ev.eval_count = 7
+    with pytest.raises(NonFiniteError):
+        permutation.estimate_permutation(ev, n, paired, seed=108)
+    assert game.calls == [step] * (2 * columns + 1)
+    assert ev.eval_count == 7 and threading.active_count() == threads
+    ev = GameEvaluator(spec)
+    vector, moments = permutation.estimate_permutation(ev, n, paired, seed=108)
+    np.testing.assert_allclose(vector.phi, 1.0, atol=1e-12)
+    assert moments.count == n and ev.eval_count == columns * n
+    assert threading.active_count() == threads
+
+
+def test_draw_ahead_raises_what_its_worker_raised():
+    # a draw that fails on the worker, here into a read-only buffer, is
+    # raised on the caller's thread by the next wait, and leaving the block
+    # joins the worker
+    threads = threading.active_count()
+    out = np.zeros((4, 3), dtype=np.int64)
+    out.flags.writeable = False
+    with pytest.raises(ValueError):
+        with DrawAhead() as ahead:
+            ahead.permute(derive_rng(109), out)
+            ahead.wait()
+    assert threading.active_count() == threads
+    out = np.tile(np.arange(3), (4, 1))
+    with DrawAhead() as ahead:
+        ahead.permute(derive_rng(109), out)
+        ahead.wait()
+    assert np.array_equal(out, permutation.sample_permutations(3, 4, derive_rng(109)))
+
+
+def test_a_walk_drawn_ahead_runs_the_package_on_one_thread(monkeypatch):
+    # perfbench's tracer times nested calls as if one thread made them: over
+    # a walk of three blocks, every derivation of a generator, draw, lookup,
+    # walk and fold runs on the calling thread, and only the worker's
+    # shuffles run beside them
+    q = 20
+    spec = parse_spec(random_game_doc(np.random.default_rng(110), q))
+    threads = []
+
+    def on_thread(fn):
+        def recorded(*args, **kwargs):
+            threads.append((fn.__qualname__, threading.get_ident()))
+            return fn(*args, **kwargs)
+
+        return recorded
+
+    for owner, name in (
+        (streams, "derive_rng"),
+        (permutation, "derive_rng"),
+        (permutation, "sample_permutations"),
+        (GameEvaluator, "values_at"),
+        (exact.PrefixWalk, "__call__"),
+        (exact.WalkMoments, "add"),
+    ):
+        monkeypatch.setattr(owner, name, on_thread(getattr(owner, name)))
+    n = 3 * np.getbufsize()
+    vector, moments = permutation.estimate_permutation(GameEvaluator(spec), n, True, seed=111)
+    assert moments.count == n and n * q < 2**q
+    called = {name for name, _ in threads}
+    assert called >= {"derive_rng", "GameEvaluator.values_at", "PrefixWalk.__call__", "WalkMoments.add"}
+    assert {ident for _, ident in threads} == {threading.get_ident()}
+
+
 @pytest.mark.parametrize("paired", [False, True])
 def test_gain_walk_memory_stays_within_three_order_arrays(paired):
     # q = 12 walks from the gain table from n = 2^12 = 4096 orders.  With the
     # value table built in the trace, the estimate's traced peak stays below
     # the gain table's q 2^q floats, 9 bytes per coalition (the value table
     # and its finiteness check) and five blocks of np.getbufsize() x q
-    # entries (the drawn orders, their gains, the prefixes, the scatter
-    # targets and the fold's temporaries): less than three n x q float
+    # entries (the orders walked and those drawn ahead, their gains, the
+    # prefixes and the fold's temporaries): less than three n x q float
     # arrays.  n spans several of the walk's blocks.
     q, n = 12, 20_000
     ev = GameEvaluator(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}))
@@ -458,8 +569,8 @@ def test_plugin_memory_does_not_grow_with_the_orders():
     # a paired q = 9 plug-in streams its orders: at n = 50 000 and at
     # n = 400 000 its traced peak stays below the gain table, the value table
     # with its finiteness check (9 bytes per coalition) and five blocks of
-    # np.getbufsize() x q entries (the drawn orders, their gains, the
-    # prefixes, the scatter targets and the fold's temporaries), and the two
+    # np.getbufsize() x q entries (the orders walked and those drawn ahead,
+    # their gains, the prefixes and the fold's temporaries), and the two
     # peaks differ by less than one block column.  A walk that holds its
     # orders or its gains needs an n x q array, past the bound at either n.
     q = 9
@@ -482,8 +593,8 @@ def test_walk_memory_stays_within_three_order_arrays(n):
     # estimate's traced peak, temporaries included, stays below 9 bytes per
     # coalition when it builds the table (the table and the boolean array of
     # its finiteness check) and five blocks of np.getbufsize() x q entries
-    # (the drawn orders, their gains, the prefixes, the scatter targets, and
-    # the rows of one prefix column or the fold's temporaries); paired, one
+    # (the orders walked and those drawn ahead, their gains, the prefixes,
+    # and the rows of one prefix column or the fold's temporaries); paired, one
     # more block holds the reverse prefixes.  The one-way peak stays below
     # three n x q float arrays.
     q = 18
@@ -546,8 +657,8 @@ def test_a_stack_decides_its_tables_from_one_replicate(gain_walks, paired):
 def test_row_walk_memory_is_one_order_array_and_four_blocks(paired):
     # q = 26 is beyond the value table, so every block's prefixes are sent as
     # rows.  Over several blocks the estimate's traced peak stays below five
-    # blocks of np.getbufsize() x q entries: the drawn orders, their gains,
-    # the prefixes, the scatter targets, and the rows of one prefix column
+    # blocks of np.getbufsize() x q entries: the orders walked, their gains,
+    # the orders drawn ahead, the prefixes, and the rows of one prefix column
     # with the game's own temporaries; paired, one more block holds the
     # reverse prefixes.  That is less than one n x q float array and four
     # blocks, which a walk that held its orders or its gains would exceed.

@@ -1,5 +1,8 @@
 """Package structure: every top-level definition has a caller in the package."""
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pairshap
@@ -60,3 +63,16 @@ def test_every_module_level_import_is_used():
         }
         unused += [f"{path.stem}.{name}" for name in sorted(imported - read - exported)]
     assert unused == []
+
+
+def test_import_leaves_out_the_thread_pool_and_logging():
+    # `import pairshap` in a fresh interpreter loads neither
+    # concurrent.futures nor the logging it imports, 3.5 ms that every
+    # command's set-up would pay; the walk's draw-ahead worker is a plain
+    # threading.Thread, and numpy imports threading already
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    probe = "import sys, pairshap; print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True
+    )
+    assert result.stdout == "[]\n"
