@@ -13,7 +13,7 @@ block detector and the cost-adjusted spectrum comparison.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -94,12 +94,13 @@ def kernel_matrices_exact(ev, paired: bool = False):
 
     Enumerates the full kernel sampling distribution (q <= TABLE_LIMIT; the
     value table raises SizeGuard beyond, before allocating) as vectors
-    indexed by coalition bitmask.  Unpaired, the meat weights squared
-    residuals of the exact least-squares fit; paired, it weights the squared
-    even parts of those residuals and the design moment doubles because each
-    draw contributes its complement row as well.  Paired moments need kernel
-    weights symmetric under complement; NumericError is raised otherwise,
-    before the game is evaluated.  Returns (meat, hessian, report).
+    indexed by coalition bitmask.  The meat weights squared residuals of
+    the exact least-squares fit.  Paired, the fit is the unpaired one of the
+    response's complement-even part: the meat takes its residuals with
+    weight 4, and the design moment doubles because each draw contributes
+    its complement row as well.  Paired moments need kernel weights
+    symmetric under complement; NumericError is raised otherwise, before
+    the game is evaluated.  Returns (meat, hessian, report).
 
     Beyond the value table it holds two vectors of length 2^q, the
     coalition probabilities and the response, and a quarter of one for the
@@ -107,6 +108,7 @@ def kernel_matrices_exact(ev, paired: bool = False):
     squares overwrite the response in turn.
     """
     q = ev.q
+    factor, method = (2.0, "kernel-paired") if paired else (1.0, "kernel")
     if paired:
         # Each draw S brings its complement N - S (mask 2^q - 1 - S), so the
         # complement rows carry the weights p[::-1].  The row of N - S is minus
@@ -122,7 +124,6 @@ def kernel_matrices_exact(ev, paired: bool = False):
     partial = linalg.solve_spd(J, rhs)
     scale = max(float(y.max()), -float(y.min()))
     if paired:
-        hessian = 2.0 * J
         # the even part 0.5 (y(S) - y(N - S)) of the response, in place: its
         # entry at N - S is minus its entry at S, exactly, so the lower half
         # is formed and the upper half mirrors it
@@ -131,22 +132,21 @@ def kernel_matrices_exact(ev, paired: bool = False):
         lower -= y[::-1][:half]
         lower *= 0.5
         np.negative(lower[::-1], out=y[half:])
-        method = "kernel-paired"
-    else:
-        hessian = J
-        method = "kernel"
     residual = y
     # squares of finite payoffs can overflow; `_sandwich` refuses the
     # non-finite meat with NonFiniteError
     with np.errstate(over="ignore", invalid="ignore"):
         _subtract_fitted(residual, np.append(partial, -partial.sum()))
         residual *= residual
+        # the weight 4 is applied to the probabilities, paired only, so the
+        # unpaired route makes no pass over 2^q entries for a weight of 1
         if paired:
             p *= 4.0
         residual *= p
     # released before the meat's passes, so their gathers do not add to it
     del p
     _, meat = exact.pivot_moments(residual, q)
+    hessian = factor * J
     covariance = _sandwich(hessian, meat)
     report = _make_report(covariance, method, "exact-enumeration", q, scale)
     return meat, hessian, report
@@ -156,31 +156,26 @@ def kernel_matrices_plugin(batch, phi):
     """Plug-in moments and sandwich covariance from an accepted batch.
 
     Uses the batch's own design rows and responses with the supplied
-    attribution vector; pairing is read off the batch.  Returns
-    (meat, hessian, report); the solve raises SingularMatrix when the
-    sampled design moment is not invertible.
+    attribution vector; pairing is read off the batch.  As in
+    `kernel_matrices_exact`, a paired batch is fitted as an unpaired one:
+    its n draw rows, with each draw's even part 0.5 (y(S) - y(N - S)) as
+    the response, the meat weighted by 4 and the design moment doubled.
+    Returns (meat, hessian, report); the solve raises SingularMatrix when
+    the sampled design moment is not invertible.
     """
     values = phi.phi if isinstance(phi, exact.ShapleyVector) else np.asarray(phi, dtype=float)
     partial = values[:-1]
     m, q = batch.design.shape[0], batch.design.shape[1] + 1
     n = m // 2 if batch.paired else m
+    weight, factor, method = (4.0, 2.0, "kernel-paired") if batch.paired else (1.0, 1.0, "kernel")
+    x = batch.design[:n]
     # as in kernel_matrices_exact, overflowing squares give a non-finite
     # meat, which `_sandwich` refuses with NonFiniteError
     with np.errstate(over="ignore", invalid="ignore"):
-        if batch.paired:
-            x = batch.design[:n]
-            draw_y = batch.response[:n]
-            comp_y = batch.response[n:]
-            paired_residual = 0.5 * (draw_y - comp_y) - x @ partial
-            meat = (x * (4.0 * paired_residual**2)[:, None]).T @ x / n
-            hessian = 2.0 * (x.T @ x) / n
-            method = "kernel-paired"
-        else:
-            x = batch.design
-            residual = batch.response - x @ partial
-            meat = (x * (residual**2)[:, None]).T @ x / n
-            hessian = x.T @ x / n
-            method = "kernel"
+        y = 0.5 * (batch.response[:n] - batch.response[n:]) if batch.paired else batch.response
+        residual = y - x @ partial
+        meat = (x * (weight * residual**2)[:, None]).T @ x / n
+        hessian = factor * (x.T @ x) / n
     covariance = _sandwich(hessian, meat)
     scale = float(np.max(np.abs(batch.response))) if batch.response.size else 0.0
     provenance = f"plug-in(n={n}, seed={batch.seed})"
@@ -280,13 +275,6 @@ def detect_blocks(report: CovarianceReport, threshold: float) -> list[list[int]]
 
 
 def report_to_dict(report: CovarianceReport) -> dict:
-    """JSON-ready view of a report; lists for arrays, plain floats elsewhere."""
-    return {
-        "method": report.method,
-        "provenance": report.provenance,
-        "q": report.q,
-        "matrix": [[float(v) for v in row] for row in report.matrix],
-        "eigenvalues": [float(v) for v in report.eigenvalues],
-        "trace": report.trace,
-        "degenerate": report.degenerate,
-    }
+    """JSON-ready view of a report: its fields in order, arrays as lists."""
+    view = {f.name: getattr(report, f.name) for f in fields(report)}
+    return {name: value.tolist() if isinstance(value, np.ndarray) else value for name, value in view.items()}

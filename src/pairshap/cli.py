@@ -235,12 +235,9 @@ def main(argv=None) -> int:
         # a closed stdout shows here, not in the interpreter's final flush
         sys.stdout.flush()
         return code
-    except InputError as exc:
+    except (InputError, NumericError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except NumericError as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, InputError) else 3
     except BrokenPipeError:
         # the reader has gone: the rest of the output goes to devnull, so
         # that the interpreter's final flush of stdout is quiet too

@@ -41,6 +41,11 @@ from .errors import DomainError, NonFiniteError, SizeGuard
 from .games import full_mask, subset_sums
 
 PERMUTATION_LIMIT = 9
+# Every walk of player orders, sampled or all q! of them, walks and folds
+# them in blocks of at most WALK_BLOCK rows counted from its first row.
+# A fold's bits depend on where its chunks start, so the block is fixed
+# here and not read from numpy's buffer size, which a caller may change.
+WALK_BLOCK = 8192
 # Passes of `_superset_passes` with more low masks than this, over vectors
 # of at least MASKED_SIZE entries, update only the low masks they need;
 # passes needing at most 8 low masks, with this many rows, update one
@@ -311,7 +316,7 @@ class PrefixWalk:
     """Marginal-contribution vectors of player orders, walked by prefixes: the package's one walk.
 
     A call `walk(orders, out)` walks one (m, q) block of at most
-    np.getbufsize() orders, numpy's ufunc buffer size, and returns out, the
+    WALK_BLOCK orders, the block of every walk, and returns out, the
     (m, q) float rows its gains go to.  Row i, column j of out gets the
     payoff gain of player j joining the players that precede it in order i
     (paired, plus its gain in the reverse order).  The walk forms the (m, q)
@@ -350,7 +355,7 @@ class PrefixWalk:
 class WalkSum:
     """The sum of one walk's marginal-contribution rows, folded chunk by chunk.
 
-    `add` takes the rows in order, in chunks of at most np.getbufsize()
+    `add` takes the rows in order, in chunks of at most WALK_BLOCK
     rows counted from the walk's first row, so a walk folds to the same
     bits however its chunks come in blocks.  `row_sum` adds the rows in
     order to zero, as numpy's sum over rows does: each chunk's first row
@@ -524,7 +529,7 @@ def walk_all_orders(ev, fold):
     """
     perms = all_permutations(ev.q)
     walk = PrefixWalk(partial(table_gains, gain_table(ev.value_table(), fold.paired)))
-    step = np.getbufsize()
+    step = WALK_BLOCK
     out = np.empty((min(perms.shape[0], step), ev.q))
     for start in range(0, perms.shape[0], step):
         block = perms[start : start + step]

@@ -39,13 +39,6 @@ TABLE_LIMIT = 25
 CHUNK_ROWS = 2**15
 LINEAR_KINDS = ("linear", "exp_linear")
 
-_TERM_KEYS = {
-    "linear": {"kind", "indices", "beta", "offset"},
-    "exp_linear": {"kind", "indices", "beta", "offset"},
-    "bilinear": {"kind", "indices", "A", "offset"},
-    "exp_bilinear": {"kind", "indices", "A", "offset"},
-}
-
 
 @dataclass(frozen=True)
 class Term:
@@ -311,7 +304,9 @@ def _parse_term(raw, q: int, pos: int) -> Term:
     kind = raw.get("kind")
     if kind not in TERM_KINDS:
         raise SchemaError(f"{where}: kind must be one of {TERM_KINDS}, got {kind!r}")
-    extra = set(raw) - _TERM_KEYS[kind]
+    # a linear form's coefficients are its vector beta, a bilinear form's its matrix A
+    name = "beta" if kind in LINEAR_KINDS else "A"
+    extra = set(raw) - {"kind", "indices", "offset", name}
     if extra:
         raise SchemaError(f"{where}: unknown keys for kind {kind!r}: {sorted(extra)}")
 
@@ -326,20 +321,12 @@ def _parse_term(raw, q: int, pos: int) -> Term:
         raise DomainError(f"{where}: duplicate indices")
     k = len(indices)
 
-    if kind in LINEAR_KINDS:
-        beta = raw.get("beta")
-        if beta is None:
-            raise SchemaError(f"{where}: kind {kind!r} requires 'beta'")
-        coeffs = _as_float_array(beta, where, "beta")
-        if coeffs.shape != (k,):
-            raise DimensionError(f"{where}: beta must have length {k}, got shape {coeffs.shape}")
-    else:
-        A = raw.get("A")
-        if A is None:
-            raise SchemaError(f"{where}: kind {kind!r} requires 'A'")
-        coeffs = _as_float_array(A, where, "A")
-        if coeffs.shape != (k, k):
-            raise DimensionError(f"{where}: A must be {k}x{k}, got shape {coeffs.shape}")
+    if raw.get(name) is None:
+        raise SchemaError(f"{where}: kind {kind!r} requires '{name}'")
+    coeffs = _as_float_array(raw[name], where, name)
+    shape, wanted = ((k,), f"have length {k}") if name == "beta" else ((k, k), f"be {k}x{k}")
+    if coeffs.shape != shape:
+        raise DimensionError(f"{where}: {name} must {wanted}, got shape {coeffs.shape}")
 
     offset = _as_float_array(raw.get("offset", 0.0), where, "offset")
     if offset.ndim:

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import exact, linalg
-from .errors import DomainError, RankDeficient, SingularMatrix
-from .games import full_mask, guard_draws, mask_rows, member_masks
+from .errors import DomainError, RankDeficient, SingularMatrix, SizeGuard
+from .games import DRAW_LIMIT, full_mask, guard_draws, mask_rows, member_masks
 from .streams import derive_rng
 
 RANK_RETRY_LIMIT = 100
@@ -234,14 +234,25 @@ def bilinearity_test(ev, trials: int, tol: float, seed=None) -> float:
     game whose interactions have order at most two gives the same answer
     on every basis, so a spread beyond `tol` certifies higher-order
     structure.  `trials` below 2 and a `tol` that is not finite and positive
-    raise DomainError before anything is drawn.
+    raise DomainError, and trials q beyond DRAW_LIMIT SizeGuard, before
+    anything is drawn.  The trials are fitted STACK_ENTRIES seeds at a
+    time, and only each player's extremes are kept from one group to the
+    next.
     """
+    q = ev.q
     if trials < 2:
         raise DomainError(f"need at least 2 trials, got {trials}")
     if not 0 < tol < np.inf:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
-    seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(trial,)) for trial in range(trials)]
-    solutions = np.array([vector.phi for vector in estimate_kernel_stack(ev, ev.q - 1, seeds, paired=True)])
+    if trials * q > DRAW_LIMIT:
+        raise SizeGuard(f"bilinear-test supports trials * q <= {DRAW_LIMIT}, got trials = {trials} at q = {q}")
+    high, low = np.full(q, -np.inf), np.full(q, np.inf)
+    for first in range(0, trials, STACK_ENTRIES):
+        last = min(first + STACK_ENTRIES, trials)
+        seeds = [np.random.SeedSequence(entropy=seed, spawn_key=(trial,)) for trial in range(first, last)]
+        solutions = np.array([vector.phi for vector in estimate_kernel_stack(ev, q - 1, seeds, paired=True)])
+        np.maximum(high, solutions.max(axis=0), out=high)
+        np.minimum(low, solutions.min(axis=0), out=low)
     # rounding is monotone, so a coordinate's worst pair is its largest
     # and smallest solution, and their difference is the all-pairs maximum
-    return float((solutions.max(axis=0) - solutions.min(axis=0)).max())
+    return float((high - low).max())

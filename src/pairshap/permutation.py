@@ -8,9 +8,10 @@ odd part of the game.
 
 An estimate streams its orders: one loop draws each block, walks it with
 one `exact.PrefixWalk` call, which spends the orders as its scatter
-targets, and folds its rows into each replicate's own fold.  From
-np.getbufsize() orders per replicate on, a worker thread shuffles the next
-block into a second buffer while this one is walked (`streams.DrawAhead`).
+targets, and folds its rows into each replicate's own fold.  Blocks hold
+at most `exact.WALK_BLOCK` orders.  From that many orders per replicate on,
+a worker thread shuffles the next block into a second buffer while this
+one is walked (`streams.DrawAhead`).
 A lone estimate folds `exact.WalkMoments`, the rows' sum and covariance,
 which a plug-in covariance reads; a stack of replicates folds
 `exact.WalkSum`, the sum alone, since only phi is read.  So a sampled walk
@@ -64,12 +65,12 @@ def _estimate(ev, n: int, seeds, paired: bool, fold) -> list:
     """Walk n sampled orders per seed as one stream, folding replicate i's rows into its own `fold(paired)`.
 
     Replicate i draws its orders from derive_rng(seeds[i], 0), made when
-    its first chunk is drawn, in chunks of at most np.getbufsize() rows
+    its first chunk is drawn, in chunks of at most exact.WALK_BLOCK rows
     counted from its first row, so they are the orders of one draw of all
-    n.  Below np.getbufsize() orders a replicate is one chunk: whole
+    n.  Below exact.WALK_BLOCK orders a replicate is one chunk: whole
     replicates share a block while their orders' n q entries add up to at
-    most np.getbufsize(), and each block is drawn into one buffer, then
-    walked.  From np.getbufsize() orders on, a block is one chunk of one
+    most exact.WALK_BLOCK, and each block is drawn into one buffer, then
+    walked.  From exact.WALK_BLOCK orders on, a block is one chunk of one
     replicate, and `DrawAhead`'s worker shuffles the next block into a
     second buffer while this thread walks the current one; smaller blocks
     do not pay for the hand-off.  Each block is walked by one
@@ -84,7 +85,7 @@ def _estimate(ev, n: int, seeds, paired: bool, fold) -> list:
     q = ev.q
     guard_draws(n, q)
     folds = [fold(paired) for _ in seeds]
-    step = np.getbufsize()
+    step = exact.WALK_BLOCK
     per = max(1, min(len(seeds), step // (n * q)))
     orders = np.empty((per * min(step, n), q), dtype=np.int64)
     gains = np.empty(orders.shape)

@@ -12,7 +12,7 @@ from itertools import combinations
 
 import numpy as np
 
-from pairshap import exact, experiments, linalg
+from pairshap import asymptotics, exact, experiments, linalg
 from pairshap.errors import DimensionError, DomainError, InputError
 from pairshap.games import ValueFunctionSpec, mask_rows
 
@@ -43,7 +43,7 @@ def walk_rows(perms, source) -> np.ndarray:
     perms = np.asarray(perms)
     B = np.empty(perms.shape)
     walk = exact.PrefixWalk(source)
-    step = np.getbufsize()
+    step = exact.WALK_BLOCK
     for start in range(0, perms.shape[0], step):
         walk(perms[start : start + step].copy(), B[start : start + step])
     return B
@@ -78,11 +78,45 @@ def two_pass_covariance(W: np.ndarray, paired: bool) -> np.ndarray:
 
     The rows are halved when paired, centered on their numpy mean and
     multiplied out, all in one matrix.  `exact.WalkMoments` folds a walk of
-    at most np.getbufsize() rows to these bits.
+    at most exact.WALK_BLOCK rows to these bits.
     """
     W = 0.5 * W if paired else W.copy()
     W -= W.mean(axis=0)
     return W.T @ W / (W.shape[0] - 1)
+
+
+def two_branch_kernel_plugin(batch, phi):
+    """(meat, hessian, report) of a kernel batch, the paired and unpaired sandwiches written out apart.
+
+    The paired branch fits each draw's even part 0.5 (y(S) - y(N - S)) on
+    its n draw rows, with the meat weighted by 4 and the design moment
+    doubled; the unpaired one fits every row as it is.
+    `asymptotics.kernel_matrices_plugin` writes both as one formula, to
+    these bits.
+    """
+    values = phi.phi if isinstance(phi, exact.ShapleyVector) else np.asarray(phi, dtype=float)
+    partial = values[:-1]
+    m, q = batch.design.shape[0], batch.design.shape[1] + 1
+    n = m // 2 if batch.paired else m
+    with np.errstate(over="ignore", invalid="ignore"):
+        if batch.paired:
+            x = batch.design[:n]
+            draw_y = batch.response[:n]
+            comp_y = batch.response[n:]
+            paired_residual = 0.5 * (draw_y - comp_y) - x @ partial
+            meat = (x * (4.0 * paired_residual**2)[:, None]).T @ x / n
+            hessian = 2.0 * (x.T @ x) / n
+            method = "kernel-paired"
+        else:
+            x = batch.design
+            residual = batch.response - x @ partial
+            meat = (x * (residual**2)[:, None]).T @ x / n
+            hessian = x.T @ x / n
+            method = "kernel"
+    covariance = asymptotics._sandwich(hessian, meat)
+    scale = float(np.max(np.abs(batch.response))) if batch.response.size else 0.0
+    report = asymptotics._make_report(covariance, method, f"plug-in(n={n}, seed={batch.seed})", q, scale)
+    return meat, hessian, report
 
 
 def complement(z) -> np.ndarray:

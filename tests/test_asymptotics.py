@@ -24,7 +24,7 @@ from conftest import (
     three_block_doc,
     traced_peak,
 )
-from oracles import psd_gap, search_blocks
+from oracles import psd_gap, search_blocks, two_branch_kernel_plugin
 
 
 def test_reference_unpaired_kernel_spectrum(reference_ev):
@@ -269,6 +269,24 @@ def test_kernel_plugin_paired_close_to_exact(reference_spec):
     assert plugin.provenance.startswith("plug-in(n=65536")
 
 
+@pytest.mark.parametrize("paired", [False, True])
+def test_kernel_plugin_is_the_two_branch_oracle_bit_for_bit(paired):
+    # one formula serves both pairings: a paired batch is the unpaired fit
+    # of its draws' even parts, the meat weighted by 4 and the design moment
+    # doubled, and a weight and factor of 1.0 change no bit
+    rng = np.random.default_rng(2800 + paired)
+    for q in range(2, 9):
+        for n in (q - 1, int(rng.integers(q - 1, 3001)), 3000):
+            ev = GameEvaluator(parse_spec(random_game_doc(rng, q)))
+            vector, batch = kernel.estimate_kernel(ev, n, paired, seed=int(rng.integers(2**32)))
+            meat, hessian, report = asymptotics.kernel_matrices_plugin(batch, vector)
+            want_meat, want_hessian, want = two_branch_kernel_plugin(batch, vector)
+            assert meat.tobytes() == want_meat.tobytes()
+            assert hessian.tobytes() == want_hessian.tobytes()
+            assert report.matrix.tobytes() == want.matrix.tobytes()
+            assert asymptotics.report_to_dict(report) == asymptotics.report_to_dict(want)
+
+
 def test_kernel_plugin_median_error_shrinks_with_n(reference_spec):
     # substituting the exact attribution, the plug-in covariance converges
     exact_phi = exact.shapley_subset(GameEvaluator(reference_spec)).phi
@@ -428,9 +446,31 @@ def test_unpaired_walk_covariance_scales_estimator_variance(reference_spec):
     assert np.all((ratio > 0.8) & (ratio < 1.2))
 
 
+@pytest.mark.parametrize("bufsize", [2**12, 2**14])
+def test_walk_covariances_keep_their_bits_under_any_buffer_size(bufsize):
+    # a fold's bits depend on the rows where its chunks start, so the walks
+    # block their orders by exact.WALK_BLOCK, not by numpy's buffer size
+    beta = [0.3, -0.5, 0.2, 0.7, -0.1, 0.4, -0.6, 0.25, 0.15]
+    spec = parse_spec({"q": 9, "terms": [{"kind": "exp_linear", "indices": list(range(1, 10)), "beta": beta}]})
+
+    def covariances():
+        return [
+            asymptotics.permutation_covariance_plugin(GameEvaluator(spec), 20_000, seed=11).matrix,
+            asymptotics.permutation_covariance_exact(GameEvaluator(spec)).matrix,
+        ]
+
+    default = covariances()
+    previous = np.setbufsize(bufsize)
+    try:
+        changed = covariances()
+    finally:
+        np.setbufsize(previous)
+    assert [m.tobytes() for m in changed] == [m.tobytes() for m in default]
+
+
 def test_exact_walk_covariance_memory_stays_within_three_and_a_half_order_arrays():
     # At q = 8 the paired walk over all q! orders holds the orders and a few
-    # blocks of np.getbufsize() x q entries: the prefixes, the gains and the
+    # blocks of exact.WALK_BLOCK x q entries: the prefixes, the gains and the
     # fold's temporaries; each block of orders is spent in place as its
     # scatter targets.  No q! x q gain matrix is formed, so the traced peak
     # stays below one q! x q order array and four blocks, well inside 3.5
@@ -440,7 +480,7 @@ def test_exact_walk_covariance_memory_stays_within_three_and_a_half_order_arrays
     spec = parse_spec(random_game_doc(rng, q))
     report, peak = traced_peak(lambda: asymptotics.permutation_covariance_exact(GameEvaluator(spec), paired=True))
     assert report.matrix.shape == (q, q)
-    assert peak <= 8 * 40320 * q + 4 * 8 * np.getbufsize() * q <= 3.5 * 8 * 40320 * q
+    assert peak <= 8 * 40320 * q + 4 * 8 * exact.WALK_BLOCK * q <= 3.5 * 8 * 40320 * q
 
 
 def test_paired_covariances_vanish_on_a_game_beyond_order_two():

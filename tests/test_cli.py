@@ -281,6 +281,19 @@ def test_bilinear_test_tolerance_must_be_finite_and_positive(vf_path, capsys, to
     assert err == f"DomainError: tolerance must be finite and positive, got {float(tol)}\n"
 
 
+def test_bilinear_test_refuses_trials_beyond_the_draw_limit(vf_path, capsys, monkeypatch):
+    # refused before any seed is built: a seed built here fails the test
+    # instead of filling memory
+    def no_seed(*args, **kwargs):
+        raise AssertionError("a trial's seed was built")
+
+    monkeypatch.setattr(np.random, "SeedSequence", no_seed)
+    argv = ["bilinear-test", "--vf", vf_path, "--trials", str(2**40), "--tol", "1e-9", "--seed", "5"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"SizeGuard: bilinear-test supports trials * q <= {2**24}, got trials = {2**40} at q = 4\n"
+
+
 README_SHA256 = "7f14250e53a68d56a31dab63bc59a7f9e90c0c2c198a10693f4b1c4337069b5e"
 
 
@@ -663,7 +676,10 @@ def test_missing_file_exits_two(capsys):
     code, out, err = run(capsys, ["exact", "--vf", "/nonexistent/vf.json"])
     assert code == 2
     assert out == ""
-    assert err.startswith("SchemaError:")
+    assert err == (
+        "SchemaError: cannot read value function file '/nonexistent/vf.json': "
+        "[Errno 2] No such file or directory: '/nonexistent/vf.json'\n"
+    )
 
 
 def test_malformed_json_exits_two(tmp_path, capsys):
@@ -671,7 +687,24 @@ def test_malformed_json_exits_two(tmp_path, capsys):
     path.write_text("{not json")
     code, _, err = run(capsys, ["exact", "--vf", str(path)])
     assert code == 2
-    assert err.startswith("SchemaError:")
+    assert err == "SchemaError: invalid JSON: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read config file {path!r}: [Errno 2] No such file or directory: {path!r}"),
+        ("{not json", "invalid JSON in {path!r}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"),
+    ],
+    ids=["missing", "invalid-json"],
+)
+def test_unreadable_experiment_config_exits_two(tmp_path, capsys, text, message):
+    path = tmp_path / "cfg.json"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = run(capsys, ["experiment", "--config", str(path)])
+    assert code == 2 and out == ""
+    assert err == f"SchemaError: {message.format(path=str(path))}\n"
 
 
 def test_oversized_game_exits_two(tmp_path, capsys):

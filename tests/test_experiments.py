@@ -532,6 +532,13 @@ def test_run_from_config_rejects_bad_documents(tmp_path, mutate):
         experiments.run_from_config(doc)
 
 
+@pytest.mark.parametrize("doc", [[], "config", 5, None])
+def test_run_from_config_rejects_a_config_that_is_not_an_object(doc):
+    with pytest.raises(SchemaError) as caught:
+        experiments.run_from_config(doc)
+    assert type(caught.value) is SchemaError and str(caught.value) == "experiment config must be an object"
+
+
 def test_run_from_config_recovery_requires_partition(tmp_path):
     rng = np.random.default_rng(307)
     doc = {

@@ -1,5 +1,6 @@
 """Value-function parsing, normalization, and coalition/permutation helpers."""
 import json
+import operator
 import warnings
 
 import numpy as np
@@ -85,38 +86,87 @@ def test_multi_term_document_parses():
     assert [t.kind for t in spec.terms] == ["bilinear", "exp_bilinear"]
 
 
+def _terms(*terms):
+    """A mutation that replaces the reference document's terms."""
+    return lambda d: d.update(terms=list(terms))
+
+
+_NUMBERS = "must be a number or a rectangular list of numbers"
+PARSE_REJECTIONS = [
+    (lambda d: d.update(q="4"), SchemaError, "'q' must be an integer"),
+    (lambda d: d.update(q=1), DomainError, "q must be at least 2, got 1"),
+    (lambda d: d.update(terms=[]), SchemaError, "'terms' must be a non-empty list"),
+    (lambda d: d.update(bogus=1), SchemaError, "unknown top-level keys: ['bogus']"),
+    (lambda d: operator.delitem(d, "terms"), SchemaError, "document requires 'q' and 'terms'"),
+    (
+        lambda d: d["terms"][0].update(kind="cubic"),
+        SchemaError,
+        "terms[0]: kind must be one of ('linear', 'bilinear', 'exp_linear', 'exp_bilinear'), got 'cubic'",
+    ),
+    (lambda d: d["terms"][0].update(indices=[1, 1, 2, 3]), DomainError, "terms[0]: duplicate indices"),
+    (lambda d: d["terms"][0].update(indices=[0, 1, 2, 3]), DomainError, "terms[0]: indices must lie in 1..4"),
+    (lambda d: d["terms"][0].update(indices=[1, 2, 3, 5]), DomainError, "terms[0]: indices must lie in 1..4"),
+    (
+        lambda d: d["terms"][0].update(beta=[1.0, 2.0]),
+        DimensionError,
+        "terms[0]: beta must have length 4, got shape (2,)",
+    ),
+    (lambda d: operator.delitem(d["terms"][0], "beta"), SchemaError, "terms[0]: kind 'exp_linear' requires 'beta'"),
+    (lambda d: d["terms"][0].update(A=[[1.0]]), SchemaError, "terms[0]: unknown keys for kind 'exp_linear': ['A']"),
+    (lambda d: d["terms"][0].update(offset="x"), SchemaError, f"terms[0]: 'offset' {_NUMBERS}"),
+    (lambda d: d.update(q=64), SizeGuard, "coalition bitmasks support q <= 63, got q = 64"),
+    (lambda d: d.update(q=100_000_000_000), SizeGuard, "coalition bitmasks support q <= 63, got q = 100000000000"),
+    (lambda d: d["terms"][0].update(beta=["1", 2, 3, 4]), SchemaError, f"terms[0]: 'beta' {_NUMBERS}"),
+    (lambda d: d["terms"][0].update(beta=[True, 2, 3, 4]), SchemaError, f"terms[0]: 'beta' {_NUMBERS}"),
+    (lambda d: d["terms"][0].update(offset=True), SchemaError, f"terms[0]: 'offset' {_NUMBERS}"),
+    (lambda d: d["terms"][0].update(offset=[1.0]), SchemaError, "terms[0]: 'offset' must be a number"),
+    (
+        lambda d: d["terms"][0].update(offset=float("inf")),
+        DomainError,
+        "terms[0]: 'offset' contains non-finite entries",
+    ),
+    (lambda d: d["terms"][0].update(offset=10**400), DomainError, "terms[0]: 'offset' contains non-finite entries"),
+    (
+        lambda d: d["terms"][0].update(beta=[10**400, 2, 3, 4]),
+        DomainError,
+        "terms[0]: 'beta' contains non-finite entries",
+    ),
+    (lambda d: [d], SchemaError, "top-level value must be an object"),
+    (_terms(5), SchemaError, "terms[0] must be an object"),
+    (lambda d: d["terms"][0].update(indices=[]), SchemaError, "terms[0]: 'indices' must be a non-empty list"),
+    (lambda d: d["terms"][0].update(indices="1"), SchemaError, "terms[0]: 'indices' must be a non-empty list"),
+    (lambda d: d["terms"][0].update(indices=[1.0, 2, 3, 4]), SchemaError, "terms[0]: indices must be integers"),
+    (lambda d: d["terms"][0].update(indices=[True, 2, 3, 4]), SchemaError, "terms[0]: indices must be integers"),
+    (lambda d: d["terms"][0].update(beta=None), SchemaError, "terms[0]: kind 'exp_linear' requires 'beta'"),
+    (_terms({"kind": "bilinear", "indices": [1, 2]}), SchemaError, "terms[0]: kind 'bilinear' requires 'A'"),
+    (_terms({"kind": "bilinear", "indices": [1, 2], "A": None}), SchemaError, "terms[0]: kind 'bilinear' requires 'A'"),
+    (
+        _terms({"kind": "bilinear", "indices": [1, 2], "beta": [1.0, 2.0]}),
+        SchemaError,
+        "terms[0]: unknown keys for kind 'bilinear': ['beta']",
+    ),
+    (
+        _terms({"kind": "exp_bilinear", "indices": [1, 2], "A": [[1.0, 2.0], [3.0]]}),
+        SchemaError,
+        f"terms[0]: 'A' {_NUMBERS}",
+    ),
+]
+
+
+# ids name the mutation and the error class, not the message
 @pytest.mark.parametrize(
-    "mutate, expected",
-    [
-        (lambda d: d.update(q="4"), SchemaError),
-        (lambda d: d.update(q=1), DomainError),
-        (lambda d: d.update(terms=[]), SchemaError),
-        (lambda d: d.update(bogus=1), SchemaError),
-        (lambda d: d.pop("terms"), SchemaError),
-        (lambda d: d["terms"][0].update(kind="cubic"), SchemaError),
-        (lambda d: d["terms"][0].update(indices=[1, 1, 2, 3]), DomainError),
-        (lambda d: d["terms"][0].update(indices=[0, 1, 2, 3]), DomainError),
-        (lambda d: d["terms"][0].update(indices=[1, 2, 3, 5]), DomainError),
-        (lambda d: d["terms"][0].update(beta=[1.0, 2.0]), DimensionError),
-        (lambda d: d["terms"][0].pop("beta"), SchemaError),
-        (lambda d: d["terms"][0].update(A=[[1.0]]), SchemaError),
-        (lambda d: d["terms"][0].update(offset="x"), SchemaError),
-        (lambda d: d.update(q=64), SizeGuard),
-        (lambda d: d.update(q=100_000_000_000), SizeGuard),
-        (lambda d: d["terms"][0].update(beta=["1", 2, 3, 4]), SchemaError),
-        (lambda d: d["terms"][0].update(beta=[True, 2, 3, 4]), SchemaError),
-        (lambda d: d["terms"][0].update(offset=True), SchemaError),
-        (lambda d: d["terms"][0].update(offset=[1.0]), SchemaError),
-        (lambda d: d["terms"][0].update(offset=float("inf")), DomainError),
-        (lambda d: d["terms"][0].update(offset=10**400), DomainError),
-        (lambda d: d["terms"][0].update(beta=[10**400, 2, 3, 4]), DomainError),
-    ],
+    "mutate, expected, message",
+    PARSE_REJECTIONS,
+    ids=[f"{mutate.__name__}-{expected.__name__}" for mutate, expected, _ in PARSE_REJECTIONS],
 )
-def test_parse_rejections(mutate, expected):
+def test_parse_rejections(mutate, expected, message):
+    # a mutation edits the reference document in place, or returns what is
+    # parsed in its place
     doc = json.loads(json.dumps(REFERENCE_DOC))
-    mutate(doc)
-    with pytest.raises(expected):
-        parse_spec(doc)
+    replaced = mutate(doc)
+    with pytest.raises(expected) as caught:
+        parse_spec(doc if replaced is None else replaced)
+    assert type(caught.value) is expected and str(caught.value) == message
 
 
 def test_parse_rejects_invalid_json_text():
@@ -126,8 +176,9 @@ def test_parse_rejects_invalid_json_text():
 
 def test_bilinear_params_shape_checked():
     doc = {"q": 3, "terms": [{"kind": "bilinear", "indices": [1, 2], "A": [[1.0, 2.0]]}]}
-    with pytest.raises(DimensionError):
+    with pytest.raises(DimensionError) as caught:
         parse_spec(doc)
+    assert str(caught.value) == "terms[0]: A must be 2x2, got shape (1, 2)"
 
 
 def test_overflowing_exponential_raises_non_finite():
@@ -340,11 +391,11 @@ def test_row_lookups_refuse_a_non_finite_payoff_of_a_value_only_game(paired):
 
 
 def test_a_streamed_walk_raises_at_the_first_block_that_visits_a_non_finite_payoff():
-    # one block more than np.getbufsize() orders of q = 18 players, fewer
+    # one block more than exact.WALK_BLOCK orders of q = 18 players, fewer
     # than 2^18 lookups: each block's prefixes are evaluated as rows, column
     # by column, and the game turns non-finite from its 19th call on, the
     # second block's first column.  The walk raises there and counts nothing.
-    q, step = 18, np.getbufsize()
+    q, step = 18, exact.WALK_BLOCK
     game = LateInfinity(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}), q)
     ev = GameEvaluator(game)
     with pytest.raises(NonFiniteError):

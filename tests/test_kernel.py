@@ -468,16 +468,23 @@ def test_bilinearity_test_accepts_linear_games():
     assert kernel.bilinearity_test(GameEvaluator(spec), trials=4, tol=1e-8, seed=62) <= 1e-8
 
 
-def test_bilinearity_test_validates_arguments(reference_spec):
+def test_bilinearity_test_validates_arguments(reference_spec, monkeypatch):
     with pytest.raises(DomainError):
         kernel.bilinearity_test(GameEvaluator(reference_spec), trials=1, tol=1e-8, seed=1)
     for tol in (0.0, -1e-9, np.inf, np.nan):
         with pytest.raises(DomainError):
             kernel.bilinearity_test(GameEvaluator(reference_spec), trials=3, tol=tol, seed=1)
+    # trials q may reach DRAW_LIMIT, and no more
+    monkeypatch.setattr(kernel, "DRAW_LIMIT", 12)
+    kernel.bilinearity_test(GameEvaluator(reference_spec), trials=3, tol=1e-8, seed=1)
+    ev = GameEvaluator(reference_spec)
+    with pytest.raises(SizeGuard):
+        kernel.bilinearity_test(ev, trials=4, tol=1e-8, seed=1)
+    assert ev.eval_count == 0
 
 
 @pytest.mark.parametrize("trials", [2, 5, 40])
-def test_bilinearity_discrepancy_is_the_all_pairs_maximum(trials):
+def test_bilinearity_discrepancy_is_the_all_pairs_maximum(trials, monkeypatch):
     # the spread of each coordinate over the trials, to the bit of the
     # largest max-norm distance over every pair of lone paired fits on
     # q - 1 draws, one per trial seed
@@ -488,3 +495,6 @@ def test_bilinearity_discrepancy_is_the_all_pairs_maximum(trials):
         for trial in range(trials)
     ]
     assert spread == max_pairwise_discrepancy(solutions) > 0.0
+    # fitted in groups of STACK_ENTRIES seeds, the trials keep their spread
+    monkeypatch.setattr(kernel, "STACK_ENTRIES", 3)
+    assert kernel.bilinearity_test(ev, trials=trials, tol=1e-8, seed=63) == spread

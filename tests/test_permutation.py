@@ -10,7 +10,7 @@ from scipy.stats import chi2
 
 from pairshap import asymptotics, exact, games, kernel, permutation, streams
 from pairshap.estimators import ESTIMATORS
-from pairshap.errors import DomainError, NonFiniteError, PartitionError, SizeGuard
+from pairshap.errors import DimensionError, DomainError, NonFiniteError, PartitionError, SizeGuard
 from pairshap.games import GameEvaluator, mask_rows, member_masks, parse_spec
 from pairshap.streams import DrawAhead, derive_rng
 
@@ -92,7 +92,7 @@ def assert_estimate_folds(drawn, rows) -> None:
     """
     vector, moments = drawn
     assert vector.phi.tobytes() == (rows.mean(axis=0) * (0.5 if moments.paired else 1.0)).tobytes()
-    if 1 < rows.shape[0] <= np.getbufsize():
+    if 1 < rows.shape[0] <= exact.WALK_BLOCK:
         assert moments.covariance().tobytes() == two_pass_covariance(rows, moments.paired).tobytes()
 
 
@@ -246,7 +246,7 @@ def test_gain_table_entries_are_the_walk_gains():
 @pytest.mark.parametrize("q", range(2, 10))
 def test_exact_walk_routes_are_the_lookup_walk_bit_for_bit(q):
     # phi has the bits of the mean of the q! rows of the lookup walk.  The
-    # covariance of up to np.getbufsize() rows (q <= 7) is folded in one
+    # covariance of up to exact.WALK_BLOCK rows (q <= 7) is folded in one
     # chunk, to the two-pass bits; q = 8 and 9 fold several chunks, within
     # 1e-13 of max|cov| of the two passes, or of the squared largest gain
     # where the covariance is roundoff
@@ -260,7 +260,7 @@ def test_exact_walk_routes_are_the_lookup_walk_bit_for_bit(q):
         report = asymptotics.permutation_covariance_exact(GameEvaluator(spec), paired)
         walked = lookup_walk(table, perms, paired)
         expected = two_pass_covariance(walked, paired)
-        if len(perms) <= np.getbufsize():
+        if len(perms) <= exact.WALK_BLOCK:
             assert report.matrix.tobytes() == (0.5 * (expected + expected.T)).tobytes(), paired
         else:
             scale = max(np.abs(expected).max(), (np.abs(walked).max() * (0.5 if paired else 1.0)) ** 2)
@@ -312,10 +312,10 @@ def test_walks_refuse_rows_that_are_not_orders(hand_game_q3, bad, paired):
 def test_a_walk_that_raises_in_a_later_block_counts_nothing(paired):
     # q = 18 walks of fewer than 2^18 lookups send their prefixes as rows, q
     # columns a block (2q paired), and the game turns non-finite at the
-    # second block's first column.  A lone estimate of np.getbufsize() + 10
+    # second block's first column.  A lone estimate of exact.WALK_BLOCK + 10
     # orders, and a stack of 8 replicates of 100 orders, 4 to a block, each
     # walk their first block, raise, and count nothing.
-    q, step = 18, np.getbufsize()
+    q, step = 18, exact.WALK_BLOCK
     spec = parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]})
     columns = (2 if paired else 1) * q
     for walk, rows in (
@@ -334,21 +334,21 @@ def inline_fold(ev, q: int, n: int, seed, paired: bool, fold):
     """A fold of one replicate's drawn orders, walked and added chunk by chunk on this thread."""
     rows = marginal_vectors(ev, drawn_orders(q, n, seed), paired)
     folded = fold(paired)
-    for start in range(0, n, np.getbufsize()):
-        folded.add(rows[start : start + np.getbufsize()].copy())
+    for start in range(0, n, exact.WALK_BLOCK):
+        folded.add(rows[start : start + exact.WALK_BLOCK].copy())
     return folded
 
 
 @pytest.mark.parametrize("paired", [False, True])
 def test_orders_drawn_ahead_fold_to_the_inline_bits(paired):
-    # from np.getbufsize() orders on, each block is shuffled on a worker
+    # from exact.WALK_BLOCK orders on, each block is shuffled on a worker
     # thread while the one before it is walked: a lone estimate of three
     # blocks and five orders has the bits, phi and covariance, of its drawn
     # orders walked and folded chunk by chunk inline, and so does each
     # replicate of a two-replicate stack of 20 000 orders
     q, seed = 7, 105
     spec = parse_spec(random_game_doc(np.random.default_rng(106), q))
-    n = 3 * np.getbufsize() + 5
+    n = 3 * exact.WALK_BLOCK + 5
     vector, moments = permutation.estimate_permutation(GameEvaluator(spec), n, paired, seed=seed)
     expected = inline_fold(GameEvaluator(spec), q, n, seed, paired, exact.WalkMoments)
     assert moments.count == expected.count == n
@@ -368,7 +368,7 @@ def test_a_walk_drawn_ahead_that_raises_leaves_no_thread(paired):
     # block's first column, while the worker shuffles the fourth: the walk
     # raises, counts nothing and joins its worker, and a fresh evaluator
     # then walks all four blocks
-    q, step = 20, np.getbufsize()
+    q, step = 20, exact.WALK_BLOCK
     spec = parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]})
     columns = (2 if paired else 1) * q
     n = 3 * step + 10
@@ -432,7 +432,7 @@ def test_a_walk_drawn_ahead_runs_the_package_on_one_thread(monkeypatch):
         (exact.WalkMoments, "add"),
     ):
         monkeypatch.setattr(owner, name, on_thread(getattr(owner, name)))
-    n = 3 * np.getbufsize()
+    n = 3 * exact.WALK_BLOCK
     vector, moments = permutation.estimate_permutation(GameEvaluator(spec), n, True, seed=111)
     assert moments.count == n and n * q < 2**q
     called = {name for name, _ in threads}
@@ -445,7 +445,7 @@ def test_gain_walk_memory_stays_within_three_order_arrays(paired):
     # q = 12 walks from the gain table from n = 2^12 = 4096 orders.  With the
     # value table built in the trace, the estimate's traced peak stays below
     # the gain table's q 2^q floats, 9 bytes per coalition (the value table
-    # and its finiteness check) and five blocks of np.getbufsize() x q
+    # and its finiteness check) and five blocks of exact.WALK_BLOCK x q
     # entries (the orders walked and those drawn ahead, their gains, the
     # prefixes and the fold's temporaries): less than three n x q float
     # arrays.  n spans several of the walk's blocks.
@@ -453,7 +453,7 @@ def test_gain_walk_memory_stays_within_three_order_arrays(paired):
     ev = GameEvaluator(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}))
     (vector, _), peak = traced_peak(lambda: permutation.estimate_permutation(ev, n, paired, seed=98))
     np.testing.assert_allclose(vector.phi, 1.0, atol=1e-12)
-    bound = 8 * q * 2**q + 9 * 2**q + 5 * 8 * np.getbufsize() * q
+    bound = 8 * q * 2**q + 9 * 2**q + 5 * 8 * exact.WALK_BLOCK * q
     assert peak <= bound < 3 * 8 * n * q
 
 
@@ -481,7 +481,7 @@ def test_drawing_orders_block_by_block_is_one_draw(q):
     whole = permutation.sample_permutations(q, n, derive_rng(51, q))
     expected = derive_rng(51, q)
     permutation.sample_permutations(q, n, expected)
-    for block in (3, 7, np.getbufsize()):
+    for block in (3, 7, exact.WALK_BLOCK):
         rng = derive_rng(51, q)
         buffer = np.empty((block, q), dtype=np.int64)
         parts = []
@@ -493,7 +493,7 @@ def test_drawing_orders_block_by_block_is_one_draw(q):
 
 
 @pytest.mark.parametrize("paired", [False, True])
-@pytest.mark.parametrize("n, reps", [(5, 7), (256, 3), (np.getbufsize(), 2), (np.getbufsize() + 5, 3), (20_000, 2)])
+@pytest.mark.parametrize("n, reps", [(5, 7), (256, 3), (exact.WALK_BLOCK, 2), (exact.WALK_BLOCK + 5, 3), (20_000, 2)])
 def test_stacked_walks_are_lone_walks_and_the_mean_of_the_rows(n, reps, paired):
     # a stack streams each replicate's orders in chunks counted from its own
     # first row, and folds only their row sums, to the bits of the lone
@@ -507,20 +507,20 @@ def test_stacked_walks_are_lone_walks_and_the_mean_of_the_rows(n, reps, paired):
         assert vector.phi.tobytes() == lone.phi.tobytes()
         B = marginal_vectors(GameEvaluator(spec), drawn_orders(5, n, seed), paired)
         assert vector.phi.tobytes() == (B.mean(axis=0) * (0.5 if paired else 1.0)).tobytes()
-        if n > 1 and n <= np.getbufsize():
+        if n > 1 and n <= exact.WALK_BLOCK:
             assert moments.covariance().tobytes() == two_pass_covariance(B, paired).tobytes()
 
 
 @pytest.mark.parametrize("paired", [False, True])
 @pytest.mark.parametrize("n", [5, 8192, 20_000])
 def test_walk_sum_is_the_row_sum_of_walk_moments(n, paired):
-    # rows of mixed scales, folded in chunks of np.getbufsize() rows, as a walk folds them
+    # rows of mixed scales, folded in chunks of exact.WALK_BLOCK rows, as a walk folds them
     rng = np.random.default_rng(n)
     rows = rng.normal(size=(n, 6)) * 10.0 ** rng.integers(-3, 4, size=6)
     folds = exact.WalkSum(paired), exact.WalkMoments(paired)
     for fold in folds:
-        for start in range(0, n, np.getbufsize()):
-            fold.add(rows[start : start + np.getbufsize()].copy())
+        for start in range(0, n, exact.WALK_BLOCK):
+            fold.add(rows[start : start + exact.WALK_BLOCK].copy())
     assert folds[0].count == folds[1].count == n
     assert folds[0].row_sum.tobytes() == folds[1].row_sum.tobytes()
     assert folds[0].row_sum.tobytes() == rows.sum(axis=0).tobytes()
@@ -569,7 +569,7 @@ def test_plugin_memory_does_not_grow_with_the_orders():
     # a paired q = 9 plug-in streams its orders: at n = 50 000 and at
     # n = 400 000 its traced peak stays below the gain table, the value table
     # with its finiteness check (9 bytes per coalition) and five blocks of
-    # np.getbufsize() x q entries (the orders walked and those drawn ahead,
+    # exact.WALK_BLOCK x q entries (the orders walked and those drawn ahead,
     # their gains, the prefixes and the fold's temporaries), and the two
     # peaks differ by less than one block column.  A walk that holds its
     # orders or its gains needs an n x q array, past the bound at either n.
@@ -580,9 +580,9 @@ def test_plugin_memory_does_not_grow_with_the_orders():
         traced_peak(lambda: asymptotics.permutation_covariance_plugin(GameEvaluator(spec), n, seed=59))[1]
         for n in (50_000, 400_000)
     ]
-    bound = 8 * q * 2**q + 9 * 2**q + 5 * 8 * np.getbufsize() * q
+    bound = 8 * q * 2**q + 9 * 2**q + 5 * 8 * exact.WALK_BLOCK * q
     assert max(peaks) <= bound < 8 * 50_000 * q
-    assert abs(peaks[1] - peaks[0]) <= 8 * np.getbufsize()
+    assert abs(peaks[1] - peaks[0]) <= 8 * exact.WALK_BLOCK
 
 
 @pytest.mark.parametrize("n", [14_000, 15_000])
@@ -592,7 +592,7 @@ def test_walk_memory_stays_within_three_order_arrays(n):
     # builds the evaluator's table, which outlives the walk.  Either way the
     # estimate's traced peak, temporaries included, stays below 9 bytes per
     # coalition when it builds the table (the table and the boolean array of
-    # its finiteness check) and five blocks of np.getbufsize() x q entries
+    # its finiteness check) and five blocks of exact.WALK_BLOCK x q entries
     # (the orders walked and those drawn ahead, their gains, the prefixes,
     # and the rows of one prefix column or the fold's temporaries); paired, one
     # more block holds the reverse prefixes.  The one-way peak stays below
@@ -603,7 +603,7 @@ def test_walk_memory_stays_within_three_order_arrays(n):
         ev = GameEvaluator(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}))
         (vector, _), peak = traced_peak(lambda: permutation.estimate_permutation(ev, n, paired, seed=93))
         np.testing.assert_allclose(vector.phi, 1.0, atol=1e-12)
-        assert peak <= tables + (6 if paired else 5) * 8 * np.getbufsize() * q
+        assert peak <= tables + (6 if paired else 5) * 8 * exact.WALK_BLOCK * q
         assert paired or peak <= 3 * 8 * n * q + tables
 
 
@@ -614,7 +614,7 @@ def test_table_switch_is_decided_once_per_walk(paired):
     # than 2^18 of them: n = 15 000 shows the game the table's 2^18 rows once,
     # and n = 14 000 its n q prefixes as rows (2 n q paired), block by block
     q = 18
-    assert 14_000 * q < 2**q <= 15_000 * q and np.getbufsize() * q < 2**q
+    assert 14_000 * q < 2**q <= 15_000 * q and exact.WALK_BLOCK * q < 2**q
     spec = parse_spec(random_game_doc(np.random.default_rng(101), q))
     for n, tabulated in ((15_000, True), (14_000, False)):
         game = RowCounter(spec)
@@ -625,7 +625,7 @@ def test_table_switch_is_decided_once_per_walk(paired):
             assert np.array_equal(np.concatenate(game.masks), np.arange(2**q))
         else:
             assert sum(game.calls) == (2 if paired else 1) * n * q
-            assert max(game.calls) <= np.getbufsize()
+            assert max(game.calls) <= exact.WALK_BLOCK
             assert ev._table is None
         perms = drawn_orders(q, n, 102)
         expected = walk_by_rows(GameEvaluator(spec), perms)
@@ -657,7 +657,7 @@ def test_a_stack_decides_its_tables_from_one_replicate(gain_walks, paired):
 def test_row_walk_memory_is_one_order_array_and_four_blocks(paired):
     # q = 26 is beyond the value table, so every block's prefixes are sent as
     # rows.  Over several blocks the estimate's traced peak stays below five
-    # blocks of np.getbufsize() x q entries: the orders walked, their gains,
+    # blocks of exact.WALK_BLOCK x q entries: the orders walked, their gains,
     # the orders drawn ahead, the prefixes, and the rows of one prefix column
     # with the game's own temporaries; paired, one more block holds the
     # reverse prefixes.  That is less than one n x q float array and four
@@ -666,9 +666,9 @@ def test_row_walk_memory_is_one_order_array_and_four_blocks(paired):
     ev = GameEvaluator(parse_spec({"q": q, "terms": [{"kind": "linear", "indices": list(range(1, q + 1)), "beta": [1.0] * q}]}))
     (vector, _), peak = traced_peak(lambda: permutation.estimate_permutation(ev, n, paired, seed=103))
     np.testing.assert_allclose(vector.phi, 1.0, atol=1e-12)
-    assert ev._table is None and n > 3 * np.getbufsize()
-    bound = (6 if paired else 5) * 8 * np.getbufsize() * q
-    assert peak <= bound < 8 * n * q + 4 * 8 * np.getbufsize() * q
+    assert ev._table is None and n > 3 * exact.WALK_BLOCK
+    bound = (6 if paired else 5) * 8 * exact.WALK_BLOCK * q
+    assert peak <= bound < 8 * n * q + 4 * 8 * exact.WALK_BLOCK * q
 
 
 def test_sampler_refuses_orders_over_the_limit(monkeypatch):
@@ -689,6 +689,13 @@ def test_values_at_rejects_masks_outside_the_coalitions(hand_game_q3, bad):
     with pytest.raises(DomainError):
         hand_game_q3.values_at(masks)
     assert hand_game_q3.eval_count == 6
+
+
+def test_values_at_rejects_masks_that_are_not_two_dimensional(hand_game_q3):
+    with pytest.raises(DimensionError) as caught:
+        hand_game_q3.values_at(np.array([1, 3, 7]))
+    assert str(caught.value) == "expected an (n, k) bitmask array, got shape (3,)"
+    assert hand_game_q3.eval_count == 0
 
 
 def test_mask_rows_unpacks_bits_in_player_order():
